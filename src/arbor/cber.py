@@ -80,10 +80,6 @@ class FiniteER:
             buckets.setdefault(self._find(i), []).append(i)
         return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
 
-    def class_of(self, i: int) -> tuple[int, ...]:
-        root = self._find(i)
-        return tuple(j for j in range(len(self.base)) if self._find(j) == root)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteER) and self.base is other.base
                 and self.classes() == other.classes())

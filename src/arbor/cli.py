@@ -30,6 +30,7 @@ from .groups import Amalgam, GroupError, make_amalgam, make_group, word_to_str
 from .reiter import (
     FreeAction,
     cfw_extract,
+    check_grid_size,
     check_uniform_coamenable,
     format_fraction,
     free_tree_window,
@@ -127,6 +128,9 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
             limits["vertex_cap"] = int(cap)
         except ValueError:
             raise ConfigError(f"ARBOR_VERTEX_CAP: not an integer: {cap!r}")
+        if limits["vertex_cap"] < 0:
+            raise ConfigError(
+                f"ARBOR_VERTEX_CAP: need a nonnegative integer, got {cap!r}")
     return am, limits
 
 
@@ -271,8 +275,11 @@ def _reiter_window(am: Amalgam, args):
         if args.generators:
             raise ConfigError("generators: the free window always uses all "
                               "letters and inverses")
-        window = free_tree_window(args.rank, args.radius)
-        support = FreeAction(args.rank, args.radius).ball(args.support_radius)
+        # the smallest window that holds every image of the support
+        radius = args.radius if args.radius is not None \
+            else args.support_radius + 1
+        window = free_tree_window(args.rank, radius)
+        support = FreeAction(args.rank, radius).ball(args.support_radius)
         return window, support
     raise ConfigError(f"window: unknown kind {args.window!r}")
 
@@ -311,6 +318,10 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
         }, args)
         return 0
     window, support = _reiter_window(am, args)
+    if args.grid_check:
+        denom = args.denominator if args.denominator is not None \
+            else limits["lp_denominator"]
+        check_grid_size(len(support), denom)
     res = reiter_lp(window, support, target_eps=args.target)
     doc = {
         "command": "reiter",
@@ -324,8 +335,6 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
         doc["target"] = format_fraction(args.target)
         doc["ok"] = bool(res.meets_target)
     if args.grid_check:
-        denom = args.denominator if args.denominator is not None \
-            else limits["lp_denominator"]
         value, _ = grid_search_min_deviation(window, support, denom)
         doc["grid"] = {
             "denominator": denom,
@@ -340,7 +349,10 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
 
 def cmd_cfw(am: Amalgam, limits: dict, args) -> int:
     if args.tensor:
-        text = Path(args.tensor).read_text()
+        try:
+            text = Path(args.tensor).read_text()
+        except OSError as err:
+            raise ConfigError(f"tensor: cannot read {args.tensor}: {err}")
     else:
         text = resources.files("arbor.configs").joinpath(
             "monotone_tensor.json").read_text()
@@ -420,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reiter", parents=[common],
                        help="minimize worst-case deviation on a finite window")
     p.add_argument("--window", required=True, choices=["z", "free", "group"])
-    p.add_argument("--radius", type=int, help="window radius")
+    p.add_argument("--radius", type=int,
+                   help="window radius (default: derived from the support)")
     p.add_argument("--support-size", type=int, default=10,
                    help="interval length for the z window")
     p.add_argument("--rank", type=int, default=2, help="free window rank")

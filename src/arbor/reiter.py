@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import BoundaryCode
@@ -381,29 +382,82 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
     return ReiterLpResult(sol.value, p, per_gen, cert, meets)
 
 
+# The integer grid visits some 200,000 vectors a second on one core, so
+# the cap keeps the oracle to seconds; larger grids are refused up front.
+GRID_VECTOR_CAP = 1_000_000
+
+
+class GridTooLarge(ValueError):
+    """Raised when a denominator grid has more vectors than GRID_VECTOR_CAP."""
+
+
+def grid_vector_count(support_size: int, max_denominator: int) -> int:
+    """Vectors a grid search visits: sum over d of C(d+k-1, k-1)."""
+    if support_size < 1:
+        return 0
+    return sum(comb(d + support_size - 1, support_size - 1)
+               for d in range(1, max_denominator + 1))
+
+
+def check_grid_size(support_size: int, max_denominator: int) -> None:
+    """Refuse a grid search that would visit more than GRID_VECTOR_CAP vectors."""
+    count = grid_vector_count(support_size, max_denominator)
+    if count > GRID_VECTOR_CAP:
+        raise GridTooLarge(
+            f"grid check over {support_size} support vertices with "
+            f"denominators up to {max_denominator} would visit {count} "
+            f"vectors, over the cap of {GRID_VECTOR_CAP}; lower the "
+            f"denominator or shrink the support")
+
+
 def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
                               max_denominator: int
                               ) -> tuple[Fraction, ProbVector]:
-    """Brute-force minimum over all vectors with weights k/d, d <= the cap."""
+    """Brute-force minimum over all vectors with weights k/d, d <= the cap.
+
+    The first minimizer in enumeration order wins: denominators ascending,
+    then the stars-and-bars placements in lexicographic order.  For a fixed
+    d the deviations are integer numerators over d.
+    """
     support = list(support)
     k = len(support)
-    best: Optional[tuple[Fraction, ProbVector]] = None
+    check_grid_size(k, max_denominator)
+    # slot t < k is support[t]; images outside the support get slots >= k
+    slot = {v: t for t, v in enumerate(support)}
+    for v in reversed(support):
+        for gi in range(len(window.gens)):
+            img = window.image(gi, v)
+            if img is None:
+                raise WindowEscape(
+                    f"support vertex {v!r} escapes under generator "
+                    f"{window.gens[gi]!r}")
+            slot.setdefault(img, len(slot))
+    images = [[slot[window.image(gi, v)] for v in support]
+              for gi in range(len(window.gens))]
+    pad = [0] * (len(slot) - k)
+    best: Optional[tuple[Fraction, list[int], int]] = None
     for d in range(1, max_denominator + 1):
+        d_worst: Optional[int] = None
         for bars in combinations(range(d + k - 1), k - 1):
-            parts = []
-            prev = -1
-            for b in bars:
-                parts.append(b - prev - 1)
-                prev = b
-            parts.append(d + k - 2 - prev)
-            p = ProbVector((support[t], Fraction(parts[t], d))
-                           for t in range(k) if parts[t])
-            val = max(_window_deviations(window, p))
-            if best is None or val < best[0]:
-                best = (val, p)
+            parts = [hi - lo - 1 for lo, hi
+                     in zip((-1,) + bars, bars + (d + k - 1,))]
+            worst = 0
+            for img in images:
+                diff = parts + pad
+                for t, q in enumerate(parts):
+                    if q:
+                        diff[img[t]] -= q
+                worst = max(worst, sum(map(abs, diff)))
+            if d_worst is None or worst < d_worst:
+                d_worst, d_parts = worst, parts
+        if d_worst is not None and (best is None
+                                    or Fraction(d_worst, d) < best[0]):
+            best = (Fraction(d_worst, d), d_parts, d)
     if best is None:
         raise WindowEscape("empty grid")
-    return best
+    val, parts, d = best
+    return val, ProbVector((support[t], Fraction(parts[t], d))
+                           for t in range(k) if parts[t])
 
 
 def check_uniform_coamenable(group: FiniteGroup, subgroup: Iterable[int],

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +291,67 @@ def test_cfw_custom_tensor(tmp_path, capsys):
     rc, _, err = run(capsys, ["cfw", "--tensor", str(path)])
     assert rc == 2
     assert "tensor" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (argv, extra environment, exit code): bad or edge input on the reiter,
+# cfw and limits paths must end in a verdict or one error line, never a
+# traceback.  "{tmp}" is replaced by a fresh temporary directory.
+EDGE_CASES = [
+    (["reiter", "--window", "z", "--support-size", "10", "--grid-check"],
+     {}, 2),
+    (["reiter", "--window", "free"], {}, 0),
+    (["reiter", "--window", "free", "--support-radius", "3", "--radius", "2"],
+     {}, 2),
+    (["reiter", "--window", "free", "--rank", "0"], {}, 2),
+    (["reiter", "--window", "z", "--support-size", "0"], {}, 2),
+    (["reiter", "--window", "z", "--radius", "-1"], {}, 2),
+    (["reiter", "--window", "z", "--support-size", "3", "--grid-check",
+      "--denominator", "0"], {}, 2),
+    (["reiter", "--window", "group", "--generators", "zz"], {}, 2),
+    (["cfw", "--tensor", "{tmp}/missing.json"], {}, 2),
+    (["cfw", "--tensor", "{tmp}"], {}, 2),
+    (["cfw", "--m-max", "0"], {}, 2),
+    (["reiter", "--window", "group"], {"ARBOR_VERTEX_CAP": "-1"}, 2),
+]
+
+
+@pytest.mark.parametrize("argv,env,code", EDGE_CASES,
+                         ids=[" ".join(a) for a, _, _ in EDGE_CASES])
+def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "arbor.cli", *argv],
+                          capture_output=True, text=True, env=full_env,
+                          timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+    else:
+        json.loads(proc.stdout)
+
+
+def test_oversized_grid_check_is_refused_fast(capsys):
+    started = time.perf_counter()
+    rc, out, err = run(capsys, ["reiter", "--window", "z", "--support-size",
+                                "10", "--grid-check"])
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and out == ""
+    assert "30045014 vectors" in err
+
+
+def test_free_window_default_radius(capsys):
+    # the default window is the support ball grown by one
+    rc, out, _ = run(capsys, ["reiter", "--window", "free",
+                              "--support-radius", "1"])
+    assert rc == 0
+    _, explicit, _ = run(capsys, ["reiter", "--window", "free",
+                                  "--support-radius", "1", "--radius", "2"])
+    assert out == explicit
+    assert json.loads(out)["support_size"] == 5

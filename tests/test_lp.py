@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arbor.lp import LpError, solve_lp
+from arbor.lp import LpError, LpSolution, solve_lp, verify_optimal
 
 
 def test_simple_bounded_maximum():
@@ -95,3 +97,104 @@ def test_against_float_reference():
         assert abs(float(sol.value) - ref.fun) < 1e-7
         checked += 1
     assert checked >= 20
+
+
+def test_dual_certificate_fields():
+    # min x + y with 3x + y >= 1 and x + 3y >= 1: both rows bind, y = -1/4
+    sol = solve_lp([1, 1], [[-3, -1], [-1, -3]], [-1, -1], [], [])
+    assert sol.y == (Fraction(-1, 4), Fraction(-1, 4))
+    eq = solve_lp([1, 2], [], [], [[1, 1]], [1])
+    assert eq.value == 1 and eq.y == (Fraction(1),)
+
+
+def test_corrupted_dual_is_rejected():
+    # min x + y with x + y = 1 and 3x + y >= 1: the equality's dual is 1
+    c, a_ub, b_ub, a_eq, b_eq = [1, 1], [[-3, -1]], [-1], [[1, 1]], [1]
+    sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    assert sol.value == 1 and sol.y == (Fraction(0), Fraction(1))
+    verify_optimal(c, a_ub, b_ub, a_eq, b_eq, sol)
+    corrupted = [
+        ((Fraction(1, 4), Fraction(1)), "inequality is positive"),
+        ((Fraction(0), Fraction(2)), "dual is infeasible"),
+        ((Fraction(0), Fraction(1, 2)), "b.y differs"),
+        ((Fraction(0),), "one dual value per constraint"),
+    ]
+    for y, message in corrupted:
+        with pytest.raises(LpError, match=message):
+            verify_optimal(c, a_ub, b_ub, a_eq, b_eq,
+                           LpSolution(sol.value, sol.x, y))
+    with pytest.raises(LpError, match="violated"):
+        verify_optimal(c, a_ub, b_ub, a_eq, b_eq,
+                       LpSolution(Fraction(0), (Fraction(0), Fraction(0)),
+                                  sol.y))
+
+
+def test_redundant_equality_rows_are_dropped():
+    # the second row is twice the first: phase 1 leaves a row with no real
+    # entry, which must go without disturbing the optimum or its dual
+    sol = solve_lp([1, 2, 0], [[1, 0, 1]], [3],
+                   [[1, 1, 1], [2, 2, 2], [0, 1, 0]], [2, 4, 1])
+    assert sol.value == Fraction(2)
+    assert sol.x == (Fraction(0), Fraction(1), Fraction(1))
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _small_lps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(_SMALL, min_size=n, max_size=n)
+    c = draw(row)
+    a_ub = draw(st.lists(row, max_size=4))
+    b_ub = draw(st.lists(st.integers(-2, 3), min_size=len(a_ub),
+                         max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(st.integers(-2, 3), min_size=len(a_eq),
+                         max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):  # a redundant equality row
+        a_eq.append([2 * v for v in a_eq[0]])
+        b_eq.append(2 * b_eq[0])
+    if draw(st.booleans()):  # a box, so most programs are bounded
+        a_ub.append([1] * n)
+        b_ub.append(draw(st.integers(0, 4)))
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_lps())
+def test_against_highs_with_dual_certificate(lp):
+    scipy = pytest.importorskip("scipy.optimize")
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    n = len(c)
+    ref_args = dict(A_ub=a_ub or None, b_ub=b_ub or None,
+                    A_eq=a_eq or None, b_eq=b_eq or None, method="highs")
+    feasible = scipy.linprog([0] * n, **ref_args).status == 0
+    try:
+        sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    except LpError as err:
+        if "infeasible" in str(err):
+            assert not feasible
+        else:
+            assert "unbounded" in str(err)
+            assert feasible
+            assert scipy.linprog(c, **ref_args).status == 3
+        return
+    ref = scipy.linprog(c, **ref_args)
+    assert ref.status == 0
+    assert abs(float(sol.value) - ref.fun) < 1e-7
+    # exact primal feasibility
+    assert all(v >= 0 for v in sol.x)
+    for row, b in zip(a_ub, b_ub):
+        assert sum(a * x for a, x in zip(row, sol.x)) <= b
+    for row, b in zip(a_eq, b_eq):
+        assert sum(a * x for a, x in zip(row, sol.x)) == b
+    assert sol.value == sum(a * x for a, x in zip(c, sol.x))
+    # dual certificate: y <= 0 on <= rows, A^T y <= c, b.y == value
+    y_ub, y_eq = sol.y[:len(a_ub)], sol.y[len(a_ub):]
+    assert len(y_eq) == len(a_eq)
+    assert all(v <= 0 for v in y_ub)
+    for j in range(n):
+        col = sum(row[j] * v for row, v in zip(a_ub + a_eq, sol.y))
+        assert col <= c[j]
+    assert sum(b * v for b, v in zip(b_ub + b_eq, sol.y)) == sol.value

@@ -1,6 +1,11 @@
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbor.codes import parse_code
 from arbor.groups import cyclic_group, normal_form
@@ -8,8 +13,10 @@ from arbor.models import dihedral_model, sl2z_model
 from arbor.reiter import (
     BoundaryAction,
     CosetAction,
+    GRID_VECTOR_CAP,
     EnumerationExhausted,
     FreeAction,
+    GridTooLarge,
     IntegerAction,
     ProbVector,
     WindowEscape,
@@ -21,6 +28,7 @@ from arbor.reiter import (
     free_reduce,
     free_tree_window,
     grid_search_min_deviation,
+    grid_vector_count,
     integer_window,
     l1_distance,
     monotone_tensor,
@@ -29,6 +37,7 @@ from arbor.reiter import (
     tensor_from_json,
     tensor_to_json,
     verify_cfw,
+    _window_deviations,
 )
 
 
@@ -333,3 +342,60 @@ def test_boundary_tensor_alternating_model():
     assert back == t
     ex = cfw_extract(t, m_max=3)
     verify_cfw(ex)
+
+
+def _fraction_grid(window, support, max_denominator):
+    """The grid search written directly over ProbVector and Fraction."""
+    k = len(support)
+    best = None
+    for d in range(1, max_denominator + 1):
+        for bars in combinations(range(d + k - 1), k - 1):
+            edges = (-1,) + bars + (d + k - 1,)
+            p = ProbVector((support[t], Fraction(edges[t + 1] - edges[t] - 1,
+                                                 d)) for t in range(k))
+            val = max(_window_deviations(window, p))
+            if best is None or val < best[0]:
+                best = (val, p)
+    return best
+
+
+@st.composite
+def _small_grids(draw):
+    if draw(st.booleans()):
+        radius = draw(st.integers(3, 5))
+        steps = draw(st.lists(st.sampled_from([1, -1, 2, -2, 3]),
+                              min_size=1, max_size=3, unique=True))
+        window = integer_window(radius, steps)
+    else:
+        window = free_tree_window(draw(st.integers(1, 2)),
+                                  draw(st.integers(1, 2)))
+    inner = list(window.interior())
+    support = draw(st.lists(st.sampled_from(inner), min_size=1,
+                            max_size=min(4, len(inner)), unique=True))
+    return window, support, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_grids())
+def test_integer_grid_matches_fraction_grid(case):
+    window, support, max_den = case
+    value, p = grid_search_min_deviation(window, support, max_den)
+    assert value == max(_window_deviations(window, p))
+    assert max(q.denominator for _, q in p.items()) <= max_den
+    assert (value, p) == _fraction_grid(window, support, max_den)
+
+
+def test_grid_size_is_counted_first():
+    assert grid_vector_count(10, 20) == comb(30, 10) - 1
+    assert grid_vector_count(6, 12) == comb(18, 6) - 1
+    w = integer_window(12)
+    started = time.perf_counter()
+    with pytest.raises(GridTooLarge, match=str(comb(30, 10) - 1)):
+        grid_search_min_deviation(w, list(range(10)), 20)
+    assert time.perf_counter() - started < 1
+    assert grid_vector_count(10, 20) > GRID_VECTOR_CAP >= grid_vector_count(6, 12)
+
+
+def test_grid_support_escape():
+    with pytest.raises(WindowEscape, match="escapes"):
+        grid_search_min_deviation(integer_window(3), [2, 3], 4)
