@@ -16,8 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 from .codes import BoundaryCode, PeriodicWord, compare_words, format_code, parse_code, raw_shift
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
-                     enumerate_reduced_words, invert, multiply,
-                     word_of_subgroup_element, word_to_str, word_from_str)
+                     VerificationError, enumerate_reduced_words, invert,
+                     multiply, word_of_subgroup_element, word_to_str,
+                     word_from_str)
 from .tree import act_on_boundary, check_theorem_A, TheoremStyleCertificate, word_element
 
 
@@ -266,15 +267,48 @@ class OrbitDecision:
     method: str
 
 
-def _even_shift_codes(am: Amalgam, x: BoundaryCode
-                      ) -> list[tuple[int, BoundaryCode, ReducedWord]]:
-    """(shift, canonical code, minimizing base element) for even shifts to the horizon."""
+ShiftCodes = tuple[tuple[int, BoundaryCode, ReducedWord], ...]
+
+
+def _even_shift_codes(am: Amalgam, x: BoundaryCode, mins: dict) -> ShiftCodes:
+    """(shift, canonical code, minimizing base element) for even shifts to the horizon.
+
+    mins maps a shifted code to its _orbit_min; the caller owns it and keeps
+    it for one computation, so a code shared by several shifts is minimized
+    once.
+    """
     bound = x.horizon() + 1
     out = []
     for i in range(0, bound + 1, 2):
-        code, h = _orbit_min(am, x.shift_code(i))
-        out.append((i, code, h))
-    return out
+        shifted = x.shift_code(i)
+        found = mins.get(shifted)
+        if found is None:
+            found = mins[shifted] = _orbit_min(am, shifted)
+        out.append((i, found[0], found[1]))
+    return tuple(out)
+
+
+def _shift_witness(am: Amalgam, x: BoundaryCode, xs: ShiftCodes,
+                   y: BoundaryCode, ys: ShiftCodes
+                   ) -> Optional[tuple[ReducedWord, tuple[int, int]]]:
+    """A verified element carrying y to x, from the first equal pair of codes.
+
+    Pairs are scanned with x's shift outermost.  The witness is rebuilt from
+    the shift prefixes and minimizing base elements and re-applied to y
+    before it is returned; None when no pair of shifts matches.
+    """
+    for i, cx, hx in xs:
+        for j, cy, hy in ys:
+            if cx == cy:
+                wx = word_element(am, x.letters(i))
+                wy = word_element(am, y.letters(j))
+                g = multiply(am, multiply(am, wx, invert(am, hx)),
+                             multiply(am, hy, invert(am, wy)))
+                if act_on_boundary(am, g, y) != x:
+                    raise VerificationError(
+                        "orbit witness failed re-verification")
+                return g, (i, j)
+    return None
 
 
 def orbit_equivalent(am: Amalgam, x: BoundaryCode, y: BoundaryCode,
@@ -294,19 +328,13 @@ def orbit_equivalent(am: Amalgam, x: BoundaryCode, y: BoundaryCode,
     if method != "codes":
         raise RelationError(f"unknown method {method!r}")
 
-    xs = _even_shift_codes(am, x)
-    ys = _even_shift_codes(am, y)
-    for i, cx, hx in xs:
-        for j, cy, hy in ys:
-            if cx == cy:
-                wx = word_element(am, x.letters(i))
-                wy = word_element(am, y.letters(j))
-                g = multiply(am, multiply(am, wx, invert(am, hx)),
-                             multiply(am, hy, invert(am, wy)))
-                if act_on_boundary(am, g, y) != x:
-                    raise RuntimeError("orbit witness failed re-verification")
-                return OrbitDecision(True, g, (i, j), True, "codes")
-    return OrbitDecision(False, None, None, True, "codes")
+    mins: dict = {}
+    found = _shift_witness(am, x, _even_shift_codes(am, x, mins),
+                           y, _even_shift_codes(am, y, mins))
+    if found is None:
+        return OrbitDecision(False, None, None, True, "codes")
+    g, shifts = found
+    return OrbitDecision(True, g, shifts, True, "codes")
 
 
 @dataclass(frozen=True)
@@ -318,10 +346,49 @@ class SampleSpace:
     points: tuple[BoundaryCode, ...]
 
 
+SAMPLE_SPACE_CAP = 100_000
+
+
+def _geometric(r: int, n: int) -> int:
+    """1 + r + ... + r^(n-1)."""
+    if r <= 1:
+        return n if r == 1 else min(n, 1)
+    return (r ** n - 1) // (r - 1)
+
+
+def sample_space_size(am: Amalgam, p_max: int, q_max: int) -> int:
+    """The (prefix, cycle) candidates build_sample_space enumerates, counted.
+
+    With a and b nontrivial representatives on the H and K sides, a cycle of
+    2k letters has (ab)^k choices, and a prefix of p >= 1 letters has
+    (a+1)*b*a*b*... (p factors) choices: position 0 may be trivial.
+    """
+    a, b = am.A.index - 1, am.B.index - 1
+    r = a * b
+    pairs, odd = divmod(p_max, 2)
+    prefixes = 1 + (a + 1) * ((1 + b) * _geometric(r, pairs) + odd * r ** pairs)
+    return prefixes * r * _geometric(r, q_max // 2)
+
+
 def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
-    """Enumerate every canonical code with |prefix| <= p_max, |cycle| <= q_max."""
+    """Enumerate every canonical code with |prefix| <= p_max, |cycle| <= q_max.
+
+    The candidates are counted first and refused over SAMPLE_SPACE_CAP.
+    """
     if p_max < 0 or q_max < 2:
         raise RelationError("need p_max >= 0 and q_max >= 2")
+    caps = f"prefixes up to {p_max} and cycles up to {q_max} letters"
+    if (am.A.index - 1) * (am.B.index - 1) > 1 and max(p_max, q_max) > 8192:
+        # the count grows at least like 2**(cap / 2): do not compute it
+        raise RelationError(
+            f"a sample space with {caps} would enumerate more than 2**4096 "
+            f"candidate codes, over the cap of {SAMPLE_SPACE_CAP}")
+    count = sample_space_size(am, p_max, q_max)
+    if count > SAMPLE_SPACE_CAP:
+        raise RelationError(
+            f"a sample space with {caps} would enumerate {count} candidate "
+            f"codes, over the cap of {SAMPLE_SPACE_CAP}; lower the prefix or "
+            f"cycle cap")
     pools = {A_SIDE: [Letter(A_SIDE, r) for r in range(1, am.A.index)],
              B_SIDE: [Letter(B_SIDE, r) for r in range(1, am.B.index)]}
     found = set()
@@ -354,6 +421,7 @@ class WitnessChain:
     target: FiniteER
     stabilized_at: Optional[int]
     certificates: tuple[TheoremStyleCertificate, ...]
+    shift_codes: tuple[ShiftCodes, ...]  # per point, from _even_shift_codes
 
 
 def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace, n_max: int,
@@ -382,9 +450,11 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace, n_max: int,
                 f"first: {missing[0]!r}")
 
     base = FinitePointSet(sample.points)
+    mins: dict = {}
+    shift_codes = tuple(_even_shift_codes(am, x, mins) for x in sample.points)
     occurrences: dict[BoundaryCode, list[tuple[int, int]]] = {}
-    for idx, x in enumerate(sample.points):
-        for i, code, _ in _even_shift_codes(am, x):
+    for idx, codes in enumerate(shift_codes):
+        for i, code, _ in codes:
             occurrences.setdefault(code, []).append((idx, i))
 
     def relation_at(bound: Optional[int]) -> FiniteER:
@@ -403,7 +473,7 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace, n_max: int,
             stabilized_at = n
             break
     return WitnessChain(base, tuple(range(n_max + 1)), chain, target,
-                        stabilized_at, tuple(certs))
+                        stabilized_at, tuple(certs), shift_codes)
 
 
 def validate_witness_chain(wc: WitnessChain) -> None:
@@ -429,11 +499,12 @@ def orbit_witness_table(am: Amalgam, wc: WitnessChain
         rep = cls[0]
         rep_code = wc.sample.points[rep]
         for idx in cls:
-            decision = orbit_equivalent(am, rep_code, wc.sample.points[idx])
-            if not decision.equivalent or decision.witness is None:
+            found = _shift_witness(am, rep_code, wc.shift_codes[rep],
+                                   wc.sample.points[idx], wc.shift_codes[idx])
+            if found is None:
                 raise RelationError(
                     f"target class pair ({rep},{idx}) has no orbit witness")
-            out.append((idx, rep, decision.witness))
+            out.append((idx, rep, found[0]))
     return out
 
 

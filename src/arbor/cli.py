@@ -3,7 +3,8 @@
 Every subcommand loads a model config (a built-in name or a JSON path),
 runs one exact computation, and prints a sorted-key JSON report.  Exit
 status 0 means the computation succeeded and any requested verdict holds,
-1 means a verdict came back negative, 2 means the input could not be used.
+1 means a verdict came back negative, 2 means the input could not be used,
+3 means an internal re-check failed (a defect, not a verdict).
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from .cber import (
     witness_chain_to_json,
 )
 from .codes import format_code, parse_code
-from .groups import Amalgam, GroupError, make_amalgam, make_group, word_to_str
+from .groups import (Amalgam, GroupError, VerificationError, make_amalgam,
+                     make_group, word_to_str)
+from .lp import LpError
 from .reiter import (
     FreeAction,
     cfw_extract,
@@ -482,6 +485,9 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (VerificationError, LpError) as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except RuntimeError as err:
         print(f"failed: {err}", file=sys.stderr)
         return 1

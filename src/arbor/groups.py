@@ -20,6 +20,13 @@ class GroupError(ValueError):
     """Raised for invalid tables, homomorphisms, or subgroup data."""
 
 
+class VerificationError(RuntimeError):
+    """An internal re-check disagrees with the result it checks.
+
+    This is a defect in the computation, not a verdict about the input.
+    """
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as an explicit multiplication table, identity at index 0."""

@@ -14,7 +14,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import BoundaryCode
-from .groups import Amalgam, FiniteGroup, ReducedWord, left_cosets
+from .groups import (Amalgam, FiniteGroup, ReducedWord, VerificationError,
+                     left_cosets)
 from .lp import solve_lp
 from .tree import act_on_boundary
 
@@ -371,7 +372,7 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
                    if sol.x[k] != 0)
     per = _window_deviations(window, p)
     if max(per) != sol.value:
-        raise RuntimeError(
+        raise VerificationError(
             f"verification mismatch: simplex reported {sol.value} but the "
             f"vertex deviates by {max(per)}")
     per_gen = tuple(zip(window.gens, per))
@@ -793,7 +794,7 @@ def verify_cfw(extraction: CfwExtraction) -> None:
                     if in_union and not in_f:
                         total += t.mu[x] * Fraction(1, 2 ** (n * m))
         if total != row.bad_mass:
-            raise RuntimeError(
+            raise VerificationError(
                 f"late mass at stage {row.i} recomputes to {total}, "
                 f"stored {row.bad_mass}")
         if not row.ok:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .codes import BoundaryCode, CodeError, PeriodicWord
-from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord, absorb,
-                     invert, multiply, word_of_subgroup_element)
+from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
+                     VerificationError, absorb, invert, multiply,
+                     word_of_subgroup_element)
 
 H_TYPE = 0
 K_TYPE = 1
@@ -223,7 +224,7 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     i = 0
     while True:
         if i > len(g.letters) + len(x.prefix) + 2 * len(x.cycle) + 4:
-            raise RuntimeError("junction phase failed to stabilize")
+            raise VerificationError("junction phase failed to stabilize")
         letter = x.letter_at(i)
         before = len(letters)
         saved_letters = list(letters)
@@ -248,7 +249,7 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
                 break
             seen[state] = len(emitted)
         if len(emitted) > len(x.prefix) + len(x.cycle) * am.C.order + 4:
-            raise RuntimeError("carry phase failed to cycle")
+            raise VerificationError("carry phase failed to cycle")
         letter = x.letter_at(j)
         grp = am.side_group(letter.side)
         u = grp.mul(am.embed_to_side(letter.side, carry),
@@ -302,7 +303,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
         if all(act_on_vertex(am, h, v) == v for v in moved):
             g = multiply(am, multiply(am, t_inv, h), t)
             if any(act_on_vertex(am, g, v) != v for v in segment.vertices):
-                raise RuntimeError("conjugated stabilizer element fails to fix")
+                raise VerificationError("conjugated stabilizer element fails to fix")
             found.append(g)
     found.sort(key=ReducedWord.sort_key)
     return SegmentStabilizer(segment, tuple(found))
@@ -369,7 +370,12 @@ class AcylindricityReport:
 def check_acylindricity(am: Amalgam, seg_length: int = 2,
                         tree_radius: Optional[int] = None,
                         vertex_cap: int = 100_000) -> AcylindricityReport:
-    """Exhaust all segments of one length in a ball and tabulate stabilizer orders."""
+    """Exhaust all segments of one length in a ball and tabulate stabilizer orders.
+
+    In a tree a non-backtracking walk is the geodesic between its ends, so
+    walking seg_length steps from every vertex reaches exactly the vertices
+    at that distance.  Each segment is taken once, from its lower-index end.
+    """
     if seg_length < 1:
         raise TreeError("segment length must be positive")
     if tree_radius is None:
@@ -377,14 +383,19 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     if tree_radius < seg_length:
         raise TreeError("tree radius must be at least the segment length")
     tree = build_tree(am, tree_radius, vertex_cap)
+    neighbors: list[list[int]] = [[] for _ in tree.vertices]
+    for a, b in tree.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
     hist: dict[int, int] = {}
     count = 0
-    nv = len(tree.vertices)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            path = geodesic(tree, tree.vertices[i], tree.vertices[j])
-            if path.length != seg_length:
-                continue
+    for i, v in enumerate(tree.vertices):
+        walk = [(i, -1)]  # (vertex, the vertex it was reached from)
+        for _ in range(seg_length):
+            walk = [(w, u) for u, prev in walk for w in neighbors[u]
+                    if w != prev]
+        for j in sorted(u for u, _ in walk if u > i):
+            path = geodesic(tree, v, tree.vertices[j])
             stab = stabilizer_of_segment(am, path)
             hist[stab.order] = hist.get(stab.order, 0) + 1
             count += 1

@@ -1,12 +1,18 @@
-"""Independent word-problem oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
 Two roads that never touch the normal-form machinery: a bounded rewriting
 closure over tagged words, and faithful matrix/affine representations of the
-three built-in models.
+three built-in models.  Two exhaustive surveys the library replaced with
+direct constructions: segments from all vertex pairs, and orbit witnesses
+rebuilt from scratch for every pair.
 """
 from __future__ import annotations
 
-from arbor.groups import A_SIDE, B_SIDE, Amalgam, ReducedWord
+from arbor.codes import compare_words
+from arbor.groups import (A_SIDE, B_SIDE, Amalgam, ReducedWord, invert,
+                          multiply, word_of_subgroup_element)
+from arbor.tree import (act_on_boundary, build_tree, geodesic,
+                        stabilizer_of_segment, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
@@ -136,3 +142,55 @@ MODEL_KEYS = {"dihedral": dihedral_key, "sl2z": sl2z_key, "psl2z": psl2z_key}
 
 def element_key(model_name: str, am: Amalgam, w: ReducedWord):
     return MODEL_KEYS[model_name](tagged_of_reduced(am, w))
+
+
+# --- tree and orbit surveys --------------------------------------------------
+
+def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
+    """(segments, orders histogram) from a geodesic between every vertex pair
+    of the ball, keeping the pairs at distance seg_length."""
+    tree = build_tree(am, tree_radius)
+    hist: dict[int, int] = {}
+    nv = len(tree.vertices)
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            path = geodesic(tree, tree.vertices[i], tree.vertices[j])
+            if path.length == seg_length:
+                order = stabilizer_of_segment(am, path).order
+                hist[order] = hist.get(order, 0) + 1
+    return sum(hist.values()), tuple(sorted(hist.items()))
+
+
+def pairwise_witness_table(am: Amalgam, wc):
+    """(point, class representative, witness) rows built pair by pair, as
+    orbit_equivalent once did: both codes' shift minima computed afresh for
+    every pair, then the first equal pair, the representative's shift
+    outermost, turned into a word."""
+    def shift_minima(x):
+        out = []
+        for i in range(0, x.horizon() + 2, 2):
+            best = None
+            for elem in am.H.elements():
+                h = word_of_subgroup_element(am, A_SIDE, elem)
+                code = act_on_boundary(am, h, x.shift_code(i))
+                if best is None or compare_words(code, best[0]) < 0:
+                    best = (code, h)
+            out.append((i, best[0], best[1]))
+        return out
+
+    rows = []
+    for cls in wc.target.classes():
+        rep = cls[0]
+        x = wc.sample.points[rep]
+        for idx in cls:
+            y = wc.sample.points[idx]
+            xs, ys = shift_minima(x), shift_minima(y)
+            i, j, hx, hy = next((i, j, hx, hy) for i, cx, hx in xs
+                                for j, cy, hy in ys if cx == cy)
+            wx = word_element(am, x.letters(i))
+            wy = word_element(am, y.letters(j))
+            g = multiply(am, multiply(am, wx, invert(am, hx)),
+                         multiply(am, hy, invert(am, wy)))
+            assert act_on_boundary(am, g, y) == x
+            rows.append((idx, rep, g))
+    return rows

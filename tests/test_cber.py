@@ -1,20 +1,25 @@
 """Relations on finite samples, gluing, reductions, and orbit equivalence."""
 import json
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from arbor.cber import (
-    FiniteER, FinitePointSet, RelationError,
+    SAMPLE_SPACE_CAP, FiniteER, FinitePointSet, RelationError,
     build_sample_space, canonical_orbit_code, glue_transversals,
     hyperfiniteness_witness, is_transversal_of, orbit_equivalent,
     orbit_witness_table, quotient_reduction, restrict, saturation,
-    tail_equivalent, transversal, validate_witness_chain, verify_reduction,
-    witness_chain_from_json, witness_chain_to_json,
+    sample_space_size, tail_equivalent, transversal, validate_witness_chain,
+    verify_reduction, witness_chain_from_json, witness_chain_to_json,
 )
+from arbor.cli import load_config
 from arbor.codes import BoundaryCode, compare_words, raw_shift
 from arbor.groups import A_SIDE, B_SIDE, Letter
 from arbor.models import BUILTIN_MODELS, dihedral_model, psl2z_model, sl2z_model
 from arbor.tree import act_on_boundary
+
+from bruteforce import pairwise_witness_table
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -179,6 +184,52 @@ def test_sample_space_sizes():
     assert len(build_sample_space(dihedral_model(), 2, 4).points) == 2
 
 
+def _enumerated_candidates(am, p_max, q_max):
+    """Count the (prefix, cycle) tuples by enumerating them."""
+    pools = (am.A.index - 1, am.B.index - 1)
+    total = 0
+    for p_len in range(p_max + 1):
+        for c_len in range(2, q_max + 1, 2):
+            sizes = [pools[pos % 2] + (pos == 0) for pos in range(p_len)]
+            sizes += [pools[(p_len + j) % 2] for j in range(c_len)]
+            total += sum(1 for _ in product(*(range(n) for n in sizes)))
+    return total
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def test_sample_space_size_counts_the_enumeration():
+    for model in BUILTIN_MODELS.values():
+        am = model()
+        for p_max in range(4):
+            for q_max in range(2, 9):
+                assert sample_space_size(am, p_max, q_max) == \
+                    _enumerated_candidates(am, p_max, q_max)
+    s4, _ = load_config(str(FIXTURES / "s4_c3_s3.json"))
+    c12, _ = load_config(str(FIXTURES / "c12_c3_c15.json"))
+    for am in (s4, c12):
+        for p_max, q_max in ((0, 2), (1, 4), (2, 4), (3, 6)):
+            assert sample_space_size(am, p_max, q_max) == \
+                _enumerated_candidates(am, p_max, q_max)
+    assert sample_space_size(s4, 1, 4) == 504
+    assert sample_space_size(s4, 2, 4) == 952
+    assert sample_space_size(c12, 1, 4) == 780
+    # 952 is the largest sample space the README and the benchmark ask for
+    assert 952 * 100 < SAMPLE_SPACE_CAP
+
+
+def test_oversized_sample_space_is_refused_before_enumeration():
+    s4, _ = load_config(str(FIXTURES / "s4_c3_s3.json"))
+    c12, _ = load_config(str(FIXTURES / "c12_c3_c15.json"))
+    with pytest.raises(RelationError, match="16287180 candidate codes"):
+        build_sample_space(c12, 1, 12)
+    with pytest.raises(RelationError, match="5602425752 candidate codes"):
+        build_sample_space(s4, 2, 20)
+    with pytest.raises(RelationError, match="more than 2"):
+        build_sample_space(s4, 1, 10 ** 9)
+
+
 def test_sample_space_is_canonical_and_sorted():
     am = sl2z_model()
     space = build_sample_space(am, 2, 4)
@@ -314,3 +365,11 @@ def test_orbit_witness_table_verified():
     assert len(table) == len(space.points)
     for idx, rep, g in table:
         assert act_on_boundary(am, g, space.points[idx]) == space.points[rep]
+
+
+@pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
+def test_orbit_witness_table_matches_pairwise_queries(name):
+    am = BUILTIN_MODELS[name]()
+    space = build_sample_space(am, 1, 4)
+    wc = hyperfiniteness_witness(am, space, 6)
+    assert orbit_witness_table(am, wc) == pairwise_witness_table(am, wc)

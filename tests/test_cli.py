@@ -207,6 +207,15 @@ def test_equiv_brute(capsys):
     assert doc["equivalent"] is True
 
 
+def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
+    # products that keep only their left factor spell a wrong witness
+    monkeypatch.setattr("arbor.cber.multiply", lambda am, g, h: g)
+    rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: orbit witness failed re-verification\n"
+
+
 def test_equiv_bad_code(capsys):
     rc, _, err = run(capsys, ["equiv", "--x", "prefix=;cycle=b,a",
                               "--y", EQUIV_Y])
@@ -293,11 +302,13 @@ def test_cfw_custom_tensor(tmp_path, capsys):
     assert "tensor" in err
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # (argv, extra environment, exit code): bad or edge input on the reiter,
-# cfw and limits paths must end in a verdict or one error line, never a
-# traceback.  "{tmp}" is replaced by a fresh temporary directory.
+# cfw, sample-space and limits paths must end in a verdict or one error
+# line, never a traceback.  "{tmp}" is replaced by a fresh temporary
+# directory, "{root}" by the repository root.
 EDGE_CASES = [
     (["reiter", "--window", "z", "--support-size", "10", "--grid-check"],
      {}, 2),
@@ -314,13 +325,19 @@ EDGE_CASES = [
     (["cfw", "--tensor", "{tmp}"], {}, 2),
     (["cfw", "--m-max", "0"], {}, 2),
     (["reiter", "--window", "group"], {"ARBOR_VERTEX_CAP": "-1"}, 2),
+    (["witness", "--config", "{root}/perfbench/fixtures/c12_c3_c15.json",
+      "--q-max", "12"], {}, 2),
+    (["witness", "--config", "{root}/perfbench/fixtures/s4_c3_s3.json",
+      "--p-max", "2", "--q-max", "20"], {}, 2),
+    (["check", "--what", "theorem-a", "--q-max", "1000000000"], {}, 2),
 ]
 
 
 @pytest.mark.parametrize("argv,env,code", EDGE_CASES,
                          ids=[" ".join(a) for a, _, _ in EDGE_CASES])
 def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{root}", str(ROOT))
+            for a in argv]
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)

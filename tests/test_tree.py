@@ -1,6 +1,9 @@
 """Tree construction, vertex/boundary actions, geodesics, and stabilizers."""
+from pathlib import Path
+
 import pytest
 
+from arbor.cli import load_config
 from arbor.codes import BoundaryCode, PeriodicWord, raw_shift
 from arbor.groups import (
     A_SIDE, B_SIDE, Letter, enumerate_reduced_words, invert, multiply,
@@ -14,6 +17,8 @@ from arbor.tree import (
     ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
     validate_vertex, vertex_from_letters, word_element,
 )
+
+from bruteforce import acylindricity_survey
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -345,6 +350,25 @@ def test_acylindricity_orders(name, expected_orders):
     assert report.max_order <= am.C.order
     total = sum(count for _, count in report.orders_histogram)
     assert total == report.segments
+
+
+@pytest.mark.parametrize("seg_length", [1, 2, 3])
+@pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
+def test_acylindricity_walk_matches_pairwise_survey(name, seg_length):
+    am = BUILTIN_MODELS[name]()
+    for radius in range(seg_length, seg_length + 3):
+        report = check_acylindricity(am, seg_length, radius)
+        assert (report.segments, report.orders_histogram) == \
+            acylindricity_survey(am, seg_length, radius)
+
+
+def test_acylindricity_walk_matches_pairwise_survey_on_index_4_5_model():
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "fixtures" / "c12_c3_c15.json"
+    am, _ = load_config(str(fixture))
+    report = check_acylindricity(am, 2)
+    assert (report.segments, report.orders_histogram) == \
+        acylindricity_survey(am, 2, report.tree_radius)
 
 
 def test_to_dot_is_deterministic_and_wellformed():
