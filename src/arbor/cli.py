@@ -31,14 +31,16 @@ from .groups import (Amalgam, GroupError, VerificationError, make_amalgam,
                      make_group, word_to_str)
 from .lp import LpError
 from .reiter import (
-    FreeAction,
     cfw_extract,
     check_grid_size,
     check_uniform_coamenable,
+    check_window_size,
     format_fraction,
+    free_ball,
     free_tree_window,
     grid_search_min_deviation,
     integer_window,
+    monotone_tensor,
     reiter_lp,
     tensor_from_json,
     verify_cfw,
@@ -137,6 +139,13 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
     return am, limits
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}")
+
+
 def _emit(doc: dict, args) -> None:
     doc = dict(doc)
     doc["tool"] = "arbor"
@@ -146,7 +155,7 @@ def _emit(doc: dict, args) -> None:
         doc["timings"] = {"seconds": time.perf_counter() - args.started}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -163,7 +172,7 @@ def cmd_tree(am: Amalgam, limits: dict, args) -> int:
     radius = args.radius if args.radius is not None else limits["tree_radius"]
     tree = build_tree(am, radius, limits["vertex_cap"])
     if args.dot:
-        Path(args.dot).write_text(to_dot(am, tree))
+        _write(args.dot, to_dot(am, tree))
     _emit({
         "command": "tree",
         "radius": radius,
@@ -262,7 +271,7 @@ def cmd_equiv(am: Amalgam, limits: dict, args) -> int:
     return 0 if decision.equivalent else 1
 
 
-def _reiter_window(am: Amalgam, args):
+def _reiter_window(am: Amalgam, limits: dict, args):
     if args.window == "z":
         radius = args.radius if args.radius is not None \
             else args.support_size + 2
@@ -273,6 +282,8 @@ def _reiter_window(am: Amalgam, args):
             except ValueError:
                 raise ConfigError(
                     f"generators: need integers, got {args.generators!r}")
+        # the integer line is the free group of rank 1
+        check_window_size(1, radius, limits["vertex_cap"])
         return integer_window(radius, steps), list(range(args.support_size))
     if args.window == "free":
         if args.generators:
@@ -281,9 +292,11 @@ def _reiter_window(am: Amalgam, args):
         # the smallest window that holds every image of the support
         radius = args.radius if args.radius is not None \
             else args.support_radius + 1
-        window = free_tree_window(args.rank, radius)
-        support = FreeAction(args.rank, radius).ball(args.support_radius)
-        return window, support
+        check_window_size(args.rank, radius, limits["vertex_cap"])
+        if args.support_radius > radius:
+            raise ConfigError("ball exceeds the window radius")
+        return (free_tree_window(args.rank, radius),
+                free_ball(args.rank, args.support_radius))
     raise ConfigError(f"window: unknown kind {args.window!r}")
 
 
@@ -320,7 +333,7 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
             "ok": True,
         }, args)
         return 0
-    window, support = _reiter_window(am, args)
+    window, support = _reiter_window(am, limits, args)
     if args.grid_check:
         denom = args.denominator if args.denominator is not None \
             else limits["lp_denominator"]
@@ -356,13 +369,12 @@ def cmd_cfw(am: Amalgam, limits: dict, args) -> int:
             text = Path(args.tensor).read_text()
         except OSError as err:
             raise ConfigError(f"tensor: cannot read {args.tensor}: {err}")
+        try:
+            tensor = tensor_from_json(json.loads(text))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"tensor: {err}")
     else:
-        text = resources.files("arbor.configs").joinpath(
-            "monotone_tensor.json").read_text()
-    try:
-        tensor = tensor_from_json(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"tensor: {err}")
+        tensor = monotone_tensor()
     extraction = cfw_extract(tensor, args.m_max)
     verify_cfw(extraction)
     _emit({

@@ -20,6 +20,11 @@ from .lp import solve_lp
 from .tree import act_on_boundary
 
 
+class OverBudget(ValueError):
+    """Raised, before anything is built, when a window, a program or a grid
+    would exceed its cap."""
+
+
 class WindowEscape(ValueError):
     """Raised when mass would leave the finite window."""
 
@@ -106,19 +111,56 @@ def l1_distance(p: ProbVector, q: ProbVector) -> Fraction:
     return sum((abs(p.weight(k) - q.weight(k)) for k in keys), Fraction(0))
 
 
-# --- actions on finite windows ---------------------------------------------
+# --- windows: finite pieces of Schreier graphs --------------------------------
 
-class IntegerAction:
-    """Translation on the integer interval [-radius, radius]."""
+@dataclass(frozen=True)
+class SchreierWindow:
+    """A finite piece of a Schreier graph: vertices and partial generator maps."""
 
-    def __init__(self, radius: int) -> None:
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        self.radius = radius
+    vertices: tuple
+    gens: tuple
+    edge_maps: tuple  # one dict per generator, possibly partial
 
-    def apply(self, g: int, x: int) -> Optional[int]:
-        y = x + g
-        return y if abs(y) <= self.radius else None
+    def image(self, gen_index: int, v):
+        return self.edge_maps[gen_index].get(v)
+
+    def interior(self) -> tuple:
+        """Vertices whose images under every generator stay in the window."""
+        return tuple(v for v in self.vertices
+                     if all(v in m for m in self.edge_maps))
+
+
+def reiter_deviation(p: ProbVector, gens: Sequence, apply: Callable, x
+                     ) -> Fraction:
+    """max over s in gens of the l1 gap between p pushed at x and at s·x.
+
+    apply(g, y) is the action: window.image for a table, or
+    partial(act_on_boundary, am) on ends.  None means y left the window.
+    """
+    px = p.pushforward(lambda g: apply(g, x))
+    worst = Fraction(0)
+    for s in gens:
+        sx = apply(s, x)
+        if sx is None:
+            raise WindowEscape(f"generator {s!r} pushes the base point {x!r} "
+                               "out of the window")
+        psx = p.pushforward(lambda g: apply(g, sx))
+        worst = max(worst, l1_distance(px, psx))
+    return worst
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+
+def integer_window(radius: int, steps: Sequence[int] = (1, -1)) -> SchreierWindow:
+    """Translation by each step on the integer interval [-radius, radius]."""
+    _check_radius(radius)
+    vertices = tuple(range(-radius, radius + 1))
+    maps = tuple({v: v + s for v in vertices if abs(v + s) <= radius}
+                 for s in steps)
+    return SchreierWindow(vertices, tuple(steps), maps)
 
 
 _FREE_LETTERS = "abcdef"
@@ -138,127 +180,75 @@ def free_reduce(word: str) -> str:
     return "".join(out)
 
 
-class FreeAction:
-    """Left multiplication on the ball of a free group, words as strings."""
-
-    def __init__(self, rank: int, radius: int) -> None:
-        if not (1 <= rank <= len(_FREE_LETTERS)):
-            raise ValueError(f"rank must be between 1 and {len(_FREE_LETTERS)}")
-        self.rank = rank
-        self.radius = radius
-        self.letters = [_FREE_LETTERS[i] for i in range(rank)]
-        self.gens = self.letters + [ch.upper() for ch in self.letters]
-
-    def apply(self, g: str, x: str) -> Optional[str]:
-        y = free_reduce(g + x)
-        return y if len(y) <= self.radius else None
-
-    def ball(self, radius: int) -> list[str]:
-        if radius > self.radius:
-            raise ValueError("ball exceeds the window radius")
-        out = [""]
-        frontier = [""]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for ch in self.gens:
-                    y = free_reduce(ch + w)
-                    if len(y) == len(w) + 1:
-                        nxt.append(y)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+def _free_gens(rank: int) -> tuple[str, ...]:
+    """The letters of the free group of this rank, then their inverses."""
+    if not (1 <= rank <= len(_FREE_LETTERS)):
+        raise ValueError(f"rank must be between 1 and {len(_FREE_LETTERS)}")
+    letters = _FREE_LETTERS[:rank]
+    return tuple(letters) + tuple(letters.upper())
 
 
-class CosetAction:
-    """Left translation of a finite group on the cosets of a subgroup."""
-
-    def __init__(self, group: FiniteGroup, subgroup: Iterable[int]) -> None:
-        self.group = group
-        cosets, trans = left_cosets(group, subgroup)
-        self.reps = trans.reps
-        self._coset_of = {}
-        for cid, coset in enumerate(cosets):
-            for x in coset:
-                self._coset_of[x] = cid
-
-    @property
-    def points(self) -> range:
-        return range(len(self.reps))
-
-    def apply(self, g: int, x: int) -> int:
-        return self._coset_of[self.group.mul(g, self.reps[x])]
-
-
-class BoundaryAction:
-    """The amalgam acting on boundary codes."""
-
-    def __init__(self, am: Amalgam) -> None:
-        self.am = am
-
-    def apply(self, g: ReducedWord, x: BoundaryCode) -> BoundaryCode:
-        return act_on_boundary(self.am, g, x)
-
-
-def reiter_deviation(p: ProbVector, gens: Sequence, action, x) -> Fraction:
-    """max over s in gens of the l1 gap between p pushed at x and at s·x."""
-    px = p.pushforward(lambda g: action.apply(g, x))
-    worst = Fraction(0)
-    for s in gens:
-        sx = action.apply(s, x)
-        if sx is None:
-            raise WindowEscape(f"generator {s!r} pushes the base point {x!r} "
-                               "out of the window")
-        psx = p.pushforward(lambda g: action.apply(g, sx))
-        worst = max(worst, l1_distance(px, psx))
-    return worst
-
-
-# --- windows for the linear program ----------------------------------------
-
-@dataclass(frozen=True)
-class SchreierWindow:
-    """A finite piece of a Schreier graph: vertices and partial generator maps."""
-
-    vertices: tuple
-    gens: tuple
-    edge_maps: tuple  # one dict per generator, possibly partial
-
-    def image(self, gen_index: int, v):
-        return self.edge_maps[gen_index].get(v)
-
-    def interior(self) -> tuple:
-        """Vertices whose images under every generator stay in the window."""
-        return tuple(v for v in self.vertices
-                     if all(v in m for m in self.edge_maps))
-
-
-def integer_window(radius: int, steps: Sequence[int] = (1, -1)) -> SchreierWindow:
-    act = IntegerAction(radius)
-    vertices = tuple(range(-radius, radius + 1))
-    maps = []
-    for s in steps:
-        maps.append({v: act.apply(s, v) for v in vertices
-                     if act.apply(s, v) is not None})
-    return SchreierWindow(vertices, tuple(steps), tuple(maps))
+def free_ball(rank: int, radius: int) -> list[str]:
+    """Reduced words of length <= radius, by length, words as strings."""
+    gens = _free_gens(rank)
+    _check_radius(radius)
+    out = [""]
+    frontier = [""]
+    for _ in range(radius):
+        frontier = [ch + w for w in frontier for ch in gens
+                    if not w.startswith(_free_inverse(ch))]
+        out.extend(frontier)
+    return out
 
 
 def free_tree_window(rank: int, radius: int) -> SchreierWindow:
-    act = FreeAction(rank, radius)
-    vertices = tuple(act.ball(radius))
-    maps = []
-    for ch in act.gens:
-        maps.append({v: act.apply(ch, v) for v in vertices
-                     if act.apply(ch, v) is not None})
-    return SchreierWindow(vertices, tuple(act.gens), tuple(maps))
+    """Left multiplication by each letter and inverse on a free-group ball."""
+    gens = _free_gens(rank)
+    vertices = tuple(free_ball(rank, radius))
+    maps = tuple({v: y for v in vertices
+                  if len(y := free_reduce(ch + v)) <= radius}
+                 for ch in gens)
+    return SchreierWindow(vertices, gens, maps)
 
 
-def coset_window(group: FiniteGroup, subgroup: Iterable[int],
-                 gens: Sequence[int]) -> SchreierWindow:
-    act = CosetAction(group, subgroup)
-    vertices = tuple(act.points)
-    maps = [{v: act.apply(s, v) for v in vertices} for s in gens]
-    return SchreierWindow(vertices, tuple(gens), tuple(maps))
+def coset_window(group: FiniteGroup, subgroup: Iterable[int]
+                 ) -> SchreierWindow:
+    """Left translation on the cosets of a subgroup, numbered by least element.
+
+    Every group element is a generator, so image(g, x) is g·x.
+    """
+    cosets, trans = left_cosets(group, subgroup)
+    coset_of = {x: cid for cid, coset in enumerate(cosets) for x in coset}
+    vertices = tuple(range(len(cosets)))
+    maps = tuple({x: coset_of[group.mul(g, trans.reps[x])] for x in vertices}
+                 for g in group.elements())
+    return SchreierWindow(vertices, tuple(group.elements()), maps)
+
+
+def free_ball_size(rank: int, radius: int) -> int:
+    """Vertices of the radius ball in the free group of this rank, in closed
+    form.  Rank 1 is the integer line, so this also counts integer_window."""
+    _free_gens(rank)
+    _check_radius(radius)
+    if rank == 1:
+        return 2 * radius + 1
+    return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+
+
+def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
+    """Refuse a free-group ball (rank 1: the integer line) over the vertex cap."""
+    _free_gens(rank)
+    if rank > 1 and radius > vertex_cap.bit_length():
+        # the ball outgrows 2**radius > vertex_cap: do not compute its size
+        count = f"more than 2**{radius}"
+    else:
+        size = free_ball_size(rank, radius)
+        if size <= vertex_cap:
+            return
+        count = str(size)
+    raise OverBudget(
+        f"the window of radius {radius} has {count} vertices, over the "
+        f"vertex cap of {vertex_cap}; lower the radius or the support")
 
 
 @dataclass(frozen=True)
@@ -288,22 +278,14 @@ class ReiterLpResult:
 
 
 def _window_deviations(window: SchreierWindow, p: ProbVector) -> list[Fraction]:
-    out = []
-    for gi in range(len(window.gens)):
-        px = {}
-        psx = {}
-        for v, q in p.items():
-            px[v] = px.get(v, Fraction(0)) + q
-            img = window.image(gi, v)
-            if img is None:
-                raise WindowEscape(
-                    f"support vertex {v!r} escapes under generator "
-                    f"{window.gens[gi]!r}")
-            psx[img] = psx.get(img, Fraction(0)) + q
-        keys = set(px) | set(psx)
-        out.append(sum((abs(px.get(k, Fraction(0)) - psx.get(k, Fraction(0)))
-                        for k in keys), Fraction(0)))
-    return out
+    return [l1_distance(p, p.pushforward(m.get)) for m in window.edge_maps]
+
+
+# Dense LP entries (rows times columns) reiter_lp hands to the simplex.  The
+# largest LP in the tests and the benchmark has about 26,000 entries; on one
+# core, z with 200 support points (486,621) takes about 3 s and the rank-3
+# free window on the 2-ball (307,910) about 10 s.
+LP_ENTRY_CAP = 1_000_000
 
 
 def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
@@ -341,6 +323,13 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
             pos += 1
     t_var = pos
     nvars = pos + 1
+    # two rows per domain vertex, one t row per generator, one equality row
+    entries = (2 * (pos - nsup) + len(doms) + 1) * nvars
+    if entries > LP_ENTRY_CAP:
+        raise OverBudget(
+            f"the program over {nsup} support vertices and "
+            f"{len(window.gens)} generators has {entries} entries, over the "
+            f"cap of {LP_ENTRY_CAP}; shrink the support")
 
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
@@ -388,10 +377,6 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
 GRID_VECTOR_CAP = 1_000_000
 
 
-class GridTooLarge(ValueError):
-    """Raised when a denominator grid has more vectors than GRID_VECTOR_CAP."""
-
-
 def grid_vector_count(support_size: int, max_denominator: int) -> int:
     """Vectors a grid search visits: sum over d of C(d+k-1, k-1)."""
     if support_size < 1:
@@ -404,7 +389,7 @@ def check_grid_size(support_size: int, max_denominator: int) -> None:
     """Refuse a grid search that would visit more than GRID_VECTOR_CAP vectors."""
     count = grid_vector_count(support_size, max_denominator)
     if count > GRID_VECTOR_CAP:
-        raise GridTooLarge(
+        raise OverBudget(
             f"grid check over {support_size} support vertices with "
             f"denominators up to {max_denominator} would visit {count} "
             f"vectors, over the cap of {GRID_VECTOR_CAP}; lower the "
@@ -436,15 +421,13 @@ def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
     images = [[slot[window.image(gi, v)] for v in support]
               for gi in range(len(window.gens))]
     pad = [0] * (len(slot) - k)
-    best: Optional[tuple[Fraction, list[int], int]] = None
+    best: Optional[tuple[Fraction, tuple[int, ...], int]] = None
     for d in range(1, max_denominator + 1):
         d_worst: Optional[int] = None
-        for bars in combinations(range(d + k - 1), k - 1):
-            parts = [hi - lo - 1 for lo, hi
-                     in zip((-1,) + bars, bars + (d + k - 1,))]
+        for parts in _numerators(d, k, 0):
             worst = 0
             for img in images:
-                diff = parts + pad
+                diff = [*parts, *pad]
                 for t, q in enumerate(parts):
                     if q:
                         diff[img[t]] -= q
@@ -475,31 +458,29 @@ def check_uniform_coamenable(group: FiniteGroup, subgroup: Iterable[int],
     for s in gens:
         if not (0 <= s < group.order):
             raise ValueError(f"generator {s} outside the group")
-    act = CosetAction(group, subgroup)
+    window = coset_window(group, subgroup)
     p = ProbVector.uniform(list(group.elements()))
-    worst = Fraction(0)
-    per = []
-    for s in gens:
-        dev_s = Fraction(0)
-        for x in act.points:
-            px = p.pushforward(lambda g: act.apply(g, x))
-            psx = p.pushforward(lambda g: act.apply(g, act.apply(s, x)))
-            dev_s = max(dev_s, l1_distance(px, psx))
-        per.append((s, dev_s))
-        worst = max(worst, dev_s)
-    return ReiterCertificate(p, tuple(gens), eps, worst, tuple(per))
+    per = tuple((s, max(reiter_deviation(p, [s], window.image, x)
+                        for x in window.vertices)) for s in gens)
+    worst = max((dev for _, dev in per), default=Fraction(0))
+    return ReiterCertificate(p, tuple(gens), eps, worst, per)
 
 
 # --- first-hit enumeration of almost invariant vectors ----------------------
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Positive integer compositions in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
+def _numerators(total: int, parts: int, least: int
+                ) -> Iterator[tuple[int, ...]]:
+    """Integer vectors of `parts` entries >= least summing to total.
+
+    Stars and bars: the cut points run through combinations in lexicographic
+    order, which orders the vectors lexicographically too.
+    """
+    slots = total - least * parts + parts - 1
+    if slots < parts - 1:
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(hi - lo - 1 + least
+                    for lo, hi in zip((-1,) + bars, bars + (slots,)))
 
 
 def enumerate_rational_measures(labels: Sequence, max_denominator: int,
@@ -513,7 +494,7 @@ def enumerate_rational_measures(labels: Sequence, max_denominator: int,
             if k > d:
                 continue
             for sup in combinations(range(len(labels)), k):
-                for parts in _compositions(d, k):
+                for parts in _numerators(d, k, 1):
                     weights = [Fraction(w, d) for w in parts]
                     if max(q.denominator for q in weights) != d and d > 1:
                         continue
@@ -556,7 +537,7 @@ def amenability_witness_sequence(group: FiniteGroup, subgroup: Iterable[int],
     for a, b in zip(chain, chain[1:]):
         if not set(a) <= set(b):
             raise ValueError("generator chain must be increasing")
-    act = CosetAction(group, sub)
+    window = coset_window(group, sub)
     labels = list(group.elements())
     steps = []
     for n in range(1, n_max + 1):
@@ -565,21 +546,19 @@ def amenability_witness_sequence(group: FiniteGroup, subgroup: Iterable[int],
         hit: Optional[ProbVector] = None
         for p in enumerate_rational_measures(labels, max_denominator,
                                              max_support):
-            if all(reiter_deviation(p, gens, act, x) < eps
-                   for x in act.points):
+            if all(reiter_deviation(p, gens, window.image, x) < eps
+                   for x in window.vertices):
                 hit = p
                 break
         if hit is None:
             raise EnumerationExhausted(
                 f"no ({gens}, 1/{n})-almost-invariant vector with denominator "
                 f"<= {max_denominator}")
-        q_by_point = tuple(
-            (x, hit.pushforward(lambda g: act.apply(g, x))) for x in act.points)
+        q_by_point = tuple((x, hit.pushforward(lambda g: window.image(g, x)))
+                           for x in window.vertices)
         decay = []
         for x, g in pairs:
-            qx = hit.pushforward(lambda h: act.apply(h, x))
-            qgx = hit.pushforward(lambda h: act.apply(h, act.apply(g, x)))
-            dev = l1_distance(qx, qgx)
+            dev = reiter_deviation(hit, [g], window.image, x)
             applies = g in gens
             decay.append((x, g, dev, applies, (not applies) or dev < eps))
         steps.append(WitnessStep(n, tuple(gens), hit, q_by_point, tuple(decay)))

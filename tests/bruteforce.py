@@ -4,10 +4,12 @@ Two roads that never touch the normal-form machinery: a bounded rewriting
 closure over tagged words, and faithful matrix/affine representations of the
 three built-in models.  Two exhaustive surveys the library replaced with
 direct constructions: segments from all vertex pairs, and orbit witnesses
-rebuilt from scratch for every pair.
+rebuilt from scratch for every pair.  The built-in models themselves come
+from the packaged configs, through the loader the command line uses.
 """
 from __future__ import annotations
 
+from arbor.cli import load_config
 from arbor.codes import compare_words
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, ReducedWord, invert,
                           multiply, word_of_subgroup_element)
@@ -15,6 +17,13 @@ from arbor.tree import (act_on_boundary, build_tree, geodesic,
                         stabilizer_of_segment, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
+
+BUILTIN_NAMES = ("dihedral", "sl2z", "psl2z")
+
+
+def builtin(name: str) -> Amalgam:
+    """A packaged model by name, as `--config name` loads it."""
+    return load_config(name)[0]
 
 
 def normalize_tagged(word) -> Tagged:

@@ -18,7 +18,6 @@ from arbor.cber import (
 from arbor.cli import main
 from arbor.codes import BoundaryCode, CodeError, compare_words
 from arbor.groups import A_SIDE, B_SIDE, Letter, normal_form
-from arbor.models import BUILTIN_MODELS, sl2z_model
 from arbor.reiter import (
     cfw_extract,
     check_uniform_coamenable,
@@ -30,7 +29,8 @@ from arbor.reiter import (
 )
 from arbor.tree import H_TYPE, act_on_boundary, build_tree, check_theorem_A
 
-from bruteforce import normalize_tagged, tagged_of_reduced, words_equal
+from bruteforce import (BUILTIN_NAMES, builtin, normalize_tagged,
+                        tagged_of_reduced, words_equal)
 
 
 def _report(num: int, label: str, started: float, limit: float) -> None:
@@ -64,7 +64,7 @@ def _all_codes(am, p_max: int, q_max: int) -> list:
 
 def test_criterion_1_tree_structure():
     started = time.perf_counter()
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 6)
     assert tree.counts_by_distance() == [1, 2, 4, 4, 8, 8, 16]
     n = len(tree.vertices)
@@ -91,7 +91,7 @@ def test_criterion_1_tree_structure():
 
 def test_criterion_2_normal_forms_vs_rewriting():
     started = time.perf_counter()
-    am = sl2z_model()
+    am = builtin("sl2z")
     count = 0
     for length in range(6):
         for pattern in product([(A_SIDE, 1), (B_SIDE, 1)], repeat=length):
@@ -110,8 +110,8 @@ def test_criterion_3_segment_certificates():
     started = time.perf_counter()
     expected_order = {"dihedral": 1, "sl2z": 2, "psl2z": 1}
     totals = {}
-    for name, factory in BUILTIN_MODELS.items():
-        am = factory()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         codes = _all_codes(am, 2, 4)
         assert codes
         for x in codes:
@@ -127,8 +127,8 @@ def test_criterion_3_segment_certificates():
 def test_criterion_4_witness_chain_union():
     started = time.perf_counter()
     class_counts = []
-    for name, factory in BUILTIN_MODELS.items():
-        am = factory()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         sample = build_sample_space(am, 1, 4)
         wc = hyperfiniteness_witness(am, sample, 8)
         validate_witness_chain(wc)
@@ -157,8 +157,8 @@ def test_criterion_5_pipeline_pairs():
     started = time.perf_counter()
     checked = 0
     witnessed = 0
-    for name, factory in BUILTIN_MODELS.items():
-        am = factory()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         pts = build_sample_space(am, 2, 4).points
         pairs = [(i, j) for i in range(len(pts))
                  for j in range(len(pts))][:100]
@@ -182,7 +182,7 @@ def test_criterion_6_lp_exactness():
     for m in (3, 5, 10):
         res = reiter_lp(integer_window(m + 2), support=list(range(m)))
         assert res.optimum == Fraction(2, m), m
-    am = sl2z_model()
+    am = builtin("sl2z")
     group = am.side_group(B_SIDE)
     image = sorted({am.embed_to_side(B_SIDE, c) for c in range(am.C.order)})
     gens = [g for g in group.elements() if g != 0]

@@ -16,10 +16,9 @@ from arbor.cber import (
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode, compare_words, raw_shift
 from arbor.groups import A_SIDE, B_SIDE, Letter
-from arbor.models import BUILTIN_MODELS, dihedral_model, psl2z_model, sl2z_model
 from arbor.tree import act_on_boundary
 
-from bruteforce import pairwise_witness_table
+from bruteforce import BUILTIN_NAMES, builtin, pairwise_witness_table
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -142,7 +141,7 @@ def test_tail_equivalent_shift_pairs():
 
 
 def test_tail_equivalent_minimality_against_wider_scan():
-    am = sl2z_model()
+    am = builtin("sl2z")
     pts = build_sample_space(am, 2, 4).points
     for x in pts[::3]:
         for y in pts[::4]:
@@ -159,8 +158,8 @@ def test_tail_equivalent_minimality_against_wider_scan():
 
 
 def test_canonical_orbit_code_is_h_invariant():
-    for name, model in BUILTIN_MODELS.items():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         pts = build_sample_space(am, 1, 4).points
         from arbor.groups import word_of_subgroup_element
         for x in pts:
@@ -172,16 +171,16 @@ def test_canonical_orbit_code_is_h_invariant():
 
 
 def test_sample_space_dihedral_is_both_ends():
-    am = dihedral_model()
+    am = builtin("dihedral")
     space = build_sample_space(am, 1, 4)
     assert space.points == (BoundaryCode((eL,), (bL, aL)),
                             BoundaryCode((), (aL, bL)))
 
 
 def test_sample_space_sizes():
-    assert len(build_sample_space(sl2z_model(), 1, 4).points) == 8
-    assert len(build_sample_space(psl2z_model(), 1, 4).points) == 8
-    assert len(build_sample_space(dihedral_model(), 2, 4).points) == 2
+    assert len(build_sample_space(builtin("sl2z"), 1, 4).points) == 8
+    assert len(build_sample_space(builtin("psl2z"), 1, 4).points) == 8
+    assert len(build_sample_space(builtin("dihedral"), 2, 4).points) == 2
 
 
 def _enumerated_candidates(am, p_max, q_max):
@@ -200,8 +199,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def test_sample_space_size_counts_the_enumeration():
-    for model in BUILTIN_MODELS.values():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         for p_max in range(4):
             for q_max in range(2, 9):
                 assert sample_space_size(am, p_max, q_max) == \
@@ -231,7 +230,7 @@ def test_oversized_sample_space_is_refused_before_enumeration():
 
 
 def test_sample_space_is_canonical_and_sorted():
-    am = sl2z_model()
+    am = builtin("sl2z")
     space = build_sample_space(am, 2, 4)
     pts = space.points
     assert len(set(pts)) == len(pts)
@@ -243,7 +242,7 @@ def test_sample_space_is_canonical_and_sorted():
 
 
 def test_sample_space_closed_under_even_shifts():
-    am = sl2z_model()
+    am = builtin("sl2z")
     space = build_sample_space(am, 1, 4)
     pts = set(space.points)
     for x in space.points:
@@ -252,7 +251,7 @@ def test_sample_space_closed_under_even_shifts():
 
 
 def test_orbit_equivalent_known_pairs():
-    am = sl2z_model()
+    am = builtin("sl2z")
     x1 = BoundaryCode((), (aL, bL))
     y1 = BoundaryCode((eL,), (bL, aL))
     d = orbit_equivalent(am, x1, y1)
@@ -271,7 +270,7 @@ def test_orbit_equivalent_known_pairs():
 
 def test_orbit_equivalent_brute_agrees():
     for name in ("dihedral", "psl2z", "sl2z"):
-        am = BUILTIN_MODELS[name]()
+        am = builtin(name)
         pts = build_sample_space(am, 1, 4).points
         bound = 4 if name != "sl2z" else 3
         for i, x in enumerate(pts):
@@ -289,7 +288,7 @@ def test_orbit_equivalent_brute_agrees():
 
 
 def test_dihedral_ends_witness_is_a_reflection():
-    am = dihedral_model()
+    am = builtin("dihedral")
     left = BoundaryCode((), (aL, bL))
     right = BoundaryCode((eL,), (bL, aL))
     d = orbit_equivalent(am, left, right)
@@ -301,7 +300,7 @@ def test_dihedral_ends_witness_is_a_reflection():
     ("dihedral", 1), ("sl2z", 3), ("psl2z", 3),
 ])
 def test_witness_chain_structure(name, classes):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     space = build_sample_space(am, 1, 4)
     n_max = space.p_max + space.q_max * am.C.order
     wc = hyperfiniteness_witness(am, space, n_max)
@@ -317,7 +316,7 @@ def test_witness_chain_structure(name, classes):
 
 
 def test_witness_chain_monotone_growth():
-    am = sl2z_model()
+    am = builtin("sl2z")
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 4)
     sizes = [len(er.classes()) for er in wc.chain]
@@ -332,7 +331,7 @@ def test_witness_chain_monotone_growth():
 
 
 def test_witness_chain_json_roundtrip():
-    am = sl2z_model()
+    am = builtin("sl2z")
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 6)
     doc = witness_chain_to_json(am, wc)
@@ -346,7 +345,7 @@ def test_witness_chain_json_roundtrip():
 
 
 def test_witness_chain_json_rejects_corrupted_witness():
-    am = dihedral_model()
+    am = builtin("dihedral")
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 2)
     doc = witness_chain_to_json(am, wc)
@@ -358,7 +357,7 @@ def test_witness_chain_json_rejects_corrupted_witness():
 
 
 def test_orbit_witness_table_verified():
-    am = psl2z_model()
+    am = builtin("psl2z")
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 6)
     table = orbit_witness_table(am, wc)
@@ -369,7 +368,7 @@ def test_orbit_witness_table_verified():
 
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_orbit_witness_table_matches_pairwise_queries(name):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 6)
     assert orbit_witness_table(am, wc) == pairwise_witness_table(am, wc)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -315,6 +316,8 @@ EDGE_CASES = [
     (["reiter", "--window", "free"], {}, 0),
     (["reiter", "--window", "free", "--support-radius", "3", "--radius", "2"],
      {}, 2),
+    (["reiter", "--window", "free", "--radius", "1", "--support-radius",
+      "1000000000"], {}, 2),
     (["reiter", "--window", "free", "--rank", "0"], {}, 2),
     (["reiter", "--window", "z", "--support-size", "0"], {}, 2),
     (["reiter", "--window", "z", "--radius", "-1"], {}, 2),
@@ -330,6 +333,20 @@ EDGE_CASES = [
     (["witness", "--config", "{root}/perfbench/fixtures/s4_c3_s3.json",
       "--p-max", "2", "--q-max", "20"], {}, 2),
     (["check", "--what", "theorem-a", "--q-max", "1000000000"], {}, 2),
+    (["tree", "--out", "{tmp}/nonexistent/d/x.json"], {}, 2),
+    (["tree", "--radius", "1", "--dot", "{tmp}/nonexistent/ball.dot"], {}, 2),
+    (["cfw", "--out", "{tmp}"], {}, 2),
+    (["reiter", "--window", "free", "--rank", "6", "--support-radius", "4"],
+     {}, 2),
+    (["reiter", "--window", "free", "--radius", "1000000000"], {}, 2),
+    (["reiter", "--window", "z", "--radius", "1000000000"], {}, 2),
+    (["reiter", "--window", "free", "--support-radius", "2"],
+     {"ARBOR_VERTEX_CAP": "52"}, 2),
+    (["reiter", "--window", "free", "--rank", "2", "--support-radius", "4"],
+     {}, 2),
+    (["reiter", "--window", "free", "--rank", "4", "--support-radius", "2"],
+     {}, 2),
+    (["reiter", "--window", "z", "--support-size", "1000"], {}, 2),
 ]
 
 
@@ -372,3 +389,39 @@ def test_free_window_default_radius(capsys):
                                   "--support-radius", "1", "--radius", "2"])
     assert out == explicit
     assert json.loads(out)["support_size"] == 5
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["--window", "free", "--radius", "1", "--support-radius", "1000000000"],
+     "ball exceeds the window radius"),
+    (["--window", "free", "--rank", "6", "--support-radius", "4"],
+     "the window of radius 5 has 193261 vertices, over the vertex cap of "
+     "100000"),
+    (["--window", "free", "--rank", "2", "--support-radius", "4"],
+     "has 2193330 entries, over the cap of 1000000"),
+    (["--window", "free", "--rank", "4", "--support-radius", "2"],
+     "has 1792674 entries, over the cap of 1000000"),
+])
+def test_oversized_window_or_lp_is_refused_fast(capsys, argv, count):
+    started = time.perf_counter()
+    rc, out, err = run(capsys, ["reiter", *argv])
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and out == ""
+    assert count in err
+
+
+def _readme_commands() -> list:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("arbor ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        rc, _, err = run(capsys, argv)
+        assert rc == 0, (argv, err)

@@ -6,7 +6,8 @@ from arbor.codes import (
     format_code, parse_code, raw_shift,
 )
 from arbor.groups import A_SIDE, B_SIDE, Letter
-from arbor.models import sl2z_model
+
+from bruteforce import builtin
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -102,7 +103,7 @@ def test_shift_code_parity():
 
 
 def test_format_and_parse_roundtrip():
-    am = sl2z_model()
+    am = builtin("sl2z")
     samples = [
         BoundaryCode((), (aL, bL)),
         BoundaryCode((), (aL, b2L)),
@@ -117,7 +118,7 @@ def test_format_and_parse_roundtrip():
 
 
 def test_parse_code_errors():
-    am = sl2z_model()
+    am = builtin("sl2z")
     with pytest.raises(CodeError, match="alternate"):
         parse_code(am, "prefix=;cycle=a")
     with pytest.raises(CodeError, match="prefix"):
@@ -132,7 +133,7 @@ def test_parse_code_errors():
 
 def test_parse_rejects_non_representative_element_name():
     # a2 is a group element but lies in the amalgamated image, not the transversal
-    am = sl2z_model()
+    am = builtin("sl2z")
     with pytest.raises(CodeError, match="representative"):
         parse_code(am, "prefix=;cycle=a2,b")
 

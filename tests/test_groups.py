@@ -9,10 +9,9 @@ from arbor.groups import (
     normal_form, multiply, invert, enumerate_reduced_words,
     validate_reduced_word, word_to_str, word_from_str,
 )
-from arbor.models import dihedral_model, psl2z_model, sl2z_model
 
 from bruteforce import (
-    closure, words_equal, tagged_of_reduced, element_key, MODEL_KEYS,
+    builtin, closure, words_equal, tagged_of_reduced, element_key, MODEL_KEYS,
     normalize_tagged,
 )
 
@@ -131,13 +130,13 @@ def test_left_cosets_rejects_non_subgroup():
 
 
 def test_amalgam_indices():
-    am = sl2z_model()
+    am = builtin("sl2z")
     assert (am.A.index, am.B.index) == (2, 3)
     assert am.A.reps == (0, 1)
     assert am.B.reps == (0, 1, 2)
-    d = dihedral_model()
+    d = builtin("dihedral")
     assert (d.A.index, d.B.index) == (2, 2)
-    p = psl2z_model()
+    p = builtin("psl2z")
     assert (p.A.index, p.B.index) == (2, 3)
 
 
@@ -154,7 +153,7 @@ def test_amalgam_rejects_non_injective_embedding():
 
 
 def test_decompose_tables_are_exact():
-    for am in (dihedral_model(), sl2z_model(), psl2z_model()):
+    for am in (builtin("dihedral"), builtin("sl2z"), builtin("psl2z")):
         for side in (A_SIDE, B_SIDE):
             grp = am.side_group(side)
             for u in grp.elements():
@@ -165,7 +164,7 @@ def test_decompose_tables_are_exact():
 
 
 def test_normal_form_single_letters_sl2z():
-    am = sl2z_model()
+    am = builtin("sl2z")
     assert normal_form(am, [("H", "a3")]) == ReducedWord((Letter(A_SIDE, 1),), 1)
     assert normal_form(am, [("K", 4)]) == ReducedWord((Letter(B_SIDE, 1),), 1)
     assert normal_form(am, [("K", 3)]) == ReducedWord((), 1)
@@ -173,14 +172,14 @@ def test_normal_form_single_letters_sl2z():
 
 
 def test_normal_form_carry_propagates_sl2z():
-    am = sl2z_model()
+    am = builtin("sl2z")
     w = normal_form(am, [("K", 4), ("H", 1)])
     assert w == ReducedWord((Letter(B_SIDE, 1), Letter(A_SIDE, 1)), 1)
     assert normal_form(am, [("H", 1), ("H", 3)]) == ReducedWord((), 0)
 
 
 def test_normal_form_dihedral_alternation():
-    am = dihedral_model()
+    am = builtin("dihedral")
     w = normal_form(am, [("H", "s"), ("K", "t"), ("H", "s")])
     assert w.letters == (Letter(A_SIDE, 1), Letter(B_SIDE, 1), Letter(A_SIDE, 1))
     assert w.carry == 0
@@ -188,7 +187,7 @@ def test_normal_form_dihedral_alternation():
 
 
 def test_normal_form_validates_inputs():
-    am = sl2z_model()
+    am = builtin("sl2z")
     with pytest.raises(GroupError):
         normal_form(am, [("X", 1)])
     with pytest.raises(GroupError):
@@ -199,8 +198,7 @@ def test_normal_form_validates_inputs():
 
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_normal_form_matches_matrix_oracle_exhaustively(name):
-    from arbor.models import BUILTIN_MODELS
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     key = MODEL_KEYS[name]
     syllables = [(A_SIDE, x) for x in range(1, am.H.order)] + \
                 [(B_SIDE, x) for x in range(1, am.K.order)]
@@ -214,7 +212,7 @@ def test_normal_form_matches_matrix_oracle_exhaustively(name):
 
 
 def test_normal_form_matches_rewriting_closure_sl2z():
-    am = sl2z_model()
+    am = builtin("sl2z")
     from itertools import product as iproduct
     syllables = [(A_SIDE, x) for x in range(1, 4)] + [(B_SIDE, x) for x in range(1, 6)]
     tags = {A_SIDE: "H", B_SIDE: "K"}
@@ -225,7 +223,7 @@ def test_normal_form_matches_rewriting_closure_sl2z():
 
 
 def test_closure_separates_unequal_words():
-    am = sl2z_model()
+    am = builtin("sl2z")
     assert not words_equal(am, ((A_SIDE, 1),), ((B_SIDE, 1),))
     assert not words_equal(am, ((A_SIDE, 2),), ())
     assert words_equal(am, ((A_SIDE, 2),), ((B_SIDE, 3),))
@@ -233,8 +231,7 @@ def test_closure_separates_unequal_words():
 
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_multiply_matches_matrix_oracle(name):
-    from arbor.models import BUILTIN_MODELS
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     words = enumerate_reduced_words(am, 2)
     for u in words:
         for v in words:
@@ -246,8 +243,7 @@ def test_multiply_matches_matrix_oracle(name):
 
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_invert_is_exact(name):
-    from arbor.models import BUILTIN_MODELS
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     for u in enumerate_reduced_words(am, 2):
         ui = invert(am, u)
         validate_reduced_word(am, ui)
@@ -257,7 +253,7 @@ def test_invert_is_exact(name):
 
 
 def test_multiply_is_associative_on_sample():
-    am = sl2z_model()
+    am = builtin("sl2z")
     words = enumerate_reduced_words(am, 1)
     for u in words:
         for v in words:
@@ -267,7 +263,7 @@ def test_multiply_is_associative_on_sample():
 
 
 def test_enumerate_reduced_words_counts():
-    am = sl2z_model()
+    am = builtin("sl2z")
     # shapes: () plus alternating strings from letter pools of sizes 1 (A) and 2 (B)
     def shape_count(max_len):
         total = 1
@@ -286,12 +282,12 @@ def test_enumerate_reduced_words_counts():
 
 
 def test_word_string_roundtrip():
-    for name, model in (("dihedral", dihedral_model), ("sl2z", sl2z_model)):
-        am = model()
+    for name in ("dihedral", "sl2z"):
+        am = builtin(name)
         for w in enumerate_reduced_words(am, 2):
             s = word_to_str(am, w)
             assert word_from_str(am, s) == w
-    am = sl2z_model()
+    am = builtin("sl2z")
     assert word_to_str(am, am.identity_word()) == "e"
     assert word_from_str(am, "a*b2*z").carry == 1
     with pytest.raises(GroupError):
@@ -299,7 +295,7 @@ def test_word_string_roundtrip():
 
 
 def test_validate_reduced_word_rejects_bad_words():
-    am = sl2z_model()
+    am = builtin("sl2z")
     with pytest.raises(GroupError, match="alternate"):
         validate_reduced_word(am, ReducedWord((Letter(A_SIDE, 1), Letter(A_SIDE, 1)), 0))
     with pytest.raises(GroupError, match="trivial"):

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -9,22 +10,21 @@ from hypothesis import strategies as st
 
 from arbor.codes import parse_code
 from arbor.groups import cyclic_group, normal_form
-from arbor.models import dihedral_model, sl2z_model
 from arbor.reiter import (
-    BoundaryAction,
-    CosetAction,
     GRID_VECTOR_CAP,
     EnumerationExhausted,
-    FreeAction,
-    GridTooLarge,
-    IntegerAction,
+    OverBudget,
     ProbVector,
     WindowEscape,
     amenability_witness_sequence,
     boundary_product_tensor,
     cfw_extract,
     check_uniform_coamenable,
+    check_window_size,
+    coset_window,
     enumerate_rational_measures,
+    free_ball,
+    free_ball_size,
     free_reduce,
     free_tree_window,
     grid_search_min_deviation,
@@ -37,8 +37,12 @@ from arbor.reiter import (
     tensor_from_json,
     tensor_to_json,
     verify_cfw,
+    _numerators,
     _window_deviations,
 )
+from arbor.tree import act_on_boundary
+
+from bruteforce import builtin
 
 
 def test_prob_vector_basics():
@@ -69,7 +73,8 @@ def test_pushforward_merges_and_escapes():
 
 
 def test_integer_uniform_deviation():
-    act = IntegerAction(20)
+    w = integer_window(20, tuple(range(-9, 10)))
+    act = lambda g, y: w.image(w.gens.index(g), y)
     p = ProbVector.uniform(list(range(10)))
     assert reiter_deviation(p, [1], act, 0) == Fraction(2, 10)
     assert reiter_deviation(p, [1, -1], act, 0) == Fraction(1, 5)
@@ -120,6 +125,15 @@ def test_lp_support_escape():
         reiter_lp(w, support=[2, 3])
 
 
+def test_oversized_lp_is_refused_before_building():
+    # 4007 rows by 3003 columns
+    w = integer_window(1002)
+    started = time.perf_counter()
+    with pytest.raises(OverBudget, match="12033021 entries"):
+        reiter_lp(w, support=list(range(1000)))
+    assert time.perf_counter() - started < 1
+
+
 def test_free_reduce():
     assert free_reduce("aA") == ""
     assert free_reduce("abBA") == ""
@@ -128,17 +142,44 @@ def test_free_reduce():
 
 
 def test_free_ball_sizes():
-    act = FreeAction(2, 4)
-    assert len(act.ball(0)) == 1
-    assert len(act.ball(1)) == 5
-    assert len(act.ball(2)) == 17
-    assert len(act.ball(4)) == 161
+    assert len(free_ball(2, 0)) == 1
+    assert len(free_ball(2, 1)) == 5
+    assert len(free_ball(2, 2)) == 17
+    assert len(free_ball(2, 4)) == 161
+
+
+def test_ball_sizes_in_closed_form():
+    for radius in range(5):
+        assert free_ball_size(1, radius) == len(integer_window(radius).vertices)
+        for rank in range(1, 5):
+            assert free_ball_size(rank, radius) == len(free_ball(rank, radius))
+            assert free_ball_size(rank, radius) == \
+                len(free_tree_window(rank, radius).vertices)
+    assert free_ball_size(6, 5) == 193261
+    with pytest.raises(ValueError, match="rank must be between 1 and 6"):
+        free_ball_size(7, 1)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        free_ball(2, -1)
+
+
+def test_oversized_window_is_refused_before_building():
+    check_window_size(6, 4, 100_000)
+    with pytest.raises(OverBudget, match="193261 vertices"):
+        check_window_size(6, 5, 100_000)
+    with pytest.raises(OverBudget, match="2000000001 vertices"):
+        check_window_size(1, 10 ** 9, 100_000)
+    started = time.perf_counter()
+    with pytest.raises(OverBudget, match=r"more than 2\*\*1000000000"):
+        check_window_size(2, 10 ** 9, 100_000)
+    assert time.perf_counter() - started < 1
+    with pytest.raises(ValueError, match="rank must be between 1 and 6"):
+        check_window_size(0, 10 ** 9, 100_000)
 
 
 def test_free_window_optimum_stays_large():
     # rank 2, all four generators: no vector on the 2-ball gets small
     w = free_tree_window(2, 4)
-    sup = FreeAction(2, 4).ball(2)
+    sup = free_ball(2, 2)
     res = reiter_lp(w, support=sup)
     assert res.optimum == Fraction(18, 17)
     assert res.optimum > Fraction(1, 4)
@@ -157,15 +198,14 @@ def test_lp_optimum_monotone_in_support():
               for m in (3, 5, 10)]
     assert values == sorted(values, reverse=True)
     wf = free_tree_window(2, 4)
-    act = FreeAction(2, 4)
-    small = reiter_lp(wf, support=act.ball(1)).optimum
-    large = reiter_lp(wf, support=act.ball(2)).optimum
+    small = reiter_lp(wf, support=free_ball(2, 1)).optimum
+    large = reiter_lp(wf, support=free_ball(2, 2)).optimum
     assert small >= large
 
 
 def test_boundary_action_deviation():
-    am = sl2z_model()
-    act = BoundaryAction(am)
+    am = builtin("sl2z")
+    act = partial(act_on_boundary, am)
     x = parse_code(am, "prefix=;cycle=a,b")
     e = am.identity_word()
     z = normal_form(am, [("C", 1)])
@@ -179,10 +219,10 @@ def test_boundary_action_deviation():
 
 def test_coset_action_table():
     g6 = cyclic_group(6)
-    act = CosetAction(g6, [0, 3])
-    assert list(act.points) == [0, 1, 2]
-    assert [act.apply(1, x) for x in act.points] == [1, 2, 0]
-    assert [act.apply(3, x) for x in act.points] == [0, 1, 2]
+    act = coset_window(g6, [0, 3])
+    assert list(act.vertices) == [0, 1, 2]
+    assert [act.image(1, x) for x in act.vertices] == [1, 2, 0]
+    assert [act.image(3, x) for x in act.vertices] == [0, 1, 2]
 
 
 def test_uniform_vector_is_coamenability_certificate():
@@ -217,6 +257,16 @@ def test_enumeration_order_frozen():
         ((0, Fraction(1, 3)), (2, Fraction(2, 3))),
         ((0, Fraction(2, 3)), (2, Fraction(1, 3))),
     ]
+
+
+@pytest.mark.parametrize("least", [0, 1])
+def test_numerators_in_lexicographic_order(least):
+    for parts in range(1, 5):
+        for total in range(7):
+            expected = sorted(
+                v for v in product(range(total + 1), repeat=parts)
+                if sum(v) == total and min(v) >= least)
+            assert list(_numerators(total, parts, least)) == expected
 
 
 def test_enumeration_no_duplicates():
@@ -311,7 +361,7 @@ def test_tensor_validation():
 
 def test_boundary_tensor_line_model_degenerates():
     # both ends of the line lie in one orbit, so every deviation vanishes
-    am = dihedral_model()
+    am = builtin("dihedral")
     left = parse_code(am, "prefix=e;cycle=t,s")
     right = parse_code(am, "prefix=;cycle=s,t")
     g = normal_form(am, [("H", "s")])
@@ -326,7 +376,7 @@ def test_boundary_tensor_line_model_degenerates():
 
 
 def test_boundary_tensor_alternating_model():
-    am = sl2z_model()
+    am = builtin("sl2z")
     x = parse_code(am, "prefix=;cycle=a,b")
     y = parse_code(am, "prefix=;cycle=a,b2")
     g = normal_form(am, [("H", "a")])
@@ -390,7 +440,7 @@ def test_grid_size_is_counted_first():
     assert grid_vector_count(6, 12) == comb(18, 6) - 1
     w = integer_window(12)
     started = time.perf_counter()
-    with pytest.raises(GridTooLarge, match=str(comb(30, 10) - 1)):
+    with pytest.raises(OverBudget, match=str(comb(30, 10) - 1)):
         grid_search_min_deviation(w, list(range(10)), 20)
     assert time.perf_counter() - started < 1
     assert grid_vector_count(10, 20) > GRID_VECTOR_CAP >= grid_vector_count(6, 12)

@@ -9,7 +9,6 @@ from arbor.groups import (
     A_SIDE, B_SIDE, Letter, enumerate_reduced_words, invert, multiply,
     normal_form, word_of_subgroup_element,
 )
-from arbor.models import BUILTIN_MODELS, dihedral_model, psl2z_model, sl2z_model
 from arbor.tree import (
     GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
     act_on_vertex, base_vertex, build_tree, check_acylindricity,
@@ -18,7 +17,7 @@ from arbor.tree import (
     validate_vertex, vertex_from_letters, word_element,
 )
 
-from bruteforce import acylindricity_survey
+from bruteforce import BUILTIN_NAMES, acylindricity_survey, builtin
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -55,7 +54,7 @@ def test_vertex_from_letters_normalization():
 
 
 def test_validate_vertex():
-    am = sl2z_model()
+    am = builtin("sl2z")
     validate_vertex(am, base_vertex())
     validate_vertex(am, TreeVertex(K_TYPE, (eL,)))
     with pytest.raises(TreeError):
@@ -84,7 +83,7 @@ def expected_level_counts(index_a, index_b, radius):
     ("psl2z", [1, 2, 4, 4, 8]),
 ])
 def test_build_tree_profiles(name, profile):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     tree = build_tree(am, 4)
     assert tree.counts_by_distance() == profile
     assert tree.counts_by_distance() == expected_level_counts(
@@ -98,25 +97,25 @@ def test_build_tree_profiles(name, profile):
 
 
 def test_build_tree_radius_six_profile():
-    tree = build_tree(sl2z_model(), 6)
+    tree = build_tree(builtin("sl2z"), 6)
     assert tree.counts_by_distance() == [1, 2, 4, 4, 8, 8, 16]
 
 
 def test_build_tree_vertex_cap():
     with pytest.raises(TreeError, match="cap"):
-        build_tree(sl2z_model(), 6, vertex_cap=10)
+        build_tree(builtin("sl2z"), 6, vertex_cap=10)
 
 
 def test_act_on_vertex_translates_base_coset():
-    am = sl2z_model()
+    am = builtin("sl2z")
     a = normal_form(am, [("H", 1)])
     vertex_k = vertex_from_letters([], K_TYPE)
     assert act_on_vertex(am, a, vertex_k) == TreeVertex(K_TYPE, (aL,))
 
 
 def test_act_on_vertex_identity_and_inverse():
-    for name, model in BUILTIN_MODELS.items():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         tree = build_tree(am, 4)
         e = am.identity_word()
         words = enumerate_reduced_words(am, 2)
@@ -129,7 +128,7 @@ def test_act_on_vertex_identity_and_inverse():
 
 
 def test_act_on_vertex_is_an_action():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 3)
     words = enumerate_reduced_words(am, 2)
     for g in words[:12]:
@@ -141,8 +140,8 @@ def test_act_on_vertex_is_an_action():
 
 
 def test_act_on_vertex_preserves_adjacency():
-    for name, model in BUILTIN_MODELS.items():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         tree = build_tree(am, 4)
         for g in enumerate_reduced_words(am, 3):
             for i, j in tree.edges:
@@ -152,7 +151,7 @@ def test_act_on_vertex_preserves_adjacency():
 
 
 def test_base_stabilizer_is_the_first_factor():
-    am = sl2z_model()
+    am = builtin("sl2z")
     base = base_vertex()
     fixing = [g for g in enumerate_reduced_words(am, 2)
               if act_on_vertex(am, g, base) == base]
@@ -163,7 +162,7 @@ def test_base_stabilizer_is_the_first_factor():
 
 
 def test_geodesic_through_base_and_reversal():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 2)
     v = TreeVertex(K_TYPE, (aL,))
     w = TreeVertex(K_TYPE, (eL,))
@@ -176,7 +175,7 @@ def test_geodesic_through_base_and_reversal():
 
 
 def test_geodesic_distances_match_word_structure():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 4)
     for v in tree.vertices[::5]:
         for w in tree.vertices[::7]:
@@ -190,7 +189,7 @@ def test_geodesic_distances_match_word_structure():
 
 
 def test_geodesic_requires_tree_membership():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 2)
     outside = TreeVertex(K_TYPE, (aL, b2L, aL))
     with pytest.raises(TreeError, match="inside"):
@@ -198,7 +197,7 @@ def test_geodesic_requires_tree_membership():
 
 
 def test_code_truncate_and_inverse():
-    am = sl2z_model()
+    am = builtin("sl2z")
     for x in sample_codes(am):
         n = len(x.prefix) + 3 * len(x.cycle)
         path = code_truncate(x, n)
@@ -209,7 +208,7 @@ def test_code_truncate_and_inverse():
 
 
 def test_geodesic_to_code_errors():
-    am = sl2z_model()
+    am = builtin("sl2z")
     x = BoundaryCode((), (aL, bL))
     path = code_truncate(x, 6)
     with pytest.raises(TreeError, match="base"):
@@ -222,7 +221,7 @@ def test_geodesic_to_code_errors():
 
 
 def test_act_on_boundary_identity_and_center():
-    am = sl2z_model()
+    am = builtin("sl2z")
     e = am.identity_word()
     z = normal_form(am, [("C", 1)])
     for x in sample_codes(am):
@@ -231,7 +230,7 @@ def test_act_on_boundary_identity_and_center():
 
 
 def test_act_on_boundary_dihedral_end_swap():
-    am = dihedral_model()
+    am = builtin("dihedral")
     s = normal_form(am, [("H", 1)])
     t = normal_form(am, [("K", 1)])
     left = BoundaryCode((), (aL, bL))
@@ -244,8 +243,8 @@ def test_act_on_boundary_dihedral_end_swap():
 
 
 def test_act_on_boundary_is_an_action():
-    for name, model in BUILTIN_MODELS.items():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         words = enumerate_reduced_words(am, 2)
         for x in sample_codes(am)[:5]:
             for g in words[::3]:
@@ -257,8 +256,8 @@ def test_act_on_boundary_is_an_action():
 
 def test_act_on_boundary_matches_vertex_action():
     # far-out vertices of the translated ray must lie on the ray of the image code
-    for name, model in BUILTIN_MODELS.items():
-        am = model()
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
         for x in sample_codes(am):
             big = len(x.prefix) + 2 * len(x.cycle) + 10
             big += big % 2
@@ -270,7 +269,7 @@ def test_act_on_boundary_matches_vertex_action():
 
 
 def test_act_on_boundary_inverse():
-    am = psl2z_model()
+    am = builtin("psl2z")
     for x in sample_codes(am):
         for g in enumerate_reduced_words(am, 2):
             y = act_on_boundary(am, g, x)
@@ -278,7 +277,7 @@ def test_act_on_boundary_inverse():
 
 
 def test_stabilizer_of_base_segment():
-    am = sl2z_model()
+    am = builtin("sl2z")
     stab = stabilizer_of_segment(am, GeodesicPath((base_vertex(),)))
     assert stab.order == am.H.order
     stab_k = stabilizer_of_segment(
@@ -287,7 +286,7 @@ def test_stabilizer_of_base_segment():
 
 
 def test_stabilizer_of_edge_is_amalgamated_image():
-    am = sl2z_model()
+    am = builtin("sl2z")
     edge = GeodesicPath((base_vertex(), vertex_from_letters([], K_TYPE)))
     stab = stabilizer_of_segment(am, edge)
     assert stab.order == 2
@@ -296,7 +295,7 @@ def test_stabilizer_of_edge_is_amalgamated_image():
 
 
 def test_stabilizer_away_from_base():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 4)
     group_order = {H_TYPE: am.H.order, K_TYPE: am.K.order}
     for v in tree.vertices[::4]:
@@ -310,20 +309,20 @@ def test_stabilizer_away_from_base():
 
 
 def test_ray_stabilizer_values():
-    am = sl2z_model()
+    am = builtin("sl2z")
     x = BoundaryCode((), (aL, bL))
     stab = ray_stabilizer(am, x)
     z = normal_form(am, [("C", 1)])
     assert set(stab) == {am.identity_word(), z}
-    assert set(ray_stabilizer(dihedral_model(), BoundaryCode((), (aL, bL)))) == \
-        {dihedral_model().identity_word()}
+    assert set(ray_stabilizer(builtin("dihedral"), BoundaryCode((), (aL, bL)))) == \
+        {builtin("dihedral").identity_word()}
 
 
 @pytest.mark.parametrize("name,order", [
     ("dihedral", 1), ("sl2z", 2), ("psl2z", 1),
 ])
 def test_theorem_certificates_at_length_one(name, order):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     x = BoundaryCode((), (aL, bL))
     cert = check_theorem_A(am, x)
     assert cert is not None
@@ -333,7 +332,7 @@ def test_theorem_certificates_at_length_one(name, order):
 
 
 def test_theorem_check_exhaustion_returns_none():
-    am = sl2z_model()
+    am = builtin("sl2z")
     x = BoundaryCode((), (aL, bL))
     assert check_theorem_A(am, x, max_len=0) is None
 
@@ -342,7 +341,7 @@ def test_theorem_check_exhaustion_returns_none():
     ("dihedral", (1,)), ("sl2z", (2,)), ("psl2z", (1,)),
 ])
 def test_acylindricity_orders(name, expected_orders):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     report = check_acylindricity(am, seg_length=2, tree_radius=3)
     assert report.segments > 0
     orders = tuple(order for order, _ in report.orders_histogram)
@@ -355,7 +354,7 @@ def test_acylindricity_orders(name, expected_orders):
 @pytest.mark.parametrize("seg_length", [1, 2, 3])
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_acylindricity_walk_matches_pairwise_survey(name, seg_length):
-    am = BUILTIN_MODELS[name]()
+    am = builtin(name)
     for radius in range(seg_length, seg_length + 3):
         report = check_acylindricity(am, seg_length, radius)
         assert (report.segments, report.orders_histogram) == \
@@ -372,7 +371,7 @@ def test_acylindricity_walk_matches_pairwise_survey_on_index_4_5_model():
 
 
 def test_to_dot_is_deterministic_and_wellformed():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 3)
     dot1 = to_dot(am, tree)
     dot2 = to_dot(am, build_tree(am, 3))
@@ -386,7 +385,7 @@ def test_to_dot_is_deterministic_and_wellformed():
 
 
 def test_word_element_of_vertex_words():
-    am = sl2z_model()
+    am = builtin("sl2z")
     tree = build_tree(am, 4)
     for v in tree.vertices:
         w = word_element(am, v.word)
