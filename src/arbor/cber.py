@@ -1,20 +1,20 @@
-"""Finite-sample equivalence relations, gluing, reductions, and orbit witnesses.
+"""Finite-sample equivalence relations, witness chains, and orbit witnesses.
 
-Everything here runs on explicit finite point sets, so saturations,
-transversals, and reductions are checked exhaustively rather than asserted.
-Orbit machinery for boundary codes goes through canonical orbit codes: the
-minimum, over the base vertex group, of the translated code.  Two ends lie in
-the same orbit iff some pair of even shifts produces equal canonical codes,
-and every positive answer is returned with a verified group-element witness.
+Everything here runs on explicit finite point sets, so relations and their
+refinements are checked exhaustively rather than asserted.  Orbit machinery
+for boundary codes goes through canonical orbit codes: the minimum, over the
+base vertex group, of the translated code.  Two ends lie in the same orbit
+iff some pair of even shifts produces equal canonical codes, and every
+positive answer is returned with a verified group-element witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .codes import BoundaryCode, PeriodicWord, compare_words, format_code, parse_code, raw_shift
+from .codes import BoundaryCode, compare_words, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, enumerate_reduced_words, invert,
                      multiply, word_of_subgroup_element, word_to_str,
@@ -94,162 +94,19 @@ class FiniteER:
             raise RelationError("relations live on different point sets")
         return all(other.related(cls[0], j) for cls in self.classes() for j in cls)
 
-    def copy(self) -> "FiniteER":
-        out = FiniteER(self.base)
-        out._parent = list(self._parent)
-        return out
 
-
-def transversal(er: FiniteER) -> tuple[int, ...]:
-    """Least index of every class, ascending: meets each class exactly once."""
-    return tuple(cls[0] for cls in er.classes())
-
-
-def saturation(er: FiniteER, subset: Iterable[int]) -> tuple[int, ...]:
-    """All points related to something in the subset."""
-    roots = {er._find(i) for i in subset}
-    return tuple(i for i in range(len(er.base)) if er._find(i) in roots)
-
-
-def restrict(er: FiniteER, subset: Iterable[int]) -> tuple[FinitePointSet, "FiniteER"]:
-    """The relation induced on a subset, as a fresh point set and relation."""
-    idxs = sorted(set(subset))
-    sub = FinitePointSet(er.base.points[i] for i in idxs)
-    out = FiniteER(sub)
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if er.related(idxs[a], idxs[b]):
-                out.relate(a, b)
-    return sub, out
-
-
-def is_transversal_of(er: FiniteER, subset: Sequence[int],
-                      candidate: Sequence[int]) -> bool:
-    """Does candidate meet every class of er restricted to subset exactly once?"""
-    subset = sorted(set(subset))
-    if any(t not in subset for t in candidate):
-        return False
-    hits: dict[int, int] = {}
-    for t in candidate:
-        root = er._find(t)
-        hits[root] = hits.get(root, 0) + 1
-    roots_needed = {er._find(i) for i in subset}
-    return all(hits.get(r, 0) == 1 for r in roots_needed) and \
-        all(r in roots_needed for r in hits)
-
-
-def glue_transversals(er: FiniteER,
-                      pieces: Sequence[tuple[Sequence[int], Sequence[int]]]
-                      ) -> tuple[int, ...]:
-    """Merge per-piece transversals into one for the union of the pieces.
-
-    Each piece is (subset, transversal of er restricted to that subset).  A
-    kept representative blocks later ones from its class, processed in the
-    order given, so the output meets each class of the union exactly once.
-    """
-    covered: set[int] = set()
-    for n, (subset, cand) in enumerate(pieces):
-        if not is_transversal_of(er, subset, cand):
-            raise RelationError(f"piece {n} is not a transversal of its subset")
-        covered.update(subset)
-    kept: list[int] = []
-    blocked_roots: set[int] = set()
-    for subset, cand in pieces:
-        for t in sorted(cand):
-            root = er._find(t)
-            if root not in blocked_roots:
-                blocked_roots.add(root)
-                kept.append(t)
-    out = tuple(sorted(kept))
-    if not is_transversal_of(er, sorted(covered), out):
-        raise RelationError("glued candidate fails the transversal property")
-    return out
-
-
-@dataclass(frozen=True)
-class ReductionWitness:
-    """A map of point indices witnessing i~j in the source iff f(i)~f(j) in the target."""
-
-    f: tuple[int, ...]
-
-    def apply(self, i: int) -> int:
-        return self.f[i]
-
-
-def quotient_reduction(er_fine: FiniteER, er_coarse: FiniteER
-                       ) -> tuple[FinitePointSet, FiniteER, ReductionWitness]:
-    """Collapse the finer relation's classes and carry the coarser one along.
-
-    Requires er_fine to refine er_coarse on the same base.  The quotient point
-    set is the transversal of er_fine; the induced relation on it is reduction-
-    equivalent to er_coarse via the class-representative map.
-    """
-    if er_coarse.base is not er_fine.base:
-        raise RelationError("relations live on different point sets")
-    if not er_fine.refines(er_coarse):
-        raise RelationError("first relation does not refine the second")
-    reps = transversal(er_fine)
-    rep_pos = {r: k for k, r in enumerate(reps)}
-    quotient = FinitePointSet(er_fine.base.points[r] for r in reps)
-    induced = FiniteER(quotient)
-    for p in range(len(reps)):
-        for q in range(p + 1, len(reps)):
-            if er_coarse.related(reps[p], reps[q]):
-                induced.relate(p, q)
-    f = tuple(rep_pos[er_fine._find(i)] for i in range(len(er_fine.base)))
-    witness = ReductionWitness(f)
-    verify_reduction(er_coarse, induced, witness)
-    return quotient, induced, witness
-
-
-def verify_reduction(source: FiniteER, target: FiniteER,
-                     witness: ReductionWitness) -> None:
-    """Exhaustively check the reduction property; raises on any failing pair."""
-    n = len(source.base)
-    if len(witness.f) != n:
-        raise RelationError("witness map does not cover the source")
-    for i in range(n):
-        for j in range(n):
-            if source.related(i, j) != target.related(witness.f[i], witness.f[j]):
-                raise RelationError(f"reduction fails at pair ({i},{j})")
-
-
-def tail_equivalent(x: PeriodicWord, y: PeriodicWord
-                    ) -> Optional[tuple[int, int]]:
-    """Least shifts (i, j), ordered by i+j then i, with equal shifted sequences."""
-    hx, hy = x.horizon(), y.horizon()
-    sx = [raw_shift(x, i) for i in range(hx + 1)]
-    sy = [raw_shift(y, j) for j in range(hy + 1)]
-    for total in range(hx + hy + 1):
-        for i in range(max(0, total - hy), min(total, hx) + 1):
-            if sx[i] == sy[total - i]:
-                return (i, total - i)
-    return None
-
-
-def _orbit_candidates(am: Amalgam, x: BoundaryCode
-                      ) -> list[tuple[BoundaryCode, ReducedWord]]:
-    out = []
-    for elem in am.H.elements():
-        h = word_of_subgroup_element(am, A_SIDE, elem)
-        out.append((act_on_boundary(am, h, x), h))
-    return out
-
-
-def canonical_orbit_code(am: Amalgam, x: BoundaryCode) -> BoundaryCode:
-    """The least translate of x under the base vertex group.
+def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
+    """The least translate of x under the base vertex group, and the first
+    element in H.elements() order that gives it.
 
     Base-rooted codes in one orbit differ exactly by elements fixing the base
     vertex, so this minimum is a complete orbit invariant for equal codes and
     the first stage of the shift search for tail-related ones.
     """
-    code, _ = _orbit_min(am, x)
-    return code
-
-
-def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
     best: Optional[tuple[BoundaryCode, ReducedWord]] = None
-    for code, h in _orbit_candidates(am, x):
+    for elem in am.H.elements():
+        h = word_of_subgroup_element(am, A_SIDE, elem)
+        code = act_on_boundary(am, h, x)
         if best is None or compare_words(code, best[0]) < 0:
             best = (code, h)
     assert best is not None
@@ -424,30 +281,30 @@ class WitnessChain:
     shift_codes: tuple[ShiftCodes, ...]  # per point, from _even_shift_codes
 
 
-def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace, n_max: int,
-                            require_certificates: bool = True) -> WitnessChain:
+def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
+                            n_max: int) -> WitnessChain:
     """Build E_0 <= E_1 <= ... <= E_n_max from shift witnesses on the sample.
 
-    E_n relates two sample points when even shifts i, j <= n give equal
-    canonical orbit codes, closed transitively inside the sample.  The target
-    is the same construction with unbounded (horizon-capped) shifts, which is
-    the full orbit relation on the sample.
+    Every sample point needs its stabilizer certificate first.  E_n relates
+    two sample points when even shifts i, j <= n give equal canonical orbit
+    codes, closed transitively inside the sample.  The target is the same
+    construction with unbounded (horizon-capped) shifts, which is the full
+    orbit relation on the sample.
     """
     if n_max < 0:
         raise RelationError("n_max must be nonnegative")
     certs: list[TheoremStyleCertificate] = []
-    if require_certificates:
-        missing = []
-        for x in sample.points:
-            cert = check_theorem_A(am, x)
-            if cert is None:
-                missing.append(x)
-            else:
-                certs.append(cert)
-        if missing:
-            raise HypothesisError(
-                f"no stabilizer certificate for {len(missing)} sample point(s); "
-                f"first: {missing[0]!r}")
+    missing = []
+    for x in sample.points:
+        cert = check_theorem_A(am, x)
+        if cert is None:
+            missing.append(x)
+        else:
+            certs.append(cert)
+    if missing:
+        raise HypothesisError(
+            f"no stabilizer certificate for {len(missing)} sample point(s); "
+            f"first: {missing[0]!r}")
 
     base = FinitePointSet(sample.points)
     mins: dict = {}

@@ -110,7 +110,7 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
     for key in ("embed_h", "embed_k"):
         images = model.get(key)
         if not isinstance(images, list) \
-                or not all(isinstance(v, int) for v in images):
+                or not all(type(v) is int for v in images):
             raise ConfigError(f"model.{key}: need a list of element indices")
     try:
         am = make_amalgam(groups["h"], groups["k"], groups["c"],
@@ -124,7 +124,7 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
     for key, value in extra.items():
         if key not in _LIMIT_DEFAULTS:
             raise ConfigError(f"limits.{key}: unknown limit")
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ConfigError(f"limits.{key}: need a nonnegative integer")
         limits[key] = value
     cap = os.environ.get("ARBOR_VERTEX_CAP")
@@ -393,6 +393,14 @@ def cmd_cfw(am: Amalgam, limits: dict, args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """--target as a rational; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="sl2z",
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators",
                    help="comma-separated steps (z) or element names (group); "
                         "free-window generators are fixed")
-    p.add_argument("--target", type=Fraction,
+    p.add_argument("--target", type=_fraction,
                    help="verdict epsilon, e.g. 1/3")
     p.add_argument("--grid-check", action="store_true",
                    help="cross-check the optimum against a denominator grid")

@@ -8,9 +8,9 @@ canonical pair is sequence equality.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .groups import A_SIDE, B_SIDE, Amalgam, Letter
+from .groups import A_SIDE, Amalgam, Letter
 
 
 class CodeError(ValueError):
@@ -124,15 +124,6 @@ class BoundaryCode(PeriodicWord):
             raise CodeError("only even shifts are base-rooted")
         w = PeriodicWord.shift(self, k)
         return BoundaryCode(w.prefix, w.cycle)
-
-
-def as_boundary_code(w: PeriodicWord) -> BoundaryCode:
-    return BoundaryCode(w.prefix, w.cycle)
-
-
-def raw_shift(x: PeriodicWord, k: int = 1) -> PeriodicWord:
-    """The plain sequence shift; the result may start on either side."""
-    return PeriodicWord.shift(x, k)
 
 
 def format_code(am: Amalgam, x: PeriodicWord) -> str:

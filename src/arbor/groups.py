@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 A_SIDE = 0  # letters drawn from the H-side transversal
 B_SIDE = 1  # letters drawn from the K-side transversal
@@ -53,13 +53,6 @@ class FiniteGroup:
             return self.names.index(name)
         except ValueError:
             raise GroupError(f"unknown element name {name!r}") from None
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
 
 
 def _validate_table(mul_table: Sequence[Sequence[int]]) -> None:
@@ -164,29 +157,51 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
 GroupSpec = Union[int, dict, FiniteGroup]
 
 
+def _spec_int(value, key: str) -> int:
+    # type(), not isinstance(): a JSON true is no integer here
+    if type(value) is not int:
+        raise GroupError(f"{key}: need an integer, got {value!r}")
+    return value
+
+
+def _spec_rows(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)) \
+            or not all(isinstance(row, (list, tuple)) for row in value):
+        raise GroupError(f"{key}: need a list of integer lists")
+    for row in value:
+        for x in row:
+            _spec_int(x, key)
+    return value
+
+
 def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build a group from an int (cyclic order), a spec dict, or pass one through.
 
     Dict forms: {"cyclic": n}, {"mul_table": [[...]]}, {"permutations": [[...]]},
-    each optionally with "names".
+    each optionally with "names" (a list of strings); permutations may carry
+    a closure "cap".  Values of the wrong JSON type raise GroupError.
     """
     if isinstance(spec, FiniteGroup):
         return spec
-    if isinstance(spec, int):
+    if type(spec) is int:
         return cyclic_group(spec)
     if not isinstance(spec, dict):
         raise GroupError(f"cannot build a group from {type(spec).__name__}")
     names = spec.get("names")
+    if names is not None and (not isinstance(names, (list, tuple)) or
+                              not all(isinstance(n, str) for n in names)):
+        raise GroupError(f"names: need a list of strings, got {names!r}")
     kinds = [k for k in ("cyclic", "mul_table", "permutations") if k in spec]
     if len(kinds) != 1:
         raise GroupError("group spec needs exactly one of cyclic/mul_table/permutations")
     kind = kinds[0]
     if kind == "cyclic":
-        return cyclic_group(spec["cyclic"], names)
+        return cyclic_group(_spec_int(spec["cyclic"], kind), names)
     if kind == "mul_table":
-        return group_from_table(spec["mul_table"], names)
-    return group_from_permutations(spec["permutations"], names,
-                                   cap=spec.get("cap", 256))
+        return group_from_table(_spec_rows(spec["mul_table"], kind), names)
+    cap = _spec_int(spec.get("cap", 256), "cap")
+    return group_from_permutations(_spec_rows(spec["permutations"], kind),
+                                   names, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -196,9 +211,6 @@ class Homomorphism:
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
-
-    def apply(self, a: int) -> int:
-        return self.images[a]
 
 
 def make_homomorphism(source: FiniteGroup, target: FiniteGroup,
@@ -226,37 +238,6 @@ def is_subgroup(group: FiniteGroup, elems: Iterable[int]) -> bool:
     if 0 not in s or any(not (0 <= x < group.order) for x in s):
         return False
     return all(group.mul(a, b) in s for a in s for b in s)
-
-
-def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
-    seen = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = group.mul(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
-def subgroup_intersection(group: FiniteGroup, s1: Iterable[int],
-                          s2: Iterable[int]) -> frozenset[int]:
-    """Elementwise intersection; a subgroup whenever both inputs are."""
-    out = frozenset(s1) & frozenset(s2)
-    if not is_subgroup(group, out):
-        raise GroupError("inputs do not intersect in a subgroup")
-    return out
-
-def conjugate_subgroup(group: FiniteGroup, g: int, subgroup: Iterable[int]) -> frozenset[int]:
-    """The set g S g^-1, validated to be a subgroup."""
-    gi = group.inv(g)
-    out = frozenset(group.mul(group.mul(g, s), gi) for s in subgroup)
-    if not is_subgroup(group, out):
-        raise GroupError("conjugate of a non-subgroup")
-    return out
 
 
 @dataclass(frozen=True)
@@ -305,9 +286,6 @@ class ReducedWord:
     letters: tuple[Letter, ...]
     carry: int
 
-    def is_identity(self) -> bool:
-        return not self.letters and self.carry == 0
-
     def sort_key(self) -> tuple:
         return (len(self.letters), self.letters, self.carry)
 
@@ -338,8 +316,6 @@ class Amalgam:
 
         self._groups = (H, K)
         self._embed = (embed_h.images, embed_k.images)
-        self._embed_inv = tuple({img: c for c, img in enumerate(emb)}
-                                for emb in self._embed)
         self._transversals = (self.A, self.B)
         # u = reps[_rep_idx[u]] * embed(_carry[u]), uniquely
         factored = [self._factor_side(side) for side in (A_SIDE, B_SIDE)]
@@ -371,10 +347,6 @@ class Amalgam:
 
     def embed_to_side(self, side: int, c: int) -> int:
         return self._embed[side][c]
-
-    def carry_from_side(self, side: int, elem: int) -> Optional[int]:
-        """The C-index of a side element lying in the amalgamated image, else None."""
-        return self._embed_inv[side].get(elem)
 
     def rep_element(self, side: int, rep_index: int) -> int:
         return self._transversals[side].reps[rep_index]
@@ -450,19 +422,6 @@ def normal_form(am: Amalgam, word: Iterable[RawSyllable]) -> ReducedWord:
             raise GroupError(f"{tag} element {raw!r} out of range")
         carry = absorb(am, letters, carry, side, elem)
     return ReducedWord(tuple(letters), carry)
-
-
-def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:
-    """Check alternation, nontrivial letters, and ranges; raises GroupError."""
-    for i, letter in enumerate(w.letters):
-        if letter.side not in (A_SIDE, B_SIDE):
-            raise GroupError(f"letter {i} has invalid side {letter.side}")
-        if not (1 <= letter.rep < am.transversal(letter.side).index):
-            raise GroupError(f"letter {i} is trivial or out of range")
-        if i and w.letters[i - 1].side == letter.side:
-            raise GroupError(f"letters {i - 1} and {i} do not alternate")
-    if not (0 <= w.carry < am.C.order):
-        raise GroupError("carry out of range")
 
 
 def multiply(am: Amalgam, u: ReducedWord, v: ReducedWord) -> ReducedWord:

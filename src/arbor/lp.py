@@ -21,6 +21,11 @@ from typing import Sequence
 
 _ZERO = Fraction(0)
 
+# A solve pivots by Dantzig's rule up to BLAND_AFTER times in each phase,
+# then by Bland's rule, and gives up past MAX_PIVOTS.
+BLAND_AFTER = 2_000
+MAX_PIVOTS = 50_000
+
 
 class LpError(RuntimeError):
     """Raised for infeasible or unbounded programs, pivot exhaustion, or a
@@ -120,8 +125,7 @@ def _eliminate(row: dict, prow: dict, factor: Fraction) -> None:
             del row[j]
 
 
-def _simplex_loop(tab: _SparseTableau, allowed: int, max_pivots: int,
-                  bland_after: int) -> None:
+def _simplex_loop(tab: _SparseTableau, allowed: int) -> None:
     """Pivot until no column below `allowed` has a negative reduced cost."""
     pivots = 0
     while True:
@@ -129,7 +133,7 @@ def _simplex_loop(tab: _SparseTableau, allowed: int, max_pivots: int,
                       if j < allowed and v < 0]
         if not candidates:
             return
-        if pivots >= bland_after:
+        if pivots >= BLAND_AFTER:
             enter = min(j for _, j in candidates)
         else:
             enter = min(candidates)[1]
@@ -148,8 +152,8 @@ def _simplex_loop(tab: _SparseTableau, allowed: int, max_pivots: int,
             raise LpError("unbounded objective")
         tab.pivot(leave, enter)
         pivots += 1
-        if pivots > max_pivots:
-            raise LpError(f"pivot budget {max_pivots} exhausted")
+        if pivots > MAX_PIVOTS:
+            raise LpError(f"pivot budget {MAX_PIVOTS} exhausted")
 
 
 def verify_optimal(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
@@ -181,8 +185,7 @@ def verify_optimal(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
 
 
 def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
-             a_eq: Sequence[Sequence], b_eq: Sequence,
-             max_pivots: int = 50_000, bland_after: int = 2_000) -> LpSolution:
+             a_eq: Sequence[Sequence], b_eq: Sequence) -> LpSolution:
     """Minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
     n = len(c)
     cons, n_ub = _constraints(n, a_ub, b_ub, a_eq, b_eq)
@@ -211,7 +214,7 @@ def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
 
     if with_art:
         tab.price({art + i: Fraction(1) for i in with_art})
-        _simplex_loop(tab, art, max_pivots, bland_after)
+        _simplex_loop(tab, art)
         if tab.z > 0:
             raise LpError("infeasible constraints")
         # drive degenerate artificials out; a row with no real entry is a
@@ -235,7 +238,7 @@ def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
                     row.pop(art + i, None)
 
     tab.price({j: Fraction(v) for j, v in enumerate(c) if v})
-    _simplex_loop(tab, art, max_pivots, bland_after)
+    _simplex_loop(tab, art)
 
     x = [_ZERO] * n
     for col, b in zip(tab.basis, tab.rhs):

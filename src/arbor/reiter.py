@@ -13,11 +13,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codes import BoundaryCode
-from .groups import (Amalgam, FiniteGroup, ReducedWord, VerificationError,
-                     left_cosets)
+from .groups import FiniteGroup, VerificationError, left_cosets
 from .lp import solve_lp
-from .tree import act_on_boundary
 
 
 class OverBudget(ValueError):
@@ -27,10 +24,6 @@ class OverBudget(ValueError):
 
 class WindowEscape(ValueError):
     """Raised when mass would leave the finite window."""
-
-
-class EnumerationExhausted(RuntimeError):
-    """Raised when no measure within the enumeration bounds is almost invariant."""
 
 
 def parse_fraction(text) -> Fraction:
@@ -68,10 +61,6 @@ class ProbVector:
             raise ValueError("cannot spread mass over nothing")
         return cls((lab, Fraction(1, n)) for lab in labels)
 
-    @classmethod
-    def point_mass(cls, label) -> "ProbVector":
-        return cls(((label, Fraction(1)),))
-
     @property
     def support(self) -> tuple:
         return tuple(self._w.keys())
@@ -81,9 +70,6 @@ class ProbVector:
 
     def items(self):
         return tuple(self._w.items())
-
-    def max_denominator(self) -> int:
-        return max(q.denominator for q in self._w.values())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProbVector) and dict(self._w) == dict(other._w)
@@ -396,6 +382,17 @@ def check_grid_size(support_size: int, max_denominator: int) -> None:
             f"denominator or shrink the support")
 
 
+def _numerators(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Nonnegative integer vectors of `parts` entries summing to total.
+
+    Stars and bars: the cut points run through combinations in lexicographic
+    order, which orders the vectors lexicographically too.
+    """
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+
+
 def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
                               max_denominator: int
                               ) -> tuple[Fraction, ProbVector]:
@@ -424,7 +421,7 @@ def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
     best: Optional[tuple[Fraction, tuple[int, ...], int]] = None
     for d in range(1, max_denominator + 1):
         d_worst: Optional[int] = None
-        for parts in _numerators(d, k, 0):
+        for parts in _numerators(d, k):
             worst = 0
             for img in images:
                 diff = [*parts, *pad]
@@ -464,105 +461,6 @@ def check_uniform_coamenable(group: FiniteGroup, subgroup: Iterable[int],
                         for x in window.vertices)) for s in gens)
     worst = max((dev for _, dev in per), default=Fraction(0))
     return ReiterCertificate(p, tuple(gens), eps, worst, per)
-
-
-# --- first-hit enumeration of almost invariant vectors ----------------------
-
-def _numerators(total: int, parts: int, least: int
-                ) -> Iterator[tuple[int, ...]]:
-    """Integer vectors of `parts` entries >= least summing to total.
-
-    Stars and bars: the cut points run through combinations in lexicographic
-    order, which orders the vectors lexicographically too.
-    """
-    slots = total - least * parts + parts - 1
-    if slots < parts - 1:
-        return
-    for bars in combinations(range(slots), parts - 1):
-        yield tuple(hi - lo - 1 + least
-                    for lo, hi in zip((-1,) + bars, bars + (slots,)))
-
-
-def enumerate_rational_measures(labels: Sequence, max_denominator: int,
-                                max_support: Optional[int] = None
-                                ) -> Iterator[ProbVector]:
-    """All rational vectors ordered by max denominator, support size, then
-    support and weights lexicographically."""
-    cap = len(labels) if max_support is None else min(max_support, len(labels))
-    for d in range(1, max_denominator + 1):
-        for k in range(1, cap + 1):
-            if k > d:
-                continue
-            for sup in combinations(range(len(labels)), k):
-                for parts in _numerators(d, k, 1):
-                    weights = [Fraction(w, d) for w in parts]
-                    if max(q.denominator for q in weights) != d and d > 1:
-                        continue
-                    yield ProbVector((labels[sup[t]], weights[t])
-                                     for t in range(k))
-
-
-@dataclass(frozen=True)
-class WitnessStep:
-    """One stage of an almost-invariance schedule: the first vector that works."""
-
-    n: int
-    gens: tuple
-    p: ProbVector
-    q_by_point: tuple  # (point, pushforward) pairs
-    decay: tuple       # (point, group element, deviation, bound applies, ok)
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    steps: tuple
-
-
-def amenability_witness_sequence(group: FiniteGroup, subgroup: Iterable[int],
-                                 gen_chain: Sequence[Sequence[int]],
-                                 n_max: int, max_denominator: int,
-                                 max_support: Optional[int] = None,
-                                 pairs: Sequence[tuple[int, int]] = ()
-                                 ) -> WitnessFamily:
-    """For each n, the first vector in enumeration order that is almost
-    invariant below 1/n over every coset, with its pushforwards and decay table.
-
-    gen_chain must be increasing; it is reused at its last entry once n runs
-    past its length.  Exhausting the enumeration raises, naming the scale.
-    """
-    sub = frozenset(subgroup)
-    chain = [tuple(s) for s in gen_chain]
-    if not chain:
-        raise ValueError("need at least one generator stage")
-    for a, b in zip(chain, chain[1:]):
-        if not set(a) <= set(b):
-            raise ValueError("generator chain must be increasing")
-    window = coset_window(group, sub)
-    labels = list(group.elements())
-    steps = []
-    for n in range(1, n_max + 1):
-        gens = chain[min(n, len(chain)) - 1]
-        eps = Fraction(1, n)
-        hit: Optional[ProbVector] = None
-        for p in enumerate_rational_measures(labels, max_denominator,
-                                             max_support):
-            if all(reiter_deviation(p, gens, window.image, x) < eps
-                   for x in window.vertices):
-                hit = p
-                break
-        if hit is None:
-            raise EnumerationExhausted(
-                f"no ({gens}, 1/{n})-almost-invariant vector with denominator "
-                f"<= {max_denominator}")
-        q_by_point = tuple((x, hit.pushforward(lambda g: window.image(g, x)))
-                           for x in window.vertices)
-        decay = []
-        for x, g in pairs:
-            dev = reiter_deviation(hit, [g], window.image, x)
-            applies = g in gens
-            decay.append((x, g, dev, applies, (not applies) or dev < eps))
-        steps.append(WitnessStep(n, tuple(gens), hit, q_by_point, tuple(decay)))
-    return WitnessFamily(tuple(steps))
 
 
 # --- deviation tensors and threshold extraction -----------------------------
@@ -612,16 +510,6 @@ class DeviationTensor:
         return self.values[i][j][g][x]
 
 
-def tensor_to_json(t: DeviationTensor) -> dict:
-    return {
-        "group": list(t.group_labels),
-        "points": list(t.point_labels),
-        "mu": [format_fraction(q) for q in t.mu],
-        "values": [[[[format_fraction(q) for q in row] for row in block]
-                    for block in plane] for plane in t.values],
-    }
-
-
 def tensor_from_json(doc: dict) -> DeviationTensor:
     return DeviationTensor(
         tuple(doc["group"]),
@@ -639,45 +527,6 @@ def monotone_tensor(i_count: int = 11, j_count: int = 13) -> DeviationTensor:
         tuple(((Fraction(1, j + 1),),) for j in range(j_count))
         for _ in range(i_count))
     return DeviationTensor(("g1",), ("x0",), (Fraction(1),), values)
-
-
-def boundary_product_tensor(am: Amalgam, points: Sequence[BoundaryCode],
-                            mu: Sequence[Fraction],
-                            words: Sequence[ReducedWord],
-                            i_count: int, j_count: int) -> DeviationTensor:
-    """Deviations of sliding averages of canonical orbit codes along shifts.
-
-    Stage (i, j) averages the canonical codes of the even shifts numbered
-    i..i+j; for orbit-equivalent points these averages eventually agree, so
-    rows decay in j wherever the group element preserves the orbit.
-    """
-    from .cber import canonical_orbit_code
-    from .codes import format_code
-    from .groups import word_to_str
-
-    def avg(i: int, j: int, x: BoundaryCode) -> ProbVector:
-        codes = [canonical_orbit_code(am, x.shift_code(2 * k))
-                 for k in range(i, i + j + 1)]
-        return ProbVector((c, Fraction(1, len(codes))) for c in codes)
-
-    values = []
-    for i in range(i_count):
-        plane = []
-        for j in range(j_count):
-            block = []
-            for g in words:
-                row = []
-                for x in points:
-                    gx = act_on_boundary(am, g, x)
-                    row.append(l1_distance(avg(i, j, x), avg(i, j, gx)))
-                block.append(tuple(row))
-            plane.append(tuple(block))
-        values.append(tuple(plane))
-    return DeviationTensor(
-        tuple(word_to_str(am, g) for g in words),
-        tuple(format_code(am, x) for x in points),
-        tuple(Fraction(q) for q in mu),
-        tuple(values))
 
 
 @dataclass(frozen=True)

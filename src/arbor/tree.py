@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .codes import BoundaryCode, CodeError, PeriodicWord
+from .codes import BoundaryCode
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, absorb, invert, multiply,
                      word_of_subgroup_element)
@@ -186,27 +186,6 @@ def code_truncate(x: BoundaryCode, n: int) -> GeodesicPath:
     return GeodesicPath(tuple(verts))
 
 
-def geodesic_to_code(am: Amalgam, path: GeodesicPath) -> BoundaryCode:
-    """Recover the boundary code from a long enough base-rooted ray sample.
-
-    The sample must start at the base vertex, move strictly away from it, and
-    contain the full prefix plus at least two full cycles of the end it tracks.
-    """
-    if not path.vertices or path.vertices[0] != base_vertex():
-        raise TreeError("ray sample must start at the base vertex")
-    letters: list[Letter] = []
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        if len(b.word) != len(a.word) + 1 or b.word[:len(a.word)] != a.word:
-            raise TreeError("ray sample backtracks or skips a vertex")
-        letters.append(b.word[-1])
-    n = len(letters)
-    for c in range(2, n // 2 + 1, 2):
-        for p in range(0, n - 2 * c + 1):
-            if all(letters[i] == letters[p + (i - p) % c] for i in range(p, n)):
-                return BoundaryCode(letters[:p], letters[p:p + c])
-    raise TreeError("no even period covering two full cycles fits the sample")
-
-
 def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCode:
     """Left translation of an end: g applied to the ray coding x, re-coded
     from the base vertex.
@@ -344,6 +323,8 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     """
     if max_len is None:
         max_len = x.horizon() + 2
+    elif max_len < 0:
+        raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
     target = frozenset(ray_stabilizer(am, x))
     for n in range(max_len + 1):
         stab = stabilizer_of_segment(am, code_truncate(x, n))

@@ -4,17 +4,28 @@ Two roads that never touch the normal-form machinery: a bounded rewriting
 closure over tagged words, and faithful matrix/affine representations of the
 three built-in models.  Two exhaustive surveys the library replaced with
 direct constructions: segments from all vertex pairs, and orbit witnesses
-rebuilt from scratch for every pair.  The built-in models themselves come
-from the packaged configs, through the loader the command line uses.
+rebuilt from scratch for every pair.  Direct checks of what the commands
+print: normal-form validity, tail equivalence (which implies orbit
+equivalence), and codes read back off their rays.  Deviation tensors built
+from a model's boundary action, as inputs for `cfw`.  The built-in models
+themselves come from the packaged configs, through the loader the command
+line uses.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Optional
+
 from arbor.cli import load_config
-from arbor.codes import compare_words
-from arbor.groups import (A_SIDE, B_SIDE, Amalgam, ReducedWord, invert,
-                          multiply, word_of_subgroup_element)
-from arbor.tree import (act_on_boundary, build_tree, geodesic,
-                        stabilizer_of_segment, word_element)
+from arbor.codes import BoundaryCode, PeriodicWord, compare_words, format_code
+from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
+                          Letter, ReducedWord, invert, multiply,
+                          word_of_subgroup_element, word_to_str)
+from arbor.reiter import (DeviationTensor, ProbVector, format_fraction,
+                          l1_distance)
+from arbor.tree import (GeodesicPath, TreeError, act_on_boundary, base_vertex,
+                        build_tree, geodesic, stabilizer_of_segment,
+                        word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
@@ -24,6 +35,28 @@ BUILTIN_NAMES = ("dihedral", "sl2z", "psl2z")
 def builtin(name: str) -> Amalgam:
     """A packaged model by name, as `--config name` loads it."""
     return load_config(name)[0]
+
+
+def element_order(group: FiniteGroup, a: int) -> int:
+    """Least k >= 1 with a^k the identity, by repeated multiplication."""
+    k, x = 1, a
+    while x != 0:
+        x = group.mul(x, a)
+        k += 1
+    return k
+
+
+def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:
+    """Check alternation, nontrivial letters, and ranges; raises GroupError."""
+    for i, letter in enumerate(w.letters):
+        if letter.side not in (A_SIDE, B_SIDE):
+            raise GroupError(f"letter {i} has invalid side {letter.side}")
+        if not (1 <= letter.rep < am.transversal(letter.side).index):
+            raise GroupError(f"letter {i} is trivial or out of range")
+        if i and w.letters[i - 1].side == letter.side:
+            raise GroupError(f"letters {i - 1} and {i} do not alternate")
+    if not (0 <= w.carry < am.C.order):
+        raise GroupError("carry out of range")
 
 
 def normalize_tagged(word) -> Tagged:
@@ -46,9 +79,11 @@ def _neighbors(am: Amalgam, word: Tagged) -> list[Tagged]:
                     am.embed_to_side(s2, am.C.inv(c)), x2)
                 mid = tuple(p for p in ((s1, left), (s2, right)) if p[1] != 0)
                 out.append(word[:i] + mid + word[i + 2:])
+    embedded = [{am.embed_to_side(side, c): c for c in am.C.elements()}
+                for side in (A_SIDE, B_SIDE)]
     for i in range(n):
         side, elem = word[i]
-        c = am.carry_from_side(side, elem)
+        c = embedded[side].get(elem)
         if c is not None:
             other = 1 - side
             out.append(word[:i] + ((other, am.embed_to_side(other, c)),)
@@ -170,22 +205,26 @@ def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
     return sum(hist.values()), tuple(sorted(hist.items()))
 
 
+def orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
+    """The least translate of x under the base vertex group, and the first
+    element of H that gives it: every element applied, every code compared."""
+    best = None
+    for elem in am.H.elements():
+        h = word_of_subgroup_element(am, A_SIDE, elem)
+        code = act_on_boundary(am, h, x)
+        if best is None or compare_words(code, best[0]) < 0:
+            best = (code, h)
+    return best
+
+
 def pairwise_witness_table(am: Amalgam, wc):
     """(point, class representative, witness) rows built pair by pair, as
     orbit_equivalent once did: both codes' shift minima computed afresh for
     every pair, then the first equal pair, the representative's shift
     outermost, turned into a word."""
     def shift_minima(x):
-        out = []
-        for i in range(0, x.horizon() + 2, 2):
-            best = None
-            for elem in am.H.elements():
-                h = word_of_subgroup_element(am, A_SIDE, elem)
-                code = act_on_boundary(am, h, x.shift_code(i))
-                if best is None or compare_words(code, best[0]) < 0:
-                    best = (code, h)
-            out.append((i, best[0], best[1]))
-        return out
+        return [(i, *orbit_min(am, x.shift_code(i)))
+                for i in range(0, x.horizon() + 2, 2)]
 
     rows = []
     for cls in wc.target.classes():
@@ -203,3 +242,81 @@ def pairwise_witness_table(am: Amalgam, wc):
             assert act_on_boundary(am, g, y) == x
             rows.append((idx, rep, g))
     return rows
+
+
+def tail_equivalent(x: PeriodicWord, y: PeriodicWord
+                    ) -> Optional[tuple[int, int]]:
+    """Least shifts (i, j), ordered by i+j then i, with equal shifted sequences.
+
+    For boundary codes i and j have the same parity, and the element spelled
+    by x's first i letters times the inverse of y's first j carries y to x:
+    tail-equivalent ends lie in one orbit.
+    """
+    hx, hy = x.horizon(), y.horizon()
+    sx = [x.shift(i) for i in range(hx + 1)]
+    sy = [y.shift(j) for j in range(hy + 1)]
+    for total in range(hx + hy + 1):
+        for i in range(max(0, total - hy), min(total, hx) + 1):
+            if sx[i] == sy[total - i]:
+                return (i, total - i)
+    return None
+
+
+def geodesic_to_code(path: GeodesicPath) -> BoundaryCode:
+    """Recover the boundary code from a long enough base-rooted ray sample.
+
+    The sample must start at the base vertex, move strictly away from it, and
+    contain the full prefix plus at least two full cycles of the end it tracks.
+    """
+    if not path.vertices or path.vertices[0] != base_vertex():
+        raise TreeError("ray sample must start at the base vertex")
+    letters: list[Letter] = []
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        if len(b.word) != len(a.word) + 1 or b.word[:len(a.word)] != a.word:
+            raise TreeError("ray sample backtracks or skips a vertex")
+        letters.append(b.word[-1])
+    n = len(letters)
+    for c in range(2, n // 2 + 1, 2):
+        for p in range(0, n - 2 * c + 1):
+            if all(letters[i] == letters[p + (i - p) % c] for i in range(p, n)):
+                return BoundaryCode(letters[:p], letters[p:p + c])
+    raise TreeError("no even period covering two full cycles fits the sample")
+
+
+# --- deviation tensors for cfw ---------------------------------------------
+
+def tensor_to_json(t: DeviationTensor) -> dict:
+    """The document `cfw --tensor` reads back with tensor_from_json."""
+    return {
+        "group": list(t.group_labels),
+        "points": list(t.point_labels),
+        "mu": [format_fraction(q) for q in t.mu],
+        "values": [[[[format_fraction(q) for q in row] for row in block]
+                    for block in plane] for plane in t.values],
+    }
+
+
+def boundary_product_tensor(am: Amalgam, points, mu, words,
+                            i_count: int, j_count: int) -> DeviationTensor:
+    """Deviations of sliding averages of canonical orbit codes along shifts.
+
+    Stage (i, j) averages the canonical codes of the even shifts numbered
+    i..i+j; for orbit-equivalent points these averages eventually agree, so
+    rows decay in j wherever the group element preserves the orbit.
+    """
+    def avg(i: int, j: int, x: BoundaryCode) -> ProbVector:
+        codes = [orbit_min(am, x.shift_code(2 * k))[0]
+                 for k in range(i, i + j + 1)]
+        return ProbVector((c, Fraction(1, len(codes))) for c in codes)
+
+    values = tuple(
+        tuple(tuple(tuple(l1_distance(avg(i, j, x),
+                                      avg(i, j, act_on_boundary(am, g, x)))
+                          for x in points) for g in words)
+              for j in range(j_count))
+        for i in range(i_count))
+    return DeviationTensor(
+        tuple(word_to_str(am, g) for g in words),
+        tuple(format_code(am, x) for x in points),
+        tuple(Fraction(q) for q in mu),
+        values)

@@ -1,4 +1,4 @@
-"""Relations on finite samples, gluing, reductions, and orbit equivalence."""
+"""Relations on finite samples, witness chains, and orbit equivalence."""
 import json
 from itertools import product
 from pathlib import Path
@@ -7,18 +7,18 @@ import pytest
 
 from arbor.cber import (
     SAMPLE_SPACE_CAP, FiniteER, FinitePointSet, RelationError,
-    build_sample_space, canonical_orbit_code, glue_transversals,
-    hyperfiniteness_witness, is_transversal_of, orbit_equivalent,
-    orbit_witness_table, quotient_reduction, restrict, saturation,
-    sample_space_size, tail_equivalent, transversal, validate_witness_chain,
-    verify_reduction, witness_chain_from_json, witness_chain_to_json,
+    build_sample_space, hyperfiniteness_witness, orbit_equivalent,
+    orbit_witness_table, sample_space_size, validate_witness_chain,
+    witness_chain_from_json, witness_chain_to_json, _orbit_min,
 )
 from arbor.cli import load_config
-from arbor.codes import BoundaryCode, compare_words, raw_shift
-from arbor.groups import A_SIDE, B_SIDE, Letter
-from arbor.tree import act_on_boundary
+from arbor.codes import BoundaryCode, compare_words
+from arbor.groups import (A_SIDE, B_SIDE, Letter, invert, multiply,
+                          word_of_subgroup_element)
+from arbor.tree import act_on_boundary, word_element
 
-from bruteforce import BUILTIN_NAMES, builtin, pairwise_witness_table
+from bruteforce import (BUILTIN_NAMES, builtin, orbit_min,
+                        pairwise_witness_table, tail_equivalent)
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -42,22 +42,9 @@ def test_point_set_rejects_duplicates():
 def test_er_classes_and_transversal():
     _, er = small_er()
     assert er.classes() == ((0, 2), (1,), (3, 4))
-    assert transversal(er) == (0, 1, 3)
+    # the least point of each class leads it: the class representatives
+    assert [cls[0] for cls in er.classes()] == [0, 1, 3]
     assert er.related(0, 2) and not er.related(0, 1)
-
-
-def test_saturation():
-    _, er = small_er()
-    assert saturation(er, [2]) == (0, 2)
-    assert saturation(er, [1, 4]) == (1, 3, 4)
-    assert saturation(er, []) == ()
-
-
-def test_restrict():
-    base, er = small_er()
-    sub, sub_er = restrict(er, [0, 2, 3])
-    assert sub.points == ("p", "r", "s")
-    assert sub_er.classes() == ((0, 1), (2,))
 
 
 def test_refines():
@@ -68,72 +55,12 @@ def test_refines():
     assert not er.refines(finer)
 
 
-def test_is_transversal_of():
-    _, er = small_er()
-    assert is_transversal_of(er, [0, 1, 2, 3, 4], [0, 1, 3])
-    assert is_transversal_of(er, [0, 1, 2, 3, 4], [2, 1, 4])
-    assert not is_transversal_of(er, [0, 1, 2, 3, 4], [0, 2, 1, 3])
-    assert not is_transversal_of(er, [0, 1, 2, 3, 4], [0, 1])
-    assert not is_transversal_of(er, [0, 2], [1])
-
-
-def test_glue_transversals_blocks_duplicates():
-    _, er = small_er()
-    pieces = [([0, 1, 2], [2, 1]), ([2, 3, 4], [2, 4])]
-    glued = glue_transversals(er, pieces)
-    assert glued == (1, 2, 4)
-    assert is_transversal_of(er, [0, 1, 2, 3, 4], glued)
-
-
-def test_glue_transversals_order_matters_for_choice():
-    _, er = small_er()
-    first = glue_transversals(er, [([0, 2], [0]), ([0, 2, 1], [2, 1])])
-    assert first == (0, 1)
-    second = glue_transversals(er, [([0, 2, 1], [2, 1]), ([0, 2], [0])])
-    assert second == (1, 2)
-
-
-def test_glue_transversals_rejects_bad_piece():
-    _, er = small_er()
-    with pytest.raises(RelationError, match="not a transversal"):
-        glue_transversals(er, [([0, 1, 2], [0, 2])])
-
-
-def test_quotient_reduction():
-    base, er = small_er()
-    coarse = FiniteER(base)
-    coarse.relate(0, 2)
-    coarse.relate(3, 4)
-    coarse.relate(0, 1)
-    quotient, induced, witness = quotient_reduction(er, coarse)
-    assert quotient.points == ("p", "q", "s")
-    assert induced.classes() == ((0, 1), (2,))
-    assert witness.f == (0, 1, 0, 2, 2)
-    verify_reduction(coarse, induced, witness)
-
-
-def test_quotient_reduction_requires_refinement():
-    base, er = small_er()
-    other = FiniteER(base)
-    other.relate(0, 1)
-    with pytest.raises(RelationError, match="refine"):
-        quotient_reduction(er, other)
-
-
-def test_verify_reduction_catches_bad_map():
-    base, er = small_er()
-    from arbor.cber import ReductionWitness
-    target = FiniteER(FinitePointSet(["u", "v"]))
-    with pytest.raises(RelationError):
-        verify_reduction(er, target, ReductionWitness((0, 0, 0, 0, 0)))
-
-
 def test_tail_equivalent_shift_pairs():
     x = BoundaryCode((), (aL, bL))
     y = BoundaryCode((eL,), (bL, aL))
     assert tail_equivalent(x, x) == (0, 0)
     # shifting y by one realigns it with x, and (0,1) precedes (1,0)
-    assert tail_equivalent(x, raw_shift(x, 1)) == (0, 1)
+    assert tail_equivalent(x, x.shift(1)) == (0, 1)
     assert tail_equivalent(x, y) == (0, 2)
     assert tail_equivalent(y, x) == (1, 1)
     z = BoundaryCode((), (aL, b2L))
@@ -149,7 +76,7 @@ def test_tail_equivalent_minimality_against_wider_scan():
             best = None
             for i in range(4 * (x.horizon() + 1)):
                 for j in range(4 * (y.horizon() + 1)):
-                    if raw_shift(x, i) == raw_shift(y, j):
+                    if x.shift(i) == y.shift(j):
                         cand = (i, j)
                         if best is None or (cand[0] + cand[1], cand[0]) < \
                                 (best[0] + best[1], best[0]):
@@ -157,16 +84,36 @@ def test_tail_equivalent_minimality_against_wider_scan():
             assert got == best
 
 
+def test_tail_equivalent_codes_are_orbit_equivalent():
+    # tail equivalence is a sufficient condition the equiv decision must meet
+    found = 0
+    for name in BUILTIN_NAMES:
+        am = builtin(name)
+        pts = build_sample_space(am, 2, 4).points
+        for x in pts:
+            for y in pts:
+                shifts = tail_equivalent(x, y)
+                if shifts is None:
+                    continue
+                found += 1
+                i, j = shifts
+                g = multiply(am, word_element(am, x.letters(i)),
+                             invert(am, word_element(am, y.letters(j))))
+                assert act_on_boundary(am, g, y) == x
+                assert orbit_equivalent(am, x, y).equivalent
+    assert found > 100
+
+
 def test_canonical_orbit_code_is_h_invariant():
     for name in BUILTIN_NAMES:
         am = builtin(name)
         pts = build_sample_space(am, 1, 4).points
-        from arbor.groups import word_of_subgroup_element
         for x in pts:
-            coc = canonical_orbit_code(am, x)
+            coc, h = _orbit_min(am, x)
+            assert (coc, h) == orbit_min(am, x)
             for elem in am.H.elements():
                 h = word_of_subgroup_element(am, A_SIDE, elem)
-                assert canonical_orbit_code(am, act_on_boundary(am, h, x)) == coc
+                assert _orbit_min(am, act_on_boundary(am, h, x))[0] == coc
             assert compare_words(coc, x) <= 0
 
 
@@ -325,8 +272,8 @@ def test_witness_chain_monotone_growth():
     # E_0 groups exactly the points sharing a canonical orbit code
     for i in range(len(space.points)):
         for j in range(len(space.points)):
-            same = canonical_orbit_code(am, space.points[i]) == \
-                canonical_orbit_code(am, space.points[j])
+            same = _orbit_min(am, space.points[i])[0] == \
+                _orbit_min(am, space.points[j])[0]
             assert wc.chain[0].related(i, j) == same
 
 

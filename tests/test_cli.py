@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from arbor.cli import ConfigError, load_config, main
-from arbor.reiter import monotone_tensor, tensor_to_json
+from arbor.reiter import monotone_tensor
+
+from bruteforce import tensor_to_json
 
 EQUIV_X = "prefix=e;cycle=b,a"
 EQUIV_Y = "prefix=;cycle=a,b"
@@ -99,6 +101,39 @@ def test_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError) as exc:
         load_config("nosuch")
     assert "nosuch" in str(exc.value)
+
+    # values of the wrong JSON type, booleans included, are input errors
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    bad_entry = [row[:] for row in table]
+    bad_entry[1][2] = "x"
+    model = {"h": {"cyclic": 4}, "k": {"cyclic": 4}, "c": {"cyclic": 2},
+             "embed_h": [0, 2], "embed_k": [0, 2]}
+    broken_h = [
+        ({"cyclic": "4"}, "model.h: cyclic"),
+        ({"cyclic": True}, "model.h: cyclic"),
+        (True, "model.h: cannot build a group from bool"),
+        ({"mul_table": 5}, "model.h: mul_table"),
+        ({"mul_table": bad_entry}, "model.h: mul_table"),
+        ({"mul_table": table, "names": [1, 2, 3, 4]}, "model.h: names"),
+        ({"mul_table": table, "names": "abcd"}, "model.h: names"),
+        ({"permutations": [[1, 2, 3, 0]], "cap": "x"}, "model.h: cap"),
+        ({"permutations": [[1, 2, 3, 0]], "cap": True}, "model.h: cap"),
+        ({"permutations": [5]}, "model.h: permutations"),
+    ]
+    cases = [({"model": dict(model, h=spec)}, msg) for spec, msg in broken_h]
+    cases += [
+        ({"model": dict(model, embed_h=[0, True])}, "model.embed_h"),
+        ({"model": model, "limits": {"p_max": True}}, "limits.p_max"),
+    ]
+    path = tmp_path / "cfg.json"
+    for doc, msg in cases:
+        path.write_text(json.dumps(doc))
+        for argv in (["tree", "--dot", str(tmp_path / "t.dot")], ["witness"]):
+            rc, out, err = run(capsys, [*argv, "--config", str(path)])
+            assert (rc, out) == (2, ""), (doc, err)
+            assert err.startswith(f"error: {msg}") and err.count("\n") == 1
+    path.write_text(json.dumps({"model": model}))
+    assert run(capsys, ["tree", "--config", str(path)])[0] == 0
 
 
 def test_config_key_paths(tmp_path, capsys):
@@ -333,6 +368,7 @@ EDGE_CASES = [
     (["witness", "--config", "{root}/perfbench/fixtures/s4_c3_s3.json",
       "--p-max", "2", "--q-max", "20"], {}, 2),
     (["check", "--what", "theorem-a", "--q-max", "1000000000"], {}, 2),
+    (["check", "--what", "theorem-a", "--max-len", "-1"], {}, 2),
     (["tree", "--out", "{tmp}/nonexistent/d/x.json"], {}, 2),
     (["tree", "--radius", "1", "--dot", "{tmp}/nonexistent/ball.dot"], {}, 2),
     (["cfw", "--out", "{tmp}"], {}, 2),
@@ -369,6 +405,20 @@ def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
         assert proc.stderr.count("\n") == 1
     else:
         json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("target", ["1/0", "abc"])
+def test_unreadable_target_is_a_usage_error(target):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "arbor.cli", "reiter",
+                           "--window", "z", "--target", target],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(
+        f"error: argument --target: invalid Fraction value: '{target}'\n")
 
 
 def test_oversized_grid_check_is_refused_fast(capsys):

@@ -2,8 +2,8 @@
 import pytest
 
 from arbor.codes import (
-    BoundaryCode, CodeError, PeriodicWord, as_boundary_code, compare_words,
-    format_code, parse_code, raw_shift,
+    BoundaryCode, CodeError, PeriodicWord, compare_words, format_code,
+    parse_code,
 )
 from arbor.groups import A_SIDE, B_SIDE, Letter
 
@@ -46,14 +46,14 @@ def test_letter_at_and_letters():
 def test_shift_matches_sequence_drop():
     w = PeriodicWord((eL, bL, aL), (b2L, aL))
     for k in range(8):
-        shifted = raw_shift(w, k)
+        shifted = w.shift(k)
         assert shifted.letters(6) == w.letters(6 + k)[k:]
 
 
 def test_shift_equalities():
     x = BoundaryCode((), (aL, bL))
-    assert raw_shift(x, 2) == x
-    assert raw_shift(x, 1) == PeriodicWord((), (bL, aL))
+    assert x.shift(2) == x
+    assert x.shift(1) == PeriodicWord((), (bL, aL))
 
 
 def test_compare_words_is_a_total_order():
@@ -97,7 +97,8 @@ def test_shift_code_parity():
     x = BoundaryCode((eL, bL), (aL, b2L))
     y = x.shift_code(2)
     assert isinstance(y, BoundaryCode)
-    assert y == as_boundary_code(raw_shift(x, 2))
+    w = x.shift(2)
+    assert y == BoundaryCode(w.prefix, w.cycle)
     with pytest.raises(CodeError):
         x.shift_code(1)
 

@@ -12,17 +12,13 @@ from arbor.codes import parse_code
 from arbor.groups import cyclic_group, normal_form
 from arbor.reiter import (
     GRID_VECTOR_CAP,
-    EnumerationExhausted,
     OverBudget,
     ProbVector,
     WindowEscape,
-    amenability_witness_sequence,
-    boundary_product_tensor,
     cfw_extract,
     check_uniform_coamenable,
     check_window_size,
     coset_window,
-    enumerate_rational_measures,
     free_ball,
     free_ball_size,
     free_reduce,
@@ -35,14 +31,13 @@ from arbor.reiter import (
     reiter_deviation,
     reiter_lp,
     tensor_from_json,
-    tensor_to_json,
     verify_cfw,
     _numerators,
     _window_deviations,
 )
 from arbor.tree import act_on_boundary
 
-from bruteforce import builtin
+from bruteforce import boundary_product_tensor, builtin, tensor_to_json
 
 
 def test_prob_vector_basics():
@@ -58,7 +53,7 @@ def test_prob_vector_basics():
         ProbVector([(0, Fraction(3, 2)), (1, Fraction(-1, 2))])
     # duplicate labels accumulate
     r = ProbVector([(0, Fraction(1, 2)), (0, Fraction(1, 2))])
-    assert r == ProbVector.point_mass(0)
+    assert r == ProbVector([(0, Fraction(1))])
     assert l1_distance(p, q) == Fraction(1)
     assert l1_distance(p, p) == 0
 
@@ -238,88 +233,13 @@ def test_uniform_vector_is_coamenability_certificate():
         check_uniform_coamenable(g6, [0, 3], [7], Fraction(1, 2))
 
 
-def test_enumeration_order_frozen():
-    labels = [0, 1, 2]
-    got = []
-    for k, p in enumerate(enumerate_rational_measures(labels, 3)):
-        got.append(p.items())
-        if k >= 9:
-            break
-    assert got == [
-        ((0, Fraction(1)),),
-        ((1, Fraction(1)),),
-        ((2, Fraction(1)),),
-        ((0, Fraction(1, 2)), (1, Fraction(1, 2))),
-        ((0, Fraction(1, 2)), (2, Fraction(1, 2))),
-        ((1, Fraction(1, 2)), (2, Fraction(1, 2))),
-        ((0, Fraction(1, 3)), (1, Fraction(2, 3))),
-        ((0, Fraction(2, 3)), (1, Fraction(1, 3))),
-        ((0, Fraction(1, 3)), (2, Fraction(2, 3))),
-        ((0, Fraction(2, 3)), (2, Fraction(1, 3))),
-    ]
-
-
-@pytest.mark.parametrize("least", [0, 1])
-def test_numerators_in_lexicographic_order(least):
+def test_numerators_in_lexicographic_order():
     for parts in range(1, 5):
         for total in range(7):
             expected = sorted(
                 v for v in product(range(total + 1), repeat=parts)
-                if sum(v) == total and min(v) >= least)
-            assert list(_numerators(total, parts, least)) == expected
-
-
-def test_enumeration_no_duplicates():
-    seen = set()
-    for p in enumerate_rational_measures([0, 1, 2], 5):
-        assert p not in seen
-        seen.add(p)
-        assert sum((q for _, q in p.items()), Fraction(0)) == 1
-    # point masses, then one vector per (support, numerators) pattern
-    assert len(seen) == len({p.items() for p in
-                             enumerate_rational_measures([0, 1, 2], 5)})
-
-
-def test_enumeration_support_cap():
-    for p in enumerate_rational_measures([0, 1, 2, 3], 4, max_support=2):
-        assert len(p.support) <= 2
-
-
-def test_witness_sequence_on_cyclic_quotient():
-    g6 = cyclic_group(6)
-    fam = amenability_witness_sequence(
-        g6, [0, 3], [[1], [1, 2]], n_max=3, max_denominator=6,
-        pairs=[(0, 1), (1, 2)])
-    assert [step.n for step in fam.steps] == [1, 2, 3]
-    assert fam.steps[0].gens == (1,)
-    assert fam.steps[1].gens == (1, 2)
-    # the first vector in order that spreads over all three cosets
-    expected = ProbVector.uniform([0, 1, 2])
-    for step in fam.steps:
-        assert step.p == expected
-        for _, q in step.q_by_point:
-            assert sum((w for _, w in q.items()), Fraction(0)) == 1
-        for x, g, dev, applies, ok in step.decay:
-            assert ok
-            if applies:
-                assert dev < Fraction(1, step.n)
-    # deviations here vanish outright, so bounds hold with room
-    assert fam.steps[2].decay[0][2] == 0
-
-
-def test_witness_sequence_validates_chain():
-    g6 = cyclic_group(6)
-    with pytest.raises(ValueError):
-        amenability_witness_sequence(g6, [0, 3], [[1, 2], [1]], 2, 4)
-    with pytest.raises(ValueError):
-        amenability_witness_sequence(g6, [0, 3], [], 2, 4)
-
-
-def test_witness_sequence_exhaustion():
-    g6 = cyclic_group(6)
-    with pytest.raises(EnumerationExhausted) as err:
-        amenability_witness_sequence(g6, [0, 3], [[1]], 1, 2)
-    assert "1/1" in str(err.value)
+                if sum(v) == total)
+            assert list(_numerators(total, parts)) == expected
 
 
 def test_monotone_tensor_thresholds():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from arbor.cli import load_config
-from arbor.codes import BoundaryCode, PeriodicWord, raw_shift
+from arbor.codes import BoundaryCode
 from arbor.groups import (
     A_SIDE, B_SIDE, Letter, enumerate_reduced_words, invert, multiply,
     normal_form, word_of_subgroup_element,
@@ -12,12 +12,13 @@ from arbor.groups import (
 from arbor.tree import (
     GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
     act_on_vertex, base_vertex, build_tree, check_acylindricity,
-    check_theorem_A, code_truncate, geodesic, geodesic_to_code, is_adjacent,
+    check_theorem_A, code_truncate, geodesic, is_adjacent,
     ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
     validate_vertex, vertex_from_letters, word_element,
 )
 
-from bruteforce import BUILTIN_NAMES, acylindricity_survey, builtin
+from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
+                        geodesic_to_code)
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -204,20 +205,19 @@ def test_code_truncate_and_inverse():
         validate_geodesic(am, path)
         assert path.length == n
         assert path.vertices[0] == base_vertex()
-        assert geodesic_to_code(am, path) == x
+        assert geodesic_to_code(path) == x
 
 
 def test_geodesic_to_code_errors():
-    am = builtin("sl2z")
     x = BoundaryCode((), (aL, bL))
     path = code_truncate(x, 6)
     with pytest.raises(TreeError, match="base"):
-        geodesic_to_code(am, GeodesicPath(path.vertices[1:]))
+        geodesic_to_code(GeodesicPath(path.vertices[1:]))
     with pytest.raises(TreeError, match="period"):
-        geodesic_to_code(am, code_truncate(x, 2))
+        geodesic_to_code(code_truncate(x, 2))
     wiggle = GeodesicPath(path.vertices[:3] + (path.vertices[1],))
     with pytest.raises(TreeError, match="backtrack"):
-        geodesic_to_code(am, wiggle)
+        geodesic_to_code(wiggle)
 
 
 def test_act_on_boundary_identity_and_center():
