@@ -16,9 +16,8 @@ from typing import Iterable, Optional
 
 from .codes import BoundaryCode, compare_words, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
-                     VerificationError, enumerate_reduced_words, invert,
-                     multiply, word_of_subgroup_element, word_to_str,
-                     word_from_str)
+                     VerificationError, invert, multiply,
+                     word_of_subgroup_element, word_to_str, word_from_str)
 from .tree import act_on_boundary, check_theorem_A, TheoremStyleCertificate, word_element
 
 
@@ -120,8 +119,6 @@ class OrbitDecision:
     equivalent: bool
     witness: Optional[ReducedWord]
     shifts: Optional[tuple[int, int]]
-    conclusive: bool
-    method: str
 
 
 ShiftCodes = tuple[tuple[int, BoundaryCode, ReducedWord], ...]
@@ -168,30 +165,20 @@ def _shift_witness(am: Amalgam, x: BoundaryCode, xs: ShiftCodes,
     return None
 
 
-def orbit_equivalent(am: Amalgam, x: BoundaryCode, y: BoundaryCode,
-                     word_bound: int = 4, method: str = "codes") -> OrbitDecision:
+def orbit_equivalent(am: Amalgam, x: BoundaryCode,
+                     y: BoundaryCode) -> OrbitDecision:
     """Decide whether some group element carries y to x.
 
-    The code method is complete: it scans even shift pairs up to the horizons
-    and reconstructs a witness from the shift prefixes and minimizing base
-    elements.  The brute method enumerates words up to word_bound letters and
-    is conclusive only on success.
+    Complete: it scans even shift pairs up to the horizons and reconstructs
+    a witness from the shift prefixes and minimizing base elements.
     """
-    if method == "brute":
-        for g in enumerate_reduced_words(am, word_bound):
-            if act_on_boundary(am, g, y) == x:
-                return OrbitDecision(True, g, None, True, "brute")
-        return OrbitDecision(False, None, None, False, "brute")
-    if method != "codes":
-        raise RelationError(f"unknown method {method!r}")
-
     mins: dict = {}
     found = _shift_witness(am, x, _even_shift_codes(am, x, mins),
                            y, _even_shift_codes(am, y, mins))
     if found is None:
-        return OrbitDecision(False, None, None, True, "codes")
+        return OrbitDecision(False, None, None)
     g, shifts = found
-    return OrbitDecision(True, g, shifts, True, "codes")
+    return OrbitDecision(True, g, shifts)
 
 
 @dataclass(frozen=True)
@@ -268,6 +255,11 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
     return SampleSpace(p_max, q_max, tuple(points))
 
 
+# Relations times sample points in a witness chain.  On one core, sl2z's 8
+# default points at n_max 24,999 take about 1 s and 60 MB.
+CHAIN_ENTRY_CAP = 200_000
+
+
 @dataclass(frozen=True)
 class WitnessChain:
     """An increasing chain of finite relations exhausting the orbit relation."""
@@ -289,10 +281,17 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
     two sample points when even shifts i, j <= n give equal canonical orbit
     codes, closed transitively inside the sample.  The target is the same
     construction with unbounded (horizon-capped) shifts, which is the full
-    orbit relation on the sample.
+    orbit relation on the sample.  The chain's entries are counted before
+    any certificate and refused over CHAIN_ENTRY_CAP.
     """
     if n_max < 0:
         raise RelationError("n_max must be nonnegative")
+    entries = (n_max + 1) * len(sample.points)
+    if entries > CHAIN_ENTRY_CAP:
+        raise RelationError(
+            f"a witness chain of {n_max + 1} relations over "
+            f"{len(sample.points)} points has {entries} entries, over the cap "
+            f"of {CHAIN_ENTRY_CAP}; lower n_max")
     certs: list[TheoremStyleCertificate] = []
     missing = []
     for x in sample.points:

@@ -46,6 +46,7 @@ from .reiter import (
     verify_cfw,
 )
 from .tree import (
+    VERTEX_CAP,
     build_tree,
     check_acylindricity,
     check_theorem_A,
@@ -56,17 +57,6 @@ from .tree import (
 
 class ConfigError(ValueError):
     """A config document that cannot be turned into a model."""
-
-
-_LIMIT_DEFAULTS = {
-    "tree_radius": 4,
-    "vertex_cap": 100_000,
-    "word_bound": 4,
-    "p_max": 1,
-    "q_max": 4,
-    "n_max": 8,
-    "lp_denominator": 20,
-}
 
 
 def _config_text(source: str) -> str:
@@ -84,10 +74,11 @@ def _config_text(source: str) -> str:
             f"unknown config {source!r}: neither a file nor a built-in name")
 
 
-def load_config(source: str) -> tuple[Amalgam, dict]:
-    """Model and limits from a built-in name or a JSON file path.
+def load_config(source: str) -> tuple[Amalgam, int]:
+    """Model and vertex cap from a built-in name or a JSON file path.
 
-    The ARBOR_VERTEX_CAP environment variable overrides limits.vertex_cap.
+    A config holds only its model; run parameters are flags.  The vertex cap
+    is VERTEX_CAP unless the ARBOR_VERTEX_CAP environment variable sets it.
     Errors carry the dotted path of the offending key.
     """
     try:
@@ -96,6 +87,9 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
         raise ConfigError(f"{source}: invalid JSON: {err}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
+    for key in doc:
+        if key != "model":
+            raise ConfigError(f"{key}: unknown key; a config holds only model")
     model = doc.get("model")
     if not isinstance(model, dict):
         raise ConfigError("model: missing or not an object")
@@ -117,26 +111,17 @@ def load_config(source: str) -> tuple[Amalgam, dict]:
                           model["embed_h"], model["embed_k"])
     except GroupError as err:
         raise ConfigError(f"model: {err}")
-    limits = dict(_LIMIT_DEFAULTS)
-    extra = doc.get("limits", {})
-    if not isinstance(extra, dict):
-        raise ConfigError("limits: must be an object")
-    for key, value in extra.items():
-        if key not in _LIMIT_DEFAULTS:
-            raise ConfigError(f"limits.{key}: unknown limit")
-        if type(value) is not int or value < 0:
-            raise ConfigError(f"limits.{key}: need a nonnegative integer")
-        limits[key] = value
     cap = os.environ.get("ARBOR_VERTEX_CAP")
-    if cap is not None:
-        try:
-            limits["vertex_cap"] = int(cap)
-        except ValueError:
-            raise ConfigError(f"ARBOR_VERTEX_CAP: not an integer: {cap!r}")
-        if limits["vertex_cap"] < 0:
-            raise ConfigError(
-                f"ARBOR_VERTEX_CAP: need a nonnegative integer, got {cap!r}")
-    return am, limits
+    if cap is None:
+        return am, VERTEX_CAP
+    try:
+        vertex_cap = int(cap)
+    except ValueError:
+        raise ConfigError(f"ARBOR_VERTEX_CAP: not an integer: {cap!r}")
+    if vertex_cap < 0:
+        raise ConfigError(
+            f"ARBOR_VERTEX_CAP: need a nonnegative integer, got {cap!r}")
+    return am, vertex_cap
 
 
 def _write(path: str, text: str) -> None:
@@ -160,22 +145,19 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _sample_codes(am: Amalgam, limits: dict, args) -> list:
+def _sample_codes(am: Amalgam, args) -> list:
     if args.codes:
         return [parse_code(am, s) for s in args.codes]
-    p_max = args.p_max if args.p_max is not None else limits["p_max"]
-    q_max = args.q_max if args.q_max is not None else limits["q_max"]
-    return list(build_sample_space(am, p_max, q_max).points)
+    return list(build_sample_space(am, args.p_max, args.q_max).points)
 
 
-def cmd_tree(am: Amalgam, limits: dict, args) -> int:
-    radius = args.radius if args.radius is not None else limits["tree_radius"]
-    tree = build_tree(am, radius, limits["vertex_cap"])
+def cmd_tree(am: Amalgam, args) -> int:
+    tree = build_tree(am, args.radius, args.vertex_cap)
     if args.dot:
         _write(args.dot, to_dot(am, tree))
     _emit({
         "command": "tree",
-        "radius": radius,
+        "radius": args.radius,
         "vertices": len(tree.vertices),
         "edges": len(tree.edges),
         "counts_by_distance": tree.counts_by_distance(),
@@ -183,10 +165,10 @@ def cmd_tree(am: Amalgam, limits: dict, args) -> int:
     return 0
 
 
-def cmd_check(am: Amalgam, limits: dict, args) -> int:
+def cmd_check(am: Amalgam, args) -> int:
     if args.what == "acylindrical":
         report = check_acylindricity(am, args.seg_length,
-                                     vertex_cap=limits["vertex_cap"])
+                                     vertex_cap=args.vertex_cap)
         ok = args.bound is None or report.max_order <= args.bound
         _emit({
             "command": "check",
@@ -199,7 +181,7 @@ def cmd_check(am: Amalgam, limits: dict, args) -> int:
             "ok": ok,
         }, args)
         return 0 if ok else 1
-    codes = _sample_codes(am, limits, args)
+    codes = _sample_codes(am, args)
     if args.what == "stabilizers":
         rows = []
         for x in codes:
@@ -235,35 +217,31 @@ def cmd_check(am: Amalgam, limits: dict, args) -> int:
     return 0 if all_certified else 1
 
 
-def cmd_witness(am: Amalgam, limits: dict, args) -> int:
-    p_max = args.p_max if args.p_max is not None else limits["p_max"]
-    q_max = args.q_max if args.q_max is not None else limits["q_max"]
-    n_max = args.n_max if args.n_max is not None else limits["n_max"]
-    sample = build_sample_space(am, p_max, q_max)
-    wc = hyperfiniteness_witness(am, sample, n_max)
+def cmd_witness(am: Amalgam, args) -> int:
+    sample = build_sample_space(am, args.p_max, args.q_max)
+    wc = hyperfiniteness_witness(am, sample, args.n_max)
     validate_witness_chain(wc)
     doc = witness_chain_to_json(am, wc, with_witnesses=not args.no_witnesses)
     doc["command"] = "witness"
-    doc["p_max"] = p_max
-    doc["q_max"] = q_max
+    doc["p_max"] = args.p_max
+    doc["q_max"] = args.q_max
     doc["class_counts"] = [len(classes) for classes in doc["chain"]]
     _emit(doc, args)
     return 0
 
 
-def cmd_equiv(am: Amalgam, limits: dict, args) -> int:
+def cmd_equiv(am: Amalgam, args) -> int:
     x = parse_code(am, args.x)
     y = parse_code(am, args.y)
-    bound = args.bound if args.bound is not None else limits["word_bound"]
-    decision = orbit_equivalent(am, x, y, word_bound=bound,
-                                method="brute" if args.brute else "codes")
+    decision = orbit_equivalent(am, x, y)
     _emit({
         "command": "equiv",
         "x": format_code(am, x),
         "y": format_code(am, y),
         "equivalent": decision.equivalent,
-        "conclusive": decision.conclusive,
-        "method": decision.method,
+        # the code comparison decides every pair: the report keeps its shape
+        "conclusive": True,
+        "method": "codes",
         "witness": None if decision.witness is None
         else word_to_str(am, decision.witness),
         "shifts": None if decision.shifts is None else list(decision.shifts),
@@ -271,7 +249,7 @@ def cmd_equiv(am: Amalgam, limits: dict, args) -> int:
     return 0 if decision.equivalent else 1
 
 
-def _reiter_window(am: Amalgam, limits: dict, args):
+def _reiter_window(args):
     if args.window == "z":
         radius = args.radius if args.radius is not None \
             else args.support_size + 2
@@ -283,7 +261,7 @@ def _reiter_window(am: Amalgam, limits: dict, args):
                 raise ConfigError(
                     f"generators: need integers, got {args.generators!r}")
         # the integer line is the free group of rank 1
-        check_window_size(1, radius, limits["vertex_cap"])
+        check_window_size(1, radius, args.vertex_cap)
         return integer_window(radius, steps), list(range(args.support_size))
     if args.window == "free":
         if args.generators:
@@ -292,7 +270,7 @@ def _reiter_window(am: Amalgam, limits: dict, args):
         # the smallest window that holds every image of the support
         radius = args.radius if args.radius is not None \
             else args.support_radius + 1
-        check_window_size(args.rank, radius, limits["vertex_cap"])
+        check_window_size(args.rank, radius, args.vertex_cap)
         if args.support_radius > radius:
             raise ConfigError("ball exceeds the window radius")
         return (free_tree_window(args.rank, radius),
@@ -313,7 +291,7 @@ def _group_gens(group, spec: Optional[str]) -> list:
     return out
 
 
-def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
+def cmd_reiter(am: Amalgam, args) -> int:
     if args.window == "group":
         side = 0 if args.side == "h" else 1
         group = am.side_group(side)
@@ -333,11 +311,9 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
             "ok": True,
         }, args)
         return 0
-    window, support = _reiter_window(am, limits, args)
+    window, support = _reiter_window(args)
     if args.grid_check:
-        denom = args.denominator if args.denominator is not None \
-            else limits["lp_denominator"]
-        check_grid_size(len(support), denom)
+        check_grid_size(len(support), args.denominator)
     res = reiter_lp(window, support, target_eps=args.target)
     doc = {
         "command": "reiter",
@@ -351,9 +327,9 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
         doc["target"] = format_fraction(args.target)
         doc["ok"] = bool(res.meets_target)
     if args.grid_check:
-        value, _ = grid_search_min_deviation(window, support, denom)
+        value, _ = grid_search_min_deviation(window, support, args.denominator)
         doc["grid"] = {
-            "denominator": denom,
+            "denominator": args.denominator,
             "value": format_fraction(value),
             "matches_lp": value == res.optimum,
         }
@@ -363,7 +339,7 @@ def cmd_reiter(am: Amalgam, limits: dict, args) -> int:
     return 0
 
 
-def cmd_cfw(am: Amalgam, limits: dict, args) -> int:
+def cmd_cfw(am: Amalgam, args) -> int:
     if args.tensor:
         try:
             text = Path(args.tensor).read_text()
@@ -401,10 +377,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
+def _add_sample_caps(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p-max", type=int, default=1,
+                   help="sample prefix cap (default: %(default)s)")
+    p.add_argument("--q-max", type=int, default=4,
+                   help="sample cycle cap (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="sl2z",
-                        help="built-in model name or a JSON config path")
+                        help="built-in model name or a JSON config path "
+                             "(default: %(default)s)")
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report")
@@ -418,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", parents=[common],
                        help="build a truncated tree and report its profile")
-    p.add_argument("--radius", type=int, help="ball radius around the base")
+    p.add_argument("--radius", type=int, default=4,
+                   help="ball radius around the base (default: %(default)s)")
     p.add_argument("--dot", help="also write Graphviz source to this path")
 
     p = sub.add_parser("check", parents=[common],
@@ -427,20 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["theorem-a", "acylindrical", "stabilizers"])
     p.add_argument("--codes", action="append",
                    help="boundary code (repeatable); default is the sample space")
-    p.add_argument("--p-max", type=int, help="sample prefix cap")
-    p.add_argument("--q-max", type=int, help="sample cycle cap")
+    _add_sample_caps(p)
     p.add_argument("--max-len", type=int,
                    help="segment length cap for theorem-a")
     p.add_argument("--seg-length", type=int, default=2,
-                   help="segment length for acylindrical")
+                   help="segment length for acylindrical "
+                        "(default: %(default)s)")
     p.add_argument("--bound", type=int,
                    help="acylindrical verdict fails above this order")
 
     p = sub.add_parser("witness", parents=[common],
                        help="build and validate a finite witness chain")
-    p.add_argument("--p-max", type=int)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--n-max", type=int)
+    _add_sample_caps(p)
+    p.add_argument("--n-max", type=int, default=8,
+                   help="last relation of the chain (default: %(default)s)")
     p.add_argument("--no-witnesses", action="store_true",
                    help="omit per-point orbit witnesses from the report")
 
@@ -448,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide orbit equivalence of two boundary codes")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--bound", type=int, help="word length bound (brute mode)")
-    p.add_argument("--brute", action="store_true",
-                   help="search words directly instead of comparing codes")
 
     p = sub.add_parser("reiter", parents=[common],
                        help="minimize worst-case deviation on a finite window")
@@ -458,12 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int,
                    help="window radius (default: derived from the support)")
     p.add_argument("--support-size", type=int, default=10,
-                   help="interval length for the z window")
-    p.add_argument("--rank", type=int, default=2, help="free window rank")
+                   help="interval length for the z window "
+                        "(default: %(default)s)")
+    p.add_argument("--rank", type=int, default=2,
+                   help="free window rank (default: %(default)s)")
     p.add_argument("--support-radius", type=int, default=2,
-                   help="support ball radius for the free window")
+                   help="support ball radius for the free window "
+                        "(default: %(default)s)")
     p.add_argument("--side", choices=["h", "k"], default="k",
-                   help="finite factor for the group window")
+                   help="finite factor for the group window "
+                        "(default: %(default)s)")
     p.add_argument("--generators",
                    help="comma-separated steps (z) or element names (group); "
                         "free-window generators are fixed")
@@ -471,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verdict epsilon, e.g. 1/3")
     p.add_argument("--grid-check", action="store_true",
                    help="cross-check the optimum against a denominator grid")
-    p.add_argument("--denominator", type=int,
-                   help="grid denominator cap for --grid-check")
+    p.add_argument("--denominator", type=int, default=20,
+                   help="grid denominator cap for --grid-check "
+                        "(default: %(default)s)")
 
     p = sub.add_parser("cfw", parents=[common],
                        help="threshold extraction from a deviation tensor")
@@ -500,8 +487,8 @@ def main(argv: Optional[list] = None) -> int:
         return 0
     args.started = time.perf_counter()
     try:
-        am, limits = load_config(args.config)
-        return _HANDLERS[args.command](am, limits, args)
+        am, args.vertex_cap = load_config(args.config)
+        return _HANDLERS[args.command](am, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

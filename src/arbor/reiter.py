@@ -18,8 +18,8 @@ from .lp import solve_lp
 
 
 class OverBudget(ValueError):
-    """Raised, before anything is built, when a window, a program or a grid
-    would exceed its cap."""
+    """Raised, before anything is built, when a window, a program, a grid or
+    a threshold extraction would exceed its cap."""
 
 
 class WindowEscape(ValueError):
@@ -109,11 +109,6 @@ class SchreierWindow:
 
     def image(self, gen_index: int, v):
         return self.edge_maps[gen_index].get(v)
-
-    def interior(self) -> tuple:
-        """Vertices whose images under every generator stay in the window."""
-        return tuple(v for v in self.vertices
-                     if all(v in m for m in self.edge_maps))
 
 
 def reiter_deviation(p: ProbVector, gens: Sequence, apply: Callable, x
@@ -259,7 +254,6 @@ class ReiterLpResult:
     optimum: Fraction
     p: ProbVector
     per_gen: tuple
-    certificate: Optional[ReiterCertificate]
     meets_target: Optional[bool]
 
 
@@ -274,7 +268,7 @@ def _window_deviations(window: SchreierWindow, p: ProbVector) -> list[Fraction]:
 LP_ENTRY_CAP = 1_000_000
 
 
-def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
+def reiter_lp(window: SchreierWindow, support: Sequence,
               target_eps: Optional[Fraction] = None) -> ReiterLpResult:
     """Minimize the worst-case pushforward deviation over vectors on a support.
 
@@ -282,8 +276,6 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
     re-verified directly against the window maps; any disagreement is a hard
     failure rather than a result.
     """
-    if support is None:
-        support = window.interior()
     support = list(support)
     if not support:
         raise WindowEscape("empty support: the window has no interior")
@@ -352,10 +344,7 @@ def reiter_lp(window: SchreierWindow, support: Optional[Sequence] = None,
             f"vertex deviates by {max(per)}")
     per_gen = tuple(zip(window.gens, per))
     meets = None if target_eps is None else (sol.value < target_eps)
-    eps = target_eps if (target_eps is not None and sol.value < target_eps) \
-        else sol.value + 1
-    cert = ReiterCertificate(p, tuple(window.gens), eps, sol.value, per_gen)
-    return ReiterLpResult(sol.value, p, per_gen, cert, meets)
+    return ReiterLpResult(sol.value, p, per_gen, meets)
 
 
 # The integer grid visits some 200,000 vectors a second on one core, so
@@ -565,6 +554,12 @@ def _entry_threshold(t: DeviationTensor, i: int, g: int, x: int,
     return jmin
 
 
+# (group element, band) slices cfw_extract weighs.  The weights are
+# 2^-(n m) fractions, so on one core the built-in tensor's 2000 bands take
+# about 1 s.
+CFW_SLICE_CAP = 2_000
+
+
 def cfw_extract(t: DeviationTensor, m_max: Optional[int] = None
                 ) -> CfwExtraction:
     """Threshold function f with the slice measure of late entries below 2^-i.
@@ -573,12 +568,18 @@ def cfw_extract(t: DeviationTensor, m_max: Optional[int] = None
     late set at stage (i, f) collects the points whose deviation row enters
     the target band only after f.  f(i) is the least column with late mass
     strictly below 2^-i, which exists because the finitely many columns
-    exhaust every slice.
+    exhaust every slice.  The slices are counted first and refused over
+    CFW_SLICE_CAP.
     """
     if m_max is None:
         m_max = t.j_count - 1
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    slices = len(t.group_labels) * m_max
+    if slices > CFW_SLICE_CAP:
+        raise OverBudget(
+            f"the extraction weighs {slices} (group element, band) slices, "
+            f"over the cap of {CFW_SLICE_CAP}; lower m_max")
     rows = []
     for i in range(t.i_count):
         # mass histogram over entry columns; rows that never enter the band

@@ -20,6 +20,11 @@ H_TYPE = 0
 K_TYPE = 1
 
 
+# Vertices a truncated tree may hold; the ARBOR_VERTEX_CAP environment
+# variable overrides it on the command line.
+VERTEX_CAP = 100_000
+
+
 class TreeError(ValueError):
     """Raised for invalid vertices, paths, or exceeded caps."""
 
@@ -94,7 +99,7 @@ class TruncatedTree:
             raise TreeError(f"vertex not inside the truncated tree: {v}") from None
 
 
-def build_tree(am: Amalgam, radius: int, vertex_cap: int = 100_000) -> TruncatedTree:
+def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> TruncatedTree:
     """Breadth-first ball of the given radius around the base vertex."""
     if radius < 0:
         raise TreeError("radius must be nonnegative")
@@ -350,7 +355,7 @@ class AcylindricityReport:
 
 def check_acylindricity(am: Amalgam, seg_length: int = 2,
                         tree_radius: Optional[int] = None,
-                        vertex_cap: int = 100_000) -> AcylindricityReport:
+                        vertex_cap: int = VERTEX_CAP) -> AcylindricityReport:
     """Exhaust all segments of one length in a ball and tabulate stabilizer orders.
 
     In a tree a non-backtracking walk is the geodesic between its ends, so

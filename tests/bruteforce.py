@@ -6,7 +6,8 @@ three built-in models.  Two exhaustive surveys the library replaced with
 direct constructions: segments from all vertex pairs, and orbit witnesses
 rebuilt from scratch for every pair.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
-equivalence), and codes read back off their rays.  Deviation tensors built
+equivalence), codes read back off their rays, and a bounded word search for
+orbit witnesses over every normal form up to a length.  Deviation tensors built
 from a model's boundary action, as inputs for `cfw`.  The built-in models
 themselves come from the packaged configs, through the loader the command
 line uses.
@@ -14,6 +15,7 @@ line uses.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from arbor.cli import load_config
@@ -21,8 +23,8 @@ from arbor.codes import BoundaryCode, PeriodicWord, compare_words, format_code
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           Letter, ReducedWord, invert, multiply,
                           word_of_subgroup_element, word_to_str)
-from arbor.reiter import (DeviationTensor, ProbVector, format_fraction,
-                          l1_distance)
+from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
+                          format_fraction, l1_distance)
 from arbor.tree import (GeodesicPath, TreeError, act_on_boundary, base_vertex,
                         build_tree, geodesic, stabilizer_of_segment,
                         word_element)
@@ -33,7 +35,7 @@ BUILTIN_NAMES = ("dihedral", "sl2z", "psl2z")
 
 
 def builtin(name: str) -> Amalgam:
-    """A packaged model by name, as `--config name` loads it."""
+    """A model by built-in name or config path, as `--config` loads it."""
     return load_config(name)[0]
 
 
@@ -57,6 +59,24 @@ def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:
             raise GroupError(f"letters {i - 1} and {i} do not alternate")
     if not (0 <= w.carry < am.C.order):
         raise GroupError("carry out of range")
+
+
+def enumerate_reduced_words(am: Amalgam, max_letters: int) -> list[ReducedWord]:
+    """All normal forms with at most max_letters letters, sorted deterministically."""
+    n_a, n_b = am.A.index, am.B.index
+    shapes: list[tuple[Letter, ...]] = [()]
+    for start in (A_SIDE, B_SIDE):
+        for length in range(1, max_letters + 1):
+            pools = []
+            for pos in range(length):
+                side = start if pos % 2 == 0 else 1 - start
+                count = n_a if side == A_SIDE else n_b
+                pools.append([Letter(side, r) for r in range(1, count)])
+            shapes.extend(product(*pools))
+    words = [ReducedWord(tuple(shape), c)
+             for shape in shapes for c in am.C.elements()]
+    words.sort(key=ReducedWord.sort_key)
+    return words
 
 
 def normalize_tagged(word) -> Tagged:
@@ -244,6 +264,15 @@ def pairwise_witness_table(am: Amalgam, wc):
     return rows
 
 
+def word_search(am: Amalgam, x: BoundaryCode, y: BoundaryCode,
+                max_letters: int) -> Optional[ReducedWord]:
+    """The first normal form of at most max_letters letters, in
+    enumerate_reduced_words order, carrying y to x.  None only says that no
+    short word does: the search is bounded."""
+    return next((g for g in enumerate_reduced_words(am, max_letters)
+                 if act_on_boundary(am, g, y) == x), None)
+
+
 def tail_equivalent(x: PeriodicWord, y: PeriodicWord
                     ) -> Optional[tuple[int, int]]:
     """Least shifts (i, j), ordered by i+j then i, with equal shifted sequences.
@@ -283,7 +312,13 @@ def geodesic_to_code(path: GeodesicPath) -> BoundaryCode:
     raise TreeError("no even period covering two full cycles fits the sample")
 
 
-# --- deviation tensors for cfw ---------------------------------------------
+# --- windows and deviation tensors -----------------------------------------
+
+def interior(window: SchreierWindow) -> tuple:
+    """Vertices whose images under every generator stay in the window."""
+    return tuple(v for v in window.vertices
+                 if all(v in m for m in window.edge_maps))
+
 
 def tensor_to_json(t: DeviationTensor) -> dict:
     """The document `cfw --tensor` reads back with tensor_from_json."""

@@ -30,7 +30,7 @@ from arbor.reiter import (
 from arbor.tree import H_TYPE, act_on_boundary, build_tree, check_theorem_A
 
 from bruteforce import (BUILTIN_NAMES, builtin, normalize_tagged,
-                        tagged_of_reduced, words_equal)
+                        tagged_of_reduced, word_search, words_equal)
 
 
 def _report(num: int, label: str, started: float, limit: float) -> None:
@@ -144,9 +144,8 @@ def test_criterion_4_witness_chain_union():
                 decision = orbit_equivalent(am, pts[i], pts[j])
                 if decision.equivalent:
                     target.relate(i, j)
-                    brute = orbit_equivalent(am, pts[i], pts[j],
-                                             word_bound=4, method="brute")
-                    assert brute.conclusive and brute.equivalent, (name, i, j)
+                    assert word_search(am, pts[i], pts[j], 4) is not None, \
+                        (name, i, j)
         assert target == wc.target, name
         class_counts.append(len(wc.target.classes()))
     _report(4, "witness chains monotone, finite classes, union equals the "
@@ -164,10 +163,9 @@ def test_criterion_5_pipeline_pairs():
                  for j in range(len(pts))][:100]
         for i, j in pairs:
             by_codes = orbit_equivalent(am, pts[i], pts[j])
-            by_brute = orbit_equivalent(am, pts[i], pts[j],
-                                        word_bound=4, method="brute")
-            if by_brute.conclusive:
-                assert by_codes.equivalent == by_brute.equivalent, (name, i, j)
+            # a word found is a yes; finding none within 4 letters decides nothing
+            if word_search(am, pts[i], pts[j], 4) is not None:
+                assert by_codes.equivalent, (name, i, j)
             if by_codes.equivalent:
                 assert by_codes.witness is not None
                 assert act_on_boundary(am, by_codes.witness, pts[j]) == pts[i]

@@ -18,7 +18,7 @@ from arbor.groups import (A_SIDE, B_SIDE, Letter, invert, multiply,
 from arbor.tree import act_on_boundary, word_element
 
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min,
-                        pairwise_witness_table, tail_equivalent)
+                        pairwise_witness_table, tail_equivalent, word_search)
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -202,11 +202,11 @@ def test_orbit_equivalent_known_pairs():
     x1 = BoundaryCode((), (aL, bL))
     y1 = BoundaryCode((eL,), (bL, aL))
     d = orbit_equivalent(am, x1, y1)
-    assert d.equivalent and d.conclusive
+    assert d.equivalent
     assert act_on_boundary(am, d.witness, y1) == x1
     x2 = BoundaryCode((), (aL, b2L))
     d2 = orbit_equivalent(am, x1, x2)
-    assert not d2.equivalent and d2.conclusive
+    assert not d2.equivalent and d2.witness is None
     # shifted spellings of one end are orbit equivalent
     x3 = BoundaryCode((), (aL, bL, aL, b2L))
     x4 = x3.shift_code(2)
@@ -222,16 +222,15 @@ def test_orbit_equivalent_brute_agrees():
         bound = 4 if name != "sl2z" else 3
         for i, x in enumerate(pts):
             for y in pts[i:]:
-                via_codes = orbit_equivalent(am, x, y, method="codes")
-                via_brute = orbit_equivalent(am, x, y, word_bound=bound,
-                                             method="brute")
-                if via_brute.equivalent:
+                via_codes = orbit_equivalent(am, x, y)
+                via_brute = word_search(am, x, y, bound)
+                if via_brute is not None:
                     assert via_codes.equivalent
-                    assert act_on_boundary(am, via_brute.witness, y) == x
+                    assert act_on_boundary(am, via_brute, y) == x
                 if via_codes.equivalent:
                     assert act_on_boundary(am, via_codes.witness, y) == x
                 else:
-                    assert not via_brute.equivalent
+                    assert via_brute is None
 
 
 def test_dihedral_ends_witness_is_a_reflection():

@@ -78,11 +78,10 @@ def test_config_from_file(tmp_path, capsys):
             "embed_h": [0],
             "embed_k": [0],
         },
-        "limits": {"tree_radius": 3},
     }
     path = tmp_path / "line.json"
     path.write_text(json.dumps(cfg))
-    rc, out, _ = run(capsys, ["tree", "--config", str(path)])
+    rc, out, _ = run(capsys, ["tree", "--config", str(path), "--radius", "3"])
     assert rc == 0
     assert json.loads(out)["counts_by_distance"] == [1, 2, 2, 2]
 
@@ -111,6 +110,8 @@ def test_config_errors(tmp_path, capsys):
     broken_h = [
         ({"cyclic": "4"}, "model.h: cyclic"),
         ({"cyclic": True}, "model.h: cyclic"),
+        ({"cyclic": 1000000000}, "model.h: cyclic group of order 1000000000 "
+                                 "is over the cap of 1024 elements"),
         (True, "model.h: cannot build a group from bool"),
         ({"mul_table": 5}, "model.h: mul_table"),
         ({"mul_table": bad_entry}, "model.h: mul_table"),
@@ -123,7 +124,8 @@ def test_config_errors(tmp_path, capsys):
     cases = [({"model": dict(model, h=spec)}, msg) for spec, msg in broken_h]
     cases += [
         ({"model": dict(model, embed_h=[0, True])}, "model.embed_h"),
-        ({"model": model, "limits": {"p_max": True}}, "limits.p_max"),
+        ({"model": model, "limits": {"p_max": 1}},
+         "limits: unknown key; a config holds only model"),
     ]
     path = tmp_path / "cfg.json"
     for doc, msg in cases:
@@ -144,12 +146,12 @@ def test_config_key_paths(tmp_path, capsys):
         },
     }
     broken = dict(base)
-    broken["limits"] = {"bogus": 3}
+    broken["limits"] = {"vertex_cap": 3}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(broken))
     rc, _, err = run(capsys, ["tree", "--config", str(path)])
     assert rc == 2
-    assert "limits.bogus" in err
+    assert "limits: unknown key" in err
 
     broken = {"model": dict(base["model"])}
     broken["model"]["h"] = {"cyclic": 2, "mul_table": [[0]]}
@@ -222,6 +224,7 @@ def test_equiv_positive(capsys):
     doc = json.loads(out)
     assert doc["equivalent"] is True
     assert doc["conclusive"] is True
+    assert doc["method"] == "codes"
     assert doc["witness"]
     assert doc["shifts"] == [0, 0]
 
@@ -232,15 +235,6 @@ def test_equiv_negative(capsys):
     doc = json.loads(out)
     assert doc["equivalent"] is False
     assert doc["conclusive"] is True
-
-
-def test_equiv_brute(capsys):
-    rc, out, _ = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y,
-                              "--brute", "--bound", "2"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["method"] == "brute"
-    assert doc["equivalent"] is True
 
 
 def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
@@ -342,7 +336,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # (argv, extra environment, exit code): bad or edge input on the reiter,
-# cfw, sample-space and limits paths must end in a verdict or one error
+# cfw, witness, sample-space and cap paths must end in a verdict or one error
 # line, never a traceback.  "{tmp}" is replaced by a fresh temporary
 # directory, "{root}" by the repository root.
 EDGE_CASES = [
@@ -383,6 +377,8 @@ EDGE_CASES = [
     (["reiter", "--window", "free", "--rank", "4", "--support-radius", "2"],
      {}, 2),
     (["reiter", "--window", "z", "--support-size", "1000"], {}, 2),
+    (["witness", "--n-max", "1000000000"], {}, 2),
+    (["cfw", "--m-max", "1000000000"], {}, 2),
 ]
 
 
@@ -458,6 +454,29 @@ def test_oversized_window_or_lp_is_refused_fast(capsys, argv, count):
     assert time.perf_counter() - started < 1
     assert rc == 2 and out == ""
     assert count in err
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["witness", "--n-max", "1000000000"],
+     "a witness chain of 1000000001 relations over 8 points has 8000000008 "
+     "entries, over the cap of 200000"),
+    (["cfw", "--m-max", "1000000000"],
+     "the extraction weighs 1000000000 (group element, band) slices, over "
+     "the cap of 2000"),
+    (["tree", "--config", "{cfg}"],
+     "model.h: cyclic group of order 1000000000 is over the cap of 1024"),
+])
+def test_oversized_chain_extraction_or_group_is_refused_fast(
+        tmp_path, capsys, argv, count):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"model": {
+        "h": {"cyclic": 1000000000}, "k": {"cyclic": 2}, "c": {"cyclic": 1},
+        "embed_h": [0], "embed_k": [0]}}))
+    started = time.perf_counter()
+    rc, out, err = run(capsys, [a.replace("{cfg}", str(cfg)) for a in argv])
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and out == ""
+    assert count in err and err.count("\n") == 1
 
 
 def _readme_commands() -> list:

@@ -5,13 +5,12 @@ from arbor.groups import (
     A_SIDE, B_SIDE, GroupError, Letter, ReducedWord,
     cyclic_group, group_from_table, group_from_permutations, make_group,
     make_homomorphism, make_amalgam, is_subgroup, left_cosets,
-    normal_form, multiply, invert, enumerate_reduced_words,
-    word_to_str, word_from_str,
+    normal_form, multiply, invert, word_to_str, word_from_str,
 )
 
 from bruteforce import (
-    builtin, element_order, words_equal, tagged_of_reduced, element_key,
-    MODEL_KEYS, validate_reduced_word,
+    builtin, element_order, enumerate_reduced_words, words_equal,
+    tagged_of_reduced, element_key, MODEL_KEYS, validate_reduced_word,
 )
 
 

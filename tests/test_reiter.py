@@ -37,7 +37,8 @@ from arbor.reiter import (
 )
 from arbor.tree import act_on_boundary
 
-from bruteforce import boundary_product_tensor, builtin, tensor_to_json
+from bruteforce import (boundary_product_tensor, builtin, interior,
+                        tensor_to_json)
 
 
 def test_prob_vector_basics():
@@ -81,7 +82,7 @@ def test_integer_uniform_deviation():
 def test_integer_window_interior():
     w = integer_window(3)
     assert w.vertices == (-3, -2, -1, 0, 1, 2, 3)
-    assert w.interior() == (-2, -1, 0, 1, 2)
+    assert interior(w) == (-2, -1, 0, 1, 2)
     assert w.image(0, 2) == 3
     assert w.image(0, 3) is None
 
@@ -107,11 +108,11 @@ def test_lp_target_epsilon():
     w = integer_window(5)
     hit = reiter_lp(w, support=[0, 1, 2], target_eps=Fraction(1))
     assert hit.meets_target is True
-    assert hit.certificate.epsilon == 1
+    assert hit.optimum == Fraction(2, 3)
     miss = reiter_lp(w, support=[0, 1, 2], target_eps=Fraction(1, 2))
     assert miss.meets_target is False
-    assert miss.certificate.max_deviation == Fraction(2, 3)
-    assert miss.certificate.epsilon > Fraction(2, 3)
+    assert miss.optimum == Fraction(2, 3)
+    assert reiter_lp(w, support=[0, 1, 2]).meets_target is None
 
 
 def test_lp_support_escape():
@@ -339,7 +340,7 @@ def _small_grids(draw):
     else:
         window = free_tree_window(draw(st.integers(1, 2)),
                                   draw(st.integers(1, 2)))
-    inner = list(window.interior())
+    inner = list(interior(window))
     support = draw(st.lists(st.sampled_from(inner), min_size=1,
                             max_size=min(4, len(inner)), unique=True))
     return window, support, draw(st.integers(1, 5))

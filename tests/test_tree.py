@@ -6,7 +6,7 @@ import pytest
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode
 from arbor.groups import (
-    A_SIDE, B_SIDE, Letter, enumerate_reduced_words, invert, multiply,
+    A_SIDE, B_SIDE, Letter, invert, multiply,
     normal_form, word_of_subgroup_element,
 )
 from arbor.tree import (
@@ -18,7 +18,7 @@ from arbor.tree import (
 )
 
 from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
-                        geodesic_to_code)
+                        enumerate_reduced_words, geodesic_to_code)
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
