@@ -1,7 +1,7 @@
 """Deterministic JSON reports over trees, orbit relations, and vectors.
 
-Every subcommand loads a model config (a built-in name or a JSON path),
-runs one exact computation, and prints a sorted-key JSON report.  Exit
+Every subcommand but cfw loads a model config (a built-in name or a JSON
+path), runs one exact computation, and prints a sorted-key JSON report.  Exit
 status 0 means the computation succeeded and any requested verdict holds,
 1 means a verdict came back negative, 2 means the input could not be used,
 3 means an internal re-check failed (a defect, not a verdict).
@@ -251,6 +251,9 @@ def cmd_equiv(am: Amalgam, args) -> int:
 
 def _reiter_window(args):
     if args.window == "z":
+        if args.support_size < 1:
+            raise ConfigError(f"--support-size: need at least 1 support "
+                              f"point, got {args.support_size}")
         radius = args.radius if args.radius is not None \
             else args.support_size + 2
         steps = (1, -1)
@@ -339,7 +342,7 @@ def cmd_reiter(am: Amalgam, args) -> int:
     return 0
 
 
-def cmd_cfw(am: Amalgam, args) -> int:
+def cmd_cfw(am: Optional[Amalgam], args) -> int:
     if args.tensor:
         try:
             text = Path(args.tensor).read_text()
@@ -487,7 +490,9 @@ def main(argv: Optional[list] = None) -> int:
         return 0
     args.started = time.perf_counter()
     try:
-        am, args.vertex_cap = load_config(args.config)
+        am = None
+        if args.command != "cfw":  # cfw reads only its tensor
+            am, args.vertex_cap = load_config(args.config)
         return _HANDLERS[args.command](am, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

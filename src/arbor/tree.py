@@ -235,10 +235,7 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
         if len(emitted) > len(x.prefix) + len(x.cycle) * am.C.order + 4:
             raise VerificationError("carry phase failed to cycle")
         letter = x.letter_at(j)
-        grp = am.side_group(letter.side)
-        u = grp.mul(am.embed_to_side(letter.side, carry),
-                    am.letter_element(letter))
-        rep_idx, carry = am.decompose(letter.side, u)
+        rep_idx, carry = am.step(letter.side, carry, letter.rep)
         emitted.append(Letter(letter.side, rep_idx))
         j += 1
 

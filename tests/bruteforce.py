@@ -2,9 +2,11 @@
 
 Two roads that never touch the normal-form machinery: a bounded rewriting
 closure over tagged words, and faithful matrix/affine representations of the
-three built-in models.  Two exhaustive surveys the library replaced with
-direct constructions: segments from all vertex pairs, and orbit witnesses
-rebuilt from scratch for every pair.  Direct checks of what the commands
+three built-in models.  Exhaustive searches the library replaced with
+direct constructions: segments from all vertex pairs, orbit witnesses
+rebuilt from scratch for every pair, canonical orbit codes from every base
+element applied and compared, and permutation-group tables with every
+product composed.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
 equivalence), codes read back off their rays, and a bounded word search for
 orbit witnesses over every normal form up to a length.  Deviation tensors built
@@ -46,6 +48,30 @@ def element_order(group: FiniteGroup, a: int) -> int:
         x = group.mul(x, a)
         k += 1
     return k
+
+
+def permutation_table(generators) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of a permutation closure, breadth-first and
+    identity first, with every product composed directly."""
+    degree = len(generators[0])
+    gens = [tuple(g) for g in generators]
+
+    def compose(p, q):
+        return tuple(p[q[x]] for x in range(degree))
+
+    elements = [tuple(range(degree))]
+    seen = {elements[0]: 0}
+    queue = [elements[0]]
+    while queue:
+        cur = queue.pop(0)
+        for g in gens:
+            nxt = compose(cur, g)
+            if nxt not in seen:
+                seen[nxt] = len(elements)
+                elements.append(nxt)
+                queue.append(nxt)
+    return tuple(tuple(seen[compose(a, b)] for b in elements)
+                 for a in elements)
 
 
 def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:

@@ -3,8 +3,10 @@
 Properties the boundary and vertex actions must keep whatever engine
 computes them: the identity acts trivially, acting by h then g is acting
 by gh, g^-1 undoes g, and edges go to edges.  Products are checked against
-the rewriting closure, which never touches the normal-form tables.  Runs on
-the three built-in models and the benchmark's two fixtures.
+the rewriting closure, which never touches the normal-form tables, and the
+lockstep walk behind canonical orbit codes against applying every base
+element.  Runs on the three built-in models and the benchmark's two
+fixtures.
 """
 from pathlib import Path
 
@@ -12,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arbor.cber import _orbit_min
 from arbor.codes import BoundaryCode
-from arbor.groups import A_SIDE, Letter, ReducedWord, invert, multiply
+from arbor.groups import (A_SIDE, B_SIDE, Letter, ReducedWord, invert,
+                          multiply)
 from arbor.tree import (TreeVertex, act_on_boundary, act_on_vertex,
                         is_adjacent, validate_vertex)
 
-from bruteforce import BUILTIN_NAMES, builtin, tagged_of_reduced, words_equal
+from bruteforce import (BUILTIN_NAMES, builtin, orbit_min, tagged_of_reduced,
+                        words_equal)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 MODELS = {name: builtin(name) for name in BUILTIN_NAMES}
@@ -113,5 +118,34 @@ def test_multiply_matches_rewriting_closure(name):
         assert words_equal(am, tagged_of_reduced(am, u)
                            + tagged_of_reduced(am, v),
                            tagged_of_reduced(am, product))
+
+    law()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_step_table_is_exact(name):
+    am = MODELS[name]
+    for side in (A_SIDE, B_SIDE):
+        grp = am.side_group(side)
+        for c in am.C.elements():
+            for rep in range(am.transversal(side).index):
+                u = grp.mul(am.embed_to_side(side, c),
+                            am.rep_element(side, rep))
+                assert am.step(side, c, rep) == am.decompose(side, u)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_orbit_min_walk_matches_every_element_applied(name):
+    am = MODELS[name]
+
+    @LAWS
+    @given(ends(am))
+    def law(x):
+        # x with its first letter made trivial
+        head = (Letter(A_SIDE, 0),)
+        trivial = BoundaryCode(head + x.prefix[1:], x.cycle) if x.prefix \
+            else BoundaryCode(head, x.cycle[1:] + x.cycle[:1])
+        for code in (x, trivial):
+            assert _orbit_min(am, code) == orbit_min(am, code)
 
     law()

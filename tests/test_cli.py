@@ -137,6 +137,18 @@ def test_config_errors(tmp_path, capsys):
     path.write_text(json.dumps({"model": model}))
     assert run(capsys, ["tree", "--config", str(path)])[0] == 0
 
+    # a transposition and an 8-cycle generate S8, with 40,320 elements: the
+    # cap is refused before the closure starts
+    s8 = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
+    path.write_text(json.dumps({"model": dict(
+        model, h={"permutations": s8, "cap": 40320})}))
+    started = time.perf_counter()
+    rc, out, err = run(capsys, ["tree", "--config", str(path)])
+    assert time.perf_counter() - started < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: model.h: closure cap of 40320 elements is over the "
+                   "cap of 1024 elements\n")
+
 
 def test_config_key_paths(tmp_path, capsys):
     base = {
@@ -317,6 +329,25 @@ def test_cfw_builtin_tensor(capsys):
     assert all(row["ok"] for row in doc["rows"])
 
 
+def test_cfw_does_not_load_the_config(capsys):
+    _, builtin_report, _ = run(capsys, ["cfw"])
+    rc, out, err = run(capsys, ["cfw", "--config", "nosuch"])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["config"] == "nosuch"
+    doc["config"] = "sl2z"
+    assert doc == json.loads(builtin_report)
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_support_size_below_one_is_refused(capsys, size):
+    rc, out, err = run(capsys, ["reiter", "--window", "z",
+                                "--support-size", size])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --support-size: need at least 1 support point, "
+                   f"got {size}\n")
+
+
 def test_cfw_custom_tensor(tmp_path, capsys):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(tensor_to_json(monotone_tensor(3, 4))))
@@ -379,6 +410,8 @@ EDGE_CASES = [
     (["reiter", "--window", "z", "--support-size", "1000"], {}, 2),
     (["witness", "--n-max", "1000000000"], {}, 2),
     (["cfw", "--m-max", "1000000000"], {}, 2),
+    (["reiter", "--window", "z", "--support-size", "-3"], {}, 2),
+    (["cfw", "--config", "nosuch"], {}, 0),
 ]
 
 

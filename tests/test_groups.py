@@ -1,8 +1,10 @@
 """Group tables, cosets, amalgam construction, and normal-form arithmetic."""
+import time
+
 import pytest
 
 from arbor.groups import (
-    A_SIDE, B_SIDE, GroupError, Letter, ReducedWord,
+    A_SIDE, B_SIDE, GROUP_ORDER_CAP, GroupError, Letter, ReducedWord,
     cyclic_group, group_from_table, group_from_permutations, make_group,
     make_homomorphism, make_amalgam, is_subgroup, left_cosets,
     normal_form, multiply, invert, word_to_str, word_from_str,
@@ -11,6 +13,7 @@ from arbor.groups import (
 from bruteforce import (
     builtin, element_order, enumerate_reduced_words, words_equal,
     tagged_of_reduced, element_key, MODEL_KEYS, validate_reduced_word,
+    permutation_table,
 )
 
 
@@ -67,6 +70,26 @@ def test_permutation_closure_symmetric_group():
 def test_permutation_closure_cap():
     with pytest.raises(GroupError, match="cap"):
         group_from_permutations([(1, 2, 3, 0)], cap=3)
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 2, 3), (1, 2, 3, 0)],
+    [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)],
+    [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+    [tuple((i + 1) % 40 for i in range(40))],
+])
+def test_permutation_table_matches_direct_composition(gens):
+    g = group_from_permutations(gens)
+    assert g.mul_table == permutation_table(gens)
+
+
+def test_largest_permutation_closure_is_fast():
+    # a 1024-cycle: composing every pair directly takes over a minute
+    started = time.perf_counter()
+    g = group_from_permutations([tuple((i + 1) % 1024 for i in range(1024))],
+                                cap=GROUP_ORDER_CAP)
+    assert time.perf_counter() - started < 10
+    assert g.order == 1024 and element_order(g, 1) == 1024
 
 
 def test_make_group_dispatch():
