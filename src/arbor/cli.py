@@ -27,8 +27,8 @@ from .cber import (
     witness_chain_to_json,
 )
 from .codes import format_code, parse_code
-from .groups import (Amalgam, GroupError, VerificationError, make_amalgam,
-                     make_group, word_to_str)
+from .groups import (SPEC_KEYS, Amalgam, GroupError, VerificationError,
+                     make_amalgam, make_group, word_to_str)
 from .lp import LpError
 from .reiter import (
     cfw_extract,
@@ -93,10 +93,16 @@ def load_config(source: str) -> tuple[Amalgam, int]:
     model = doc.get("model")
     if not isinstance(model, dict):
         raise ConfigError("model: missing or not an object")
+    for key in model:
+        if key not in ("h", "k", "c", "embed_h", "embed_k"):
+            raise ConfigError(f"model.{key}: unknown key")
     groups = {}
     for key in ("h", "k", "c"):
         if key not in model:
             raise ConfigError(f"model.{key}: missing group spec")
+        for sub in model[key] if isinstance(model[key], dict) else ():
+            if sub not in SPEC_KEYS:
+                raise ConfigError(f"model.{key}.{sub}: unknown key")
         try:
             groups[key] = make_group(model[key])
         except GroupError as err:
@@ -298,11 +304,9 @@ def cmd_reiter(am: Amalgam, args) -> int:
     if args.window == "group":
         side = 0 if args.side == "h" else 1
         group = am.side_group(side)
-        image = sorted({am.embed_to_side(side, c)
-                        for c in range(am.C.order)})
         gens = _group_gens(group, args.generators)
         eps = args.target if args.target is not None else Fraction(1, 100)
-        cert = check_uniform_coamenable(group, image, gens, eps)
+        cert = check_uniform_coamenable(am, side, gens, eps)
         _emit({
             "command": "reiter",
             "window": "group",

@@ -7,15 +7,16 @@ pair of O(1) decomposition tables, so normal-form reduction never searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 A_SIDE = 0  # letters drawn from the H-side transversal
 B_SIDE = 1  # letters drawn from the K-side transversal
 
-ASSOC_CHECK_CAP = 256
 # Elements of a {"cyclic": n} group or a {"permutations": ...} closure: both
 # build an n-by-n table.  On one core, 1024 takes about 0.45 s and 55 MB as a
-# cyclic group, and 0.4 s and 40 MB as the closure of a 1024-cycle
+# cyclic group, 0.45 s and 40 MB as the closure of a 1024-cycle, and 0.75 s as
+# C2^10, whose associativity check needs ten generators
 GROUP_ORDER_CAP = 1024
 
 
@@ -59,6 +60,19 @@ class FiniteGroup:
 
 
 def _validate_table(mul_table: Sequence[Sequence[int]]) -> None:
+    """Refuse a table that is not a group: square over 0..n-1, identity at 0,
+    rows and columns permutations, and associative by Light's test (Clifford
+    & Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
+
+    The least element not yet reached joins a generating set S, and {0} is
+    closed again under right multiplication by S, until all are reached.  The
+    t with (xy)t = x(yt) for all x, y hold 0 and S and are closed under
+    products: (xy)(tu) = ((xy)t)u = (x(yt))u = x((yt)u) = x(y(tu)).  Every
+    element is some 0·s1···sk, so checking (xy)s = x(ys) for s in S proves
+    associativity.  In a group each new member of S at least doubles the
+    subgroup S generates (Lagrange), so |S| <= floor(log2 n); a table that
+    needs more is not associative.  The cost is O(n^2 log n).
+    """
     n = len(mul_table)
     if n == 0:
         raise GroupError("empty multiplication table")
@@ -71,26 +85,28 @@ def _validate_table(mul_table: Sequence[Sequence[int]]) -> None:
     for i in range(n):
         if len(set(mul_table[i])) != n or len({mul_table[j][i] for j in range(n)}) != n:
             raise GroupError(f"row or column {i} is not a permutation")
-    if n <= ASSOC_CHECK_CAP:
-        for a in range(n):
-            for b in range(n):
-                ab = mul_table[a][b]
-                for c in range(n):
-                    if mul_table[ab][c] != mul_table[a][mul_table[b][c]]:
-                        raise GroupError(f"table is not associative at ({a},{b},{c})")
-
-
-def _inverses(mul_table: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    n = len(mul_table)
-    inv = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if mul_table[a][b] == 0:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise GroupError(f"element {a} has no inverse")
-    return tuple(inv)
+    gens: list[int] = []
+    reached = {0}
+    while len(reached) < n:
+        if len(gens) == n.bit_length() - 1:
+            raise GroupError(f"table is not associative: {n} elements need "
+                             f"more than {len(gens)} generators")
+        gens.append(next(g for g in range(n) if g not in reached))
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                if mul_table[x][s] not in reached:
+                    reached.add(mul_table[x][s])
+                    frontier.append(mul_table[x][s])
+    for s in gens:
+        col = [row[s] for row in mul_table]  # col[z] = z·s
+        at_col = itemgetter(*col)
+        for x, row in enumerate(mul_table):
+            # (xy)s against x(ys), for every y at once
+            if itemgetter(*row)(col) != at_col(row):
+                y = next(y for y in range(n) if col[row[y]] != row[col[y]])
+                raise GroupError(f"table is not associative at ({x},{y},{s})")
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -108,7 +124,8 @@ def group_from_table(mul_table: Sequence[Sequence[int]],
     names = tuple(names)
     if len(names) != n or len(set(names)) != n:
         raise GroupError("names must be distinct and cover every element")
-    return FiniteGroup(n, table, _inverses(table), names)
+    # 0 appears once in each row of the Latin square, at the inverse
+    return FiniteGroup(n, table, tuple(row.index(0) for row in table), names)
 
 
 def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
@@ -174,7 +191,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
     return group_from_table(table, names)
 
 
-GroupSpec = Union[int, dict, FiniteGroup]
+GroupSpec = Union[int, dict]
+# every key a spec dict may hold; make_group reads no other
+SPEC_KEYS = ("cyclic", "mul_table", "permutations", "names", "cap")
 
 
 def _spec_int(value, key: str) -> int:
@@ -195,14 +214,12 @@ def _spec_rows(value, key: str) -> list:
 
 
 def make_group(spec: GroupSpec) -> FiniteGroup:
-    """Build a group from an int (cyclic order), a spec dict, or pass one through.
+    """Build a group from an int (cyclic order) or a spec dict.
 
     Dict forms: {"cyclic": n}, {"mul_table": [[...]]}, {"permutations": [[...]]},
     each optionally with "names" (a list of strings); permutations may carry
     a closure "cap".  Values of the wrong JSON type raise GroupError.
     """
-    if isinstance(spec, FiniteGroup):
-        return spec
     if type(spec) is int:
         return cyclic_group(spec)
     if not isinstance(spec, dict):
@@ -225,70 +242,15 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
 
 
 @dataclass(frozen=True)
-class Homomorphism:
-    """A map between finite groups given by its value on every source element."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-
-def make_homomorphism(source: FiniteGroup, target: FiniteGroup,
-                      images: Sequence[int],
-                      require_injective: bool = False) -> Homomorphism:
-    """Validate the homomorphism property exhaustively and wrap the map."""
-    images = tuple(images)
-    if len(images) != source.order:
-        raise GroupError("image table must cover every source element")
-    if any(not (0 <= x < target.order) for x in images):
-        raise GroupError("image out of range")
-    if images[0] != 0:
-        raise GroupError("homomorphism must send identity to identity")
-    for a in source.elements():
-        for b in source.elements():
-            if images[source.mul(a, b)] != target.mul(images[a], images[b]):
-                raise GroupError(f"not a homomorphism at ({a},{b})")
-    if require_injective and len(set(images)) != source.order:
-        raise GroupError("embedding is not injective")
-    return Homomorphism(source, target, images)
-
-
-def is_subgroup(group: FiniteGroup, elems: Iterable[int]) -> bool:
-    s = frozenset(elems)
-    if 0 not in s or any(not (0 <= x < group.order) for x in s):
-        return False
-    return all(group.mul(a, b) in s for a in s for b in s)
-
-
-@dataclass(frozen=True)
 class Transversal:
-    """Left-coset representatives for a subgroup, least element index per coset."""
+    """Left-coset representatives of an embedded subgroup, least element
+    index per coset, cosets in the order of their least elements."""
 
-    subgroup: frozenset[int]
     reps: tuple[int, ...]
 
     @property
     def index(self) -> int:
         return len(self.reps)
-
-
-def left_cosets(group: FiniteGroup, subgroup: Iterable[int]) -> tuple[list[list[int]], Transversal]:
-    """Partition into left cosets gS, ordered and represented by least element."""
-    sub = frozenset(subgroup)
-    if not is_subgroup(group, sub):
-        raise GroupError("not a subgroup")
-    assigned: dict[int, int] = {}
-    cosets: list[list[int]] = []
-    reps: list[int] = []
-    for g in group.elements():
-        if g in assigned:
-            continue
-        coset = sorted(group.mul(g, s) for s in sub)
-        for x in coset:
-            assigned[x] = len(cosets)
-        cosets.append(coset)
-        reps.append(g)
-    return cosets, Transversal(sub, tuple(reps))
 
 
 @dataclass(frozen=True, order=True)
@@ -318,55 +280,26 @@ class Amalgam:
     appending a single raw letter to a normal form an O(1) operation.  The
     step table _step, built from them, moves a pending carry past one
     transversal letter, which is all a base-group element does to a ray
-    after its first letter.
+    after its first letter.  make_amalgam checks the embeddings first.
     """
 
     def __init__(self, H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,
-                 embed_h: Homomorphism, embed_k: Homomorphism) -> None:
-        if embed_h.source is not C or embed_k.source is not C:
-            raise GroupError("embeddings must share the amalgamated group as source")
-        if embed_h.target is not H or embed_k.target is not K:
-            raise GroupError("embeddings must land in H and K respectively")
-        for emb in (embed_h, embed_k):
-            if len(set(emb.images)) != C.order:
-                raise GroupError("amalgam embeddings must be injective")
+                 embed_h: tuple[int, ...], embed_k: tuple[int, ...]) -> None:
         self.H, self.K, self.C = H, K, C
-        self.embed_h, self.embed_k = embed_h, embed_k
-        _, self.A = left_cosets(H, frozenset(embed_h.images))
-        _, self.B = left_cosets(K, frozenset(embed_k.images))
+        self._groups = (H, K)
+        self._embed = (embed_h, embed_k)
+        # u = reps[_rep_idx[u]] * embed(_carry[u]), uniquely
+        self._transversals, self._rep_idx, self._carry = zip(
+            *map(_factor, self._groups, self._embed))
+        self.A, self.B = self._transversals
         if self.A.index < 2 or self.B.index < 2:
             raise GroupError("both amalgam indices must be at least 2")
-
-        self._groups = (H, K)
-        self._embed = (embed_h.images, embed_k.images)
-        self._transversals = (self.A, self.B)
-        # u = reps[_rep_idx[u]] * embed(_carry[u]), uniquely
-        factored = [self._factor_side(side) for side in (A_SIDE, B_SIDE)]
-        self._rep_idx = (factored[0][0], factored[1][0])
-        self._carry = (factored[0][1], factored[1][1])
         # embed(c) * reps[r] = reps[r'] * embed(c'): _step[side][c][r] = (r', c')
         self._step = tuple(
             tuple(tuple(self.decompose(side, self._groups[side].mul(img, r))
                         for r in self._transversals[side].reps)
                   for img in self._embed[side])
             for side in (A_SIDE, B_SIDE))
-
-    def _factor_side(self, side: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        grp = self._groups[side]
-        trans = self._transversals[side]
-        emb = self._embed[side]
-        rep_idx = [-1] * grp.order
-        carry = [-1] * grp.order
-        for i, r in enumerate(trans.reps):
-            for c, img in enumerate(emb):
-                u = grp.mul(r, img)
-                if rep_idx[u] >= 0:
-                    raise GroupError("coset factorization is not unique")
-                rep_idx[u] = i
-                carry[u] = c
-        if any(x < 0 for x in rep_idx):
-            raise GroupError("coset factorization does not cover the group")
-        return tuple(rep_idx), tuple(carry)
 
     def side_group(self, side: int) -> FiniteGroup:
         return self._groups[side]
@@ -399,13 +332,55 @@ class Amalgam:
         return ReducedWord((), 0)
 
 
+def _factor(group: FiniteGroup, images: tuple[int, ...]
+            ) -> tuple[Transversal, tuple[int, ...], tuple[int, ...]]:
+    """Left cosets of the embedded subgroup in one walk over the group.
+
+    The least element g not yet in a coset opens coset i, and g·images[c]
+    gets rep index i and carry c.  Returns the transversal, the rep index
+    and the carry of every u, with u = reps[rep_idx[u]] · images[carry[u]].
+    """
+    reps: list[int] = []
+    rep_idx = [-1] * group.order
+    carry = [-1] * group.order
+    for g in group.elements():
+        if rep_idx[g] >= 0:
+            continue
+        for c, img in enumerate(images):
+            u = group.mul(g, img)
+            if rep_idx[u] >= 0:
+                raise GroupError("coset factorization is not unique")
+            rep_idx[u] = len(reps)
+            carry[u] = c
+        reps.append(g)
+    return Transversal(tuple(reps)), tuple(rep_idx), tuple(carry)
+
+
 def make_amalgam(H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,
                  embed_h_images: Sequence[int],
                  embed_k_images: Sequence[int]) -> Amalgam:
-    """Assemble an amalgam from groups plus the two embedding image tables."""
-    eh = make_homomorphism(C, H, embed_h_images, require_injective=True)
-    ek = make_homomorphism(C, K, embed_k_images, require_injective=True)
-    return Amalgam(H, K, C, eh, ek)
+    """Assemble an amalgam from groups plus the two embedding image tables.
+
+    Each table must be an injective homomorphism from C, checked on every
+    pair of elements.
+    """
+    embeds = []
+    for target, images in ((H, embed_h_images), (K, embed_k_images)):
+        images = tuple(images)
+        if len(images) != C.order:
+            raise GroupError("image table must cover every source element")
+        if any(not (0 <= x < target.order) for x in images):
+            raise GroupError("image out of range")
+        if images[0] != 0:
+            raise GroupError("homomorphism must send identity to identity")
+        for a in C.elements():
+            for b in C.elements():
+                if images[C.mul(a, b)] != target.mul(images[a], images[b]):
+                    raise GroupError(f"not a homomorphism at ({a},{b})")
+        if len(set(images)) != C.order:
+            raise GroupError("embedding is not injective")
+        embeds.append(images)
+    return Amalgam(H, K, C, *embeds)
 
 
 def absorb(am: Amalgam, letters: list[Letter], carry: int,

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .groups import FiniteGroup, VerificationError, left_cosets
+from .groups import Amalgam, VerificationError
 from .lp import solve_lp
 
 
@@ -192,17 +192,17 @@ def free_tree_window(rank: int, radius: int) -> SchreierWindow:
     return SchreierWindow(vertices, gens, maps)
 
 
-def coset_window(group: FiniteGroup, subgroup: Iterable[int]
-                 ) -> SchreierWindow:
-    """Left translation on the cosets of a subgroup, numbered by least element.
+def coset_window(am: Amalgam, side: int) -> SchreierWindow:
+    """Left translation on the cosets of C in one factor of the amalgam,
+    numbered as its transversal is.
 
-    Every group element is a generator, so image(g, x) is g·x.
+    Every element of the factor is a generator, so image(g, x) is g·x.
     """
-    cosets, trans = left_cosets(group, subgroup)
-    coset_of = {x: cid for cid, coset in enumerate(cosets) for x in coset}
-    vertices = tuple(range(len(cosets)))
-    maps = tuple({x: coset_of[group.mul(g, trans.reps[x])] for x in vertices}
-                 for g in group.elements())
+    group = am.side_group(side)
+    vertices = tuple(range(am.transversal(side).index))
+    maps = tuple({x: am.decompose(side, group.mul(
+        g, am.rep_element(side, x)))[0] for x in vertices}
+        for g in group.elements())
     return SchreierWindow(vertices, tuple(group.elements()), maps)
 
 
@@ -430,21 +430,22 @@ def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
                            for t in range(k) if parts[t])
 
 
-def check_uniform_coamenable(group: FiniteGroup, subgroup: Iterable[int],
-                             gens: Sequence[int],
+def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
                              eps: Fraction) -> ReiterCertificate:
-    """The uniform vector on a finite group beats every epsilon at every coset.
+    """The uniform vector on a finite factor beats every epsilon at every
+    coset of C.
 
     Validates eps > 0 and the generator range, then certifies the deviation,
     which is exactly zero simultaneously for all base points.
     """
+    group = am.side_group(side)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive for a strict certificate")
     for s in gens:
         if not (0 <= s < group.order):
             raise ValueError(f"generator {s} outside the group")
-    window = coset_window(group, subgroup)
+    window = coset_window(am, side)
     p = ProbVector.uniform(list(group.elements()))
     per = tuple((s, max(reiter_deviation(p, [s], window.image, x)
                         for x in window.vertices)) for s in gens)

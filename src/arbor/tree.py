@@ -99,10 +99,31 @@ class TruncatedTree:
             raise TreeError(f"vertex not inside the truncated tree: {v}") from None
 
 
+def ball_size(am: Amalgam, radius: int) -> int:
+    """Vertices of the radius ball around the base vertex, in closed form:
+    depth 1 holds a = |H:C| of them, and later depths multiply by b - 1 and
+    a - 1 in turn, where b = |K:C|."""
+    a, b = am.A.index, am.B.index
+    p = (a - 1) * (b - 1)  # growth over two depths
+    odd, even = (radius + 1) // 2, radius // 2  # depths 2j+1 and 2j+2
+    if p == 1:
+        return 1 + a * odd + a * (b - 1) * even
+    return 1 + (a * (p ** odd - 1) + a * (b - 1) * (p ** even - 1)) // (p - 1)
+
+
 def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> TruncatedTree:
-    """Breadth-first ball of the given radius around the base vertex."""
+    """Breadth-first ball of the given radius around the base vertex, counted
+    first and refused over the vertex cap."""
     if radius < 0:
         raise TreeError("radius must be nonnegative")
+    # a growing ball (a + b > 4) holds over 2**half vertices: past the cap,
+    # do not compute its size
+    half = (radius + 1) // 2
+    too_big = am.A.index + am.B.index > 4 and half > vertex_cap.bit_length()
+    count = f"more than 2**{half}" if too_big else ball_size(am, radius)
+    if too_big or count > vertex_cap:
+        raise TreeError(f"the tree ball of radius {radius} has {count} "
+                        f"vertices, over the vertex cap of {vertex_cap}")
     vertices: list[TreeVertex] = [base_vertex()]
     depths: list[int] = [0]
     edges: list[tuple[int, int]] = []
@@ -117,9 +138,6 @@ def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> Trunca
             for rep in range(start, am.transversal(side).index):
                 word = v.word + (Letter(side, rep),)
                 child = TreeVertex(1 - v.vtype, word)
-                if len(vertices) >= vertex_cap:
-                    raise TreeError(
-                        f"vertex cap {vertex_cap} exceeded at radius {depth}")
                 index[child] = len(vertices)
                 vertices.append(child)
                 depths.append(depth)

@@ -6,7 +6,8 @@ three built-in models.  Exhaustive searches the library replaced with
 direct constructions: segments from all vertex pairs, orbit witnesses
 rebuilt from scratch for every pair, canonical orbit codes from every base
 element applied and compared, and permutation-group tables with every
-product composed.  Direct checks of what the commands
+product composed, associativity by the triple loop, and coset
+partitions rebuilt element by element.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
 equivalence), codes read back off their rays, and a bounded word search for
 orbit witnesses over every normal form up to a length.  Deviation tensors built
@@ -72,6 +73,48 @@ def permutation_table(generators) -> tuple[tuple[int, ...], ...]:
                 queue.append(nxt)
     return tuple(tuple(seen[compose(a, b)] for b in elements)
                  for a in elements)
+
+
+def is_associative(table) -> bool:
+    """(ab)c = a(bc) for every triple, by the triple loop."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def intercalates(table) -> list:
+    """Every 2x2 Latin subsquare (r1, r2, c1, c2) off row and column 0:
+    table[r1][c1] = table[r2][c2] and table[r1][c2] = table[r2][c1]."""
+    n = len(table)
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            where = {x: c for c, x in enumerate(table[r2])}
+            for c1 in range(1, n):
+                c2 = where[table[r1][c1]]
+                if c2 > c1 and table[r1][c2] == table[r2][c1]:
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+def swap_intercalate(table, quad) -> list:
+    """A copy of the table with one intercalate's two symbols swapped: still
+    a Latin square with identity 0, and often no longer associative."""
+    r1, r2, c1, c2 = quad
+    out = [list(row) for row in table]
+    out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+    out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+    return out
+
+
+def coset_partition(group: FiniteGroup, images) -> tuple[list, list]:
+    """Left cosets g·C of an embedded subgroup, ordered by least element,
+    as sorted lists, and their least elements."""
+    cosets = []
+    for g in group.elements():
+        if not any(g in coset for coset in cosets):
+            cosets.append(sorted({group.mul(g, x) for x in images}))
+    return cosets, [coset[0] for coset in cosets]
 
 
 def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:

@@ -181,10 +181,8 @@ def test_criterion_6_lp_exactness():
         res = reiter_lp(integer_window(m + 2), support=list(range(m)))
         assert res.optimum == Fraction(2, m), m
     am = builtin("sl2z")
-    group = am.side_group(B_SIDE)
-    image = sorted({am.embed_to_side(B_SIDE, c) for c in range(am.C.order)})
-    gens = [g for g in group.elements() if g != 0]
-    cert = check_uniform_coamenable(group, image, gens, Fraction(1, 10 ** 6))
+    gens = [g for g in am.side_group(B_SIDE).elements() if g != 0]
+    cert = check_uniform_coamenable(am, B_SIDE, gens, Fraction(1, 10 ** 6))
     assert cert.max_deviation == 0
     value, _ = grid_search_min_deviation(integer_window(5), [0, 1, 2], 20)
     assert value == Fraction(2, 3)

@@ -11,7 +11,7 @@ import pytest
 from arbor.cli import ConfigError, load_config, main
 from arbor.reiter import monotone_tensor
 
-from bruteforce import tensor_to_json
+from bruteforce import swap_intercalate, tensor_to_json
 
 EQUIV_X = "prefix=e;cycle=b,a"
 EQUIV_Y = "prefix=;cycle=a,b"
@@ -107,6 +107,9 @@ def test_config_errors(tmp_path, capsys):
     bad_entry[1][2] = "x"
     model = {"h": {"cyclic": 4}, "k": {"cyclic": 4}, "c": {"cyclic": 2},
              "embed_h": [0, 2], "embed_k": [0, 2]}
+    # C300 with one intercalate swapped: a Latin square with identity 0
+    # that is not associative, above the order the triple loop once reached
+    c300 = [[(i + j) % 300 for j in range(300)] for i in range(300)]
     broken_h = [
         ({"cyclic": "4"}, "model.h: cyclic"),
         ({"cyclic": True}, "model.h: cyclic"),
@@ -120,10 +123,16 @@ def test_config_errors(tmp_path, capsys):
         ({"permutations": [[1, 2, 3, 0]], "cap": "x"}, "model.h: cap"),
         ({"permutations": [[1, 2, 3, 0]], "cap": True}, "model.h: cap"),
         ({"permutations": [5]}, "model.h: permutations"),
+        ({"cyclic": 4, "nmes": ["e", "a", "a2", "a3"]},
+         "model.h.nmes: unknown key\n"),
+        ({"mul_table": swap_intercalate(c300, (1, 151, 1, 151))},
+         "model.h: table is not associative"),
     ]
     cases = [({"model": dict(model, h=spec)}, msg) for spec, msg in broken_h]
     cases += [
         ({"model": dict(model, embed_h=[0, True])}, "model.embed_h"),
+        ({"model": dict(model, embed_c=[0, 2])},
+         "model.embed_c: unknown key\n"),
         ({"model": model, "limits": {"p_max": 1}},
          "limits: unknown key; a config holds only model"),
     ]
@@ -510,6 +519,22 @@ def test_oversized_chain_extraction_or_group_is_refused_fast(
     assert time.perf_counter() - started < 1
     assert rc == 2 and out == ""
     assert count in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["tree", "--radius", "60"],
+     "the tree ball of radius 60 has more than 2**30 vertices"),
+    (["check", "--what", "acylindrical", "--seg-length", "30"],
+     "the tree ball of radius 32 has 393211 vertices"),
+    (["tree", "--config", "dihedral", "--radius", "1000000000"],
+     "the tree ball of radius 1000000000 has 2000000001 vertices"),
+])
+def test_oversized_tree_ball_is_refused_fast(capsys, argv, count):
+    started = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - started < 0.5
+    assert (rc, out) == (2, "")
+    assert err == f"error: {count}, over the vertex cap of 100000\n"
 
 
 def _readme_commands() -> list:

@@ -1,20 +1,29 @@
 """Group tables, cosets, amalgam construction, and normal-form arithmetic."""
+import json
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arbor.cli import ConfigError, load_config
 from arbor.groups import (
     A_SIDE, B_SIDE, GROUP_ORDER_CAP, GroupError, Letter, ReducedWord,
     cyclic_group, group_from_table, group_from_permutations, make_group,
-    make_homomorphism, make_amalgam, is_subgroup, left_cosets,
-    normal_form, multiply, invert, word_to_str, word_from_str,
+    make_amalgam, normal_form, multiply, invert, word_to_str, word_from_str,
 )
 
 from bruteforce import (
-    builtin, element_order, enumerate_reduced_words, words_equal,
-    tagged_of_reduced, element_key, MODEL_KEYS, validate_reduced_word,
-    permutation_table,
+    BUILTIN_NAMES, builtin, coset_partition, element_order,
+    enumerate_reduced_words, intercalates, is_associative, swap_intercalate,
+    words_equal, tagged_of_reduced, element_key, MODEL_KEYS,
+    validate_reduced_word, permutation_table,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+MODEL_NAMES = list(BUILTIN_NAMES) + [str(p)
+                                     for p in sorted(FIXTURES.glob("*.json"))]
 
 
 def test_cyclic_group_basics():
@@ -41,17 +50,95 @@ def test_table_validation_rejects_non_latin():
         group_from_table([[0, 1], [1, 1]])
 
 
+# A Latin square with two-sided identity that fails associativity.
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+# A loop of order 11 in which {0, 1}, {0, 1, 2, 3} and {0, ..., 6} are
+# closed under right multiplication by 1; by 1 and 2; by 1, 2 and 4.  A group
+# of order 11 would be reached by floor(log2 11) = 3 generators.
+LOOP_11 = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    [1, 0, 3, 10, 6, 4, 2, 5, 7, 8, 9],
+    [2, 3, 0, 4, 1, 6, 8, 9, 5, 10, 7],
+    [3, 2, 1, 7, 5, 8, 10, 6, 9, 0, 4],
+    [4, 5, 6, 9, 0, 7, 1, 8, 10, 3, 2],
+    [5, 6, 4, 2, 3, 9, 7, 10, 0, 1, 8],
+    [6, 4, 5, 8, 2, 10, 9, 1, 3, 7, 0],
+    [7, 9, 8, 6, 10, 2, 5, 0, 1, 4, 3],
+    [8, 7, 10, 1, 9, 3, 0, 2, 4, 6, 5],
+    [9, 10, 7, 5, 8, 0, 4, 3, 6, 2, 1],
+    [10, 8, 9, 0, 7, 1, 3, 4, 2, 5, 6],
+]
+
+
 def test_table_validation_rejects_non_associative():
-    # Latin square with two-sided identity that fails associativity.
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
+    assert not is_associative(LOOP_5)
     with pytest.raises(GroupError, match="associative"):
+        group_from_table(LOOP_5)
+    assert not is_associative(LOOP_11)
+    with pytest.raises(GroupError, match="not associative: 11 elements need "
+                                         "more than 3 generators"):
+        group_from_table(LOOP_11)
+
+
+def test_associativity_is_checked_at_every_order():
+    # C300 with one intercalate swapped: (1·1)·2 = 154 but 1·(1·2) = 4
+    table = swap_intercalate([[(i + j) % 300 for j in range(300)]
+                              for i in range(300)], (1, 151, 1, 151))
+    assert table[table[1][1]][2] == 154 and table[1][table[1][2]] == 4
+    with pytest.raises(GroupError, match="not associative"):
         group_from_table(table)
+
+
+def _base_tables():
+    yield from ([[(i + j) % n for j in range(n)] for i in range(n)]
+                for n in range(1, 17))
+    # C2 x C2 x C2, S3, D4 and A4, none of them cyclic
+    yield [[i ^ j for j in range(8)] for i in range(8)]
+    yield permutation_table([(1, 0, 2), (1, 2, 0)])
+    yield permutation_table([(1, 2, 3, 0), (0, 3, 2, 1)])
+    yield permutation_table([(1, 2, 0, 3), (0, 2, 3, 1)])
+
+
+BASE_TABLES = list(_base_tables())
+
+
+@st.composite
+def loops(draw):
+    """A group table, relabelled by a permutation that fixes 0, with up to
+    three intercalates swapped in turn: a Latin square with identity 0,
+    associative or not."""
+    table = draw(st.sampled_from(BASE_TABLES))
+    n = len(table)
+    relabel = [0] + draw(st.permutations(range(1, n)))
+    back = {x: i for i, x in enumerate(relabel)}
+    table = [[relabel[table[back[a]][back[b]]] for b in range(n)]
+             for a in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        quads = intercalates(table)
+        if not quads:
+            break
+        table = swap_intercalate(table, draw(st.sampled_from(quads)))
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(loops())
+def test_light_check_agrees_with_the_triple_loop(table):
+    try:
+        group_from_table(table)
+        accepted = True
+    except GroupError as err:
+        assert "not associative" in str(err)
+        accepted = False
+    assert accepted == is_associative(table)
 
 
 def test_permutation_closure_three_cycle():
@@ -103,26 +190,40 @@ def test_make_group_dispatch():
 
 def test_homomorphism_validation():
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    h = make_homomorphism(c2, c4, [0, 2], require_injective=True)
-    assert h.images[1] == 2
-    with pytest.raises(GroupError):
-        make_homomorphism(c2, c4, [0, 1])  # 1+1 = 0 in C2 but 1+1 = 2 in C4
-    with pytest.raises(GroupError):
-        make_homomorphism(c2, c4, [0, 0], require_injective=True)
+    am = make_amalgam(c4, c4, c2, [0, 2], [0, 2])
+    assert am.embed_to_side(A_SIDE, 1) == 2
+    assert am.embed_to_side(B_SIDE, 1) == 2
+    with pytest.raises(GroupError, match=r"not a homomorphism at \(1,1\)"):
+        make_amalgam(c4, c4, c2, [0, 1], [0, 2])  # 1+1 = 0 in C2, 2 in C4
+    with pytest.raises(GroupError, match="not injective"):
+        make_amalgam(c4, c4, c2, [0, 2], [0, 0])
+    with pytest.raises(GroupError, match="out of range"):
+        make_amalgam(c4, c4, c2, [0, 4], [0, 2])
+    with pytest.raises(GroupError, match="cover every source element"):
+        make_amalgam(c4, c4, c2, [0, 2], [0])
+    with pytest.raises(GroupError, match="identity to identity"):
+        make_amalgam(c4, c4, c2, [2, 0], [0, 2])
 
 
 def test_subgroup_predicates():
+    # {0, 2, 4} is the image of C3 in C6; {0, 2} is no subgroup, so no
+    # homomorphism from C2 has it as its image
     c6 = cyclic_group(6)
-    assert is_subgroup(c6, {0, 2, 4})
-    assert not is_subgroup(c6, {0, 2})
+    am = make_amalgam(c6, c6, cyclic_group(3), [0, 2, 4], [0, 4, 2])
+    assert {am.embed_to_side(A_SIDE, c) for c in range(3)} == {0, 2, 4}
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        make_amalgam(c6, c6, cyclic_group(2), [0, 2], [0, 3])
 
 
 def test_left_cosets_c4_mod_c2():
     c4 = cyclic_group(4)
-    cosets, trans = left_cosets(c4, {0, 2})
-    assert cosets == [[0, 2], [1, 3]]
+    am = make_amalgam(c4, c4, cyclic_group(2), [0, 2], [0, 2])
+    trans = am.transversal(A_SIDE)
     assert trans.reps == (0, 1)
     assert trans.index == 2
+    cosets = [sorted(u for u in c4.elements()
+                     if am.decompose(A_SIDE, u)[0] == i) for i in range(2)]
+    assert cosets == [[0, 2], [1, 3]]
     # independent recomputation element by element
     for i, coset in enumerate(cosets):
         for x in coset:
@@ -130,9 +231,28 @@ def test_left_cosets_c4_mod_c2():
         assert min(coset) == trans.reps[i]
 
 
-def test_left_cosets_rejects_non_subgroup():
-    with pytest.raises(GroupError):
-        left_cosets(cyclic_group(4), {0, 1})
+def test_left_cosets_rejects_non_subgroup(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": {
+        "h": {"cyclic": 4}, "k": {"cyclic": 4}, "c": {"cyclic": 2},
+        "embed_h": [0, 1], "embed_k": [0, 2]}}))
+    with pytest.raises(ConfigError, match=r"^model: not a homomorphism"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_cosets_match_the_brute_force_partition(name):
+    am = builtin(name)
+    for side in (A_SIDE, B_SIDE):
+        grp = am.side_group(side)
+        images = [am.embed_to_side(side, c) for c in am.C.elements()]
+        cosets, reps = coset_partition(grp, images)
+        assert am.transversal(side).reps == tuple(reps)
+        for g in grp.elements():
+            rep_idx, carry = am.decompose(side, g)
+            assert g in cosets[rep_idx]
+            assert grp.mul(am.rep_element(side, rep_idx),
+                           am.embed_to_side(side, carry)) == g
 
 
 def test_amalgam_indices():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbor.codes import parse_code
-from arbor.groups import cyclic_group, normal_form
+from arbor.groups import B_SIDE, normal_form
 from arbor.reiter import (
     GRID_VECTOR_CAP,
     OverBudget,
@@ -214,24 +214,24 @@ def test_boundary_action_deviation():
 
 
 def test_coset_action_table():
-    g6 = cyclic_group(6)
-    act = coset_window(g6, [0, 3])
+    # sl2z's K side: C6, with C2 embedded at {0, 3}
+    act = coset_window(builtin("sl2z"), B_SIDE)
     assert list(act.vertices) == [0, 1, 2]
     assert [act.image(1, x) for x in act.vertices] == [1, 2, 0]
     assert [act.image(3, x) for x in act.vertices] == [0, 1, 2]
 
 
 def test_uniform_vector_is_coamenability_certificate():
-    g6 = cyclic_group(6)
-    cert = check_uniform_coamenable(g6, [0, 3], [1, 5], Fraction(1, 100))
+    am = builtin("sl2z")  # K = C6, with C2 embedded at {0, 3}
+    cert = check_uniform_coamenable(am, B_SIDE, [1, 5], Fraction(1, 100))
     assert cert.max_deviation == 0
     assert cert.epsilon == Fraction(1, 100)
     assert cert.p == ProbVector.uniform(list(range(6)))
     assert all(dev == 0 for _, dev in cert.per_gen)
     with pytest.raises(ValueError):
-        check_uniform_coamenable(g6, [0, 3], [1], Fraction(0))
+        check_uniform_coamenable(am, B_SIDE, [1], Fraction(0))
     with pytest.raises(ValueError):
-        check_uniform_coamenable(g6, [0, 3], [7], Fraction(1, 2))
+        check_uniform_coamenable(am, B_SIDE, [7], Fraction(1, 2))
 
 
 def test_numerators_in_lexicographic_order():

@@ -11,7 +11,7 @@ from arbor.groups import (
 )
 from arbor.tree import (
     GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
-    act_on_vertex, base_vertex, build_tree, check_acylindricity,
+    act_on_vertex, ball_size, base_vertex, build_tree, check_acylindricity,
     check_theorem_A, code_truncate, geodesic, is_adjacent,
     ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
     validate_vertex, vertex_from_letters, word_element,
@@ -19,6 +19,8 @@ from arbor.tree import (
 
 from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
                         enumerate_reduced_words, geodesic_to_code)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -105,6 +107,18 @@ def test_build_tree_radius_six_profile():
 def test_build_tree_vertex_cap():
     with pytest.raises(TreeError, match="cap"):
         build_tree(builtin("sl2z"), 6, vertex_cap=10)
+    with pytest.raises(TreeError, match="radius 6 has 43 vertices, over the "
+                                        "vertex cap of 42"):
+        build_tree(builtin("sl2z"), 6, vertex_cap=42)
+    assert len(build_tree(builtin("sl2z"), 6, vertex_cap=43).vertices) == 43
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(
+    str(p) for p in sorted(FIXTURES.glob("*.json"))))
+def test_ball_size_counts_the_built_tree(name):
+    am = builtin(name)
+    for radius in range(7):
+        assert ball_size(am, radius) == len(build_tree(am, radius).vertices)
 
 
 def test_act_on_vertex_translates_base_coset():
