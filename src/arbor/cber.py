@@ -1,6 +1,7 @@
 """Finite-sample equivalence relations, witness chains, and orbit witnesses.
 
-Everything here runs on explicit finite point sets, so relations and their
+Everything here runs on explicit finite point sets, and a relation on n
+points is one tuple of n class labels (a Partition), so relations and their
 refinements are checked exhaustively rather than asserted.  Orbit machinery
 for boundary codes goes through canonical orbit codes: the minimum, over the
 base vertex group, of the translated code.  Two ends lie in the same orbit
@@ -22,76 +23,47 @@ from .tree import act_on_boundary, check_theorem_A, TheoremStyleCertificate, wor
 
 
 class RelationError(ValueError):
-    """Raised for invalid point sets, non-transversals, or failed refinements."""
+    """Raised for sample spaces and chains that cannot be built, and for
+    stored point sets, relations or witnesses that do not hold."""
 
 
 class HypothesisError(RuntimeError):
     """Raised when a required stabilizer certificate does not exist in bounds."""
 
 
-class FinitePointSet:
-    """An ordered finite set of hashable points with index lookup."""
-
-    def __init__(self, points: Iterable) -> None:
-        self.points = tuple(points)
-        self._index: dict = {}
-        for i, p in enumerate(self.points):
-            if p in self._index:
-                raise RelationError(f"duplicate point at positions "
-                                    f"{self._index[p]} and {i}")
-            self._index[p] = i
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def index_of(self, point) -> int:
-        try:
-            return self._index[point]
-        except KeyError:
-            raise RelationError(f"point not in the set: {point!r}") from None
+# A finite equivalence relation on the points 0..n-1: entry i is the least
+# point in i's class.  Equal relations are equal tuples.
+Partition = tuple[int, ...]
 
 
-class FiniteER:
-    """An equivalence relation on a FinitePointSet via union-find."""
+def partition(size: int, links: Iterable[tuple[int, int]]) -> Partition:
+    """The least equivalence relation on range(size) holding every link."""
+    root = list(range(size))
 
-    def __init__(self, base: FinitePointSet) -> None:
-        self.base = base
-        self._parent = list(range(len(base)))
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
 
-    def _find(self, i: int) -> int:
-        root = i
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[i] != root:
-            self._parent[i], i = root, self._parent[i]
-        return root
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:  # the lesser root stays: each root is its class's least
+            root[max(ra, rb)] = min(ra, rb)
+    return tuple(find(i) for i in range(size))
 
-    def relate(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            self._parent[max(ri, rj)] = min(ri, rj)
 
-    def related(self, i: int, j: int) -> bool:
-        return self._find(i) == self._find(j)
+def classes(labels: Partition) -> tuple[tuple[int, ...], ...]:
+    """Each class ascending, classes in the order of their least points."""
+    buckets: dict[int, list[int]] = {}
+    for i, least in enumerate(labels):
+        buckets.setdefault(least, []).append(i)
+    return tuple(tuple(cls) for cls in buckets.values())
 
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(self.base)):
-            buckets.setdefault(self._find(i), []).append(i)
-        return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteER) and self.base is other.base
-                and self.classes() == other.classes())
-
-    def __hash__(self):
-        raise TypeError("FiniteER is mutable; not hashable")
-
-    def refines(self, other: "FiniteER") -> bool:
-        """Every class of self sits inside one class of other."""
-        if other.base is not self.base:
-            raise RelationError("relations live on different point sets")
-        return all(other.related(cls[0], j) for cls in self.classes() for j in cls)
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """Every class of fine sits inside one class of coarse."""
+    return all(coarse[i] == coarse[least] for i, least in enumerate(fine))
 
 
 def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
@@ -295,14 +267,14 @@ CHAIN_ENTRY_CAP = 200_000
 
 @dataclass(frozen=True)
 class WitnessChain:
-    """An increasing chain of finite relations exhausting the orbit relation."""
+    """An increasing chain of finite relations on the sample points, E_n for
+    n = 0..n_max, and the orbit relation it should exhaust."""
 
-    sample: FinitePointSet
-    n_values: tuple[int, ...]
-    chain: tuple[FiniteER, ...]
-    target: FiniteER
+    points: tuple[BoundaryCode, ...]
+    chain: tuple[Partition, ...]
+    target: Partition
     stabilized_at: Optional[int]
-    certificates: tuple[TheoremStyleCertificate, ...]
+    certificates: tuple[TheoremStyleCertificate, ...]  # per point, in order
     shift_codes: tuple[ShiftCodes, ...]  # per point, from _even_shift_codes
 
 
@@ -338,7 +310,6 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
             f"no stabilizer certificate for {len(missing)} sample point(s); "
             f"first: {missing[0]!r}")
 
-    base = FinitePointSet(sample.points)
     mins: dict = {}
     shift_codes = tuple(_even_shift_codes(am, x, mins) for x in sample.points)
     occurrences: dict[BoundaryCode, list[tuple[int, int]]] = {}
@@ -346,37 +317,28 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
         for i, code, _ in codes:
             occurrences.setdefault(code, []).append((idx, i))
 
-    def relation_at(bound: Optional[int]) -> FiniteER:
-        er = FiniteER(base)
-        for code, occ in occurrences.items():
+    def relation_at(bound: Optional[int]) -> Partition:
+        links = []
+        for occ in occurrences.values():
             live = [idx for idx, i in occ if bound is None or i <= bound]
-            for a, b in zip(live, live[1:]):
-                er.relate(a, b)
-        return er
+            links += zip(live, live[1:])
+        return partition(len(sample.points), links)
 
     chain = tuple(relation_at(n) for n in range(n_max + 1))
     target = relation_at(None)
-    stabilized_at = None
-    for n, er in enumerate(chain):
-        if er == target:
-            stabilized_at = n
-            break
-    return WitnessChain(base, tuple(range(n_max + 1)), chain, target,
-                        stabilized_at, tuple(certs), shift_codes)
+    stabilized_at = next((n for n, er in enumerate(chain) if er == target),
+                         None)
+    return WitnessChain(sample.points, chain, target, stabilized_at,
+                        tuple(certs), shift_codes)
 
 
 def validate_witness_chain(wc: WitnessChain) -> None:
-    """Monotonicity, finiteness, and exhaustion checks; raises on failure."""
+    """Monotonicity and exhaustion checks; raises VerificationError on failure."""
     for earlier, later in zip(wc.chain, wc.chain[1:]):
-        if not earlier.refines(later):
-            raise RelationError("chain is not increasing")
-    for er in wc.chain:
-        if any(len(cls) < 1 for cls in er.classes()):
-            raise RelationError("empty class")
+        if not refines(earlier, later):
+            raise VerificationError("chain is not increasing")
     if not wc.chain or wc.chain[-1] != wc.target:
-        raise RelationError("chain does not exhaust the target relation")
-    if not wc.chain[-1].refines(wc.target) or not wc.target.refines(wc.chain[-1]):
-        raise RelationError("final relation differs from the target")
+        raise VerificationError("chain does not exhaust the target relation")
 
 
 def orbit_witness_table(am: Amalgam, wc: WitnessChain
@@ -384,14 +346,13 @@ def orbit_witness_table(am: Amalgam, wc: WitnessChain
     """(point, class representative, verified word carrying the point's code
     to the representative's code) for every sample point."""
     out = []
-    for cls in wc.target.classes():
+    for cls in classes(wc.target):
         rep = cls[0]
-        rep_code = wc.sample.points[rep]
         for idx in cls:
-            found = _shift_witness(am, rep_code, wc.shift_codes[rep],
-                                   wc.sample.points[idx], wc.shift_codes[idx])
+            found = _shift_witness(am, wc.points[rep], wc.shift_codes[rep],
+                                   wc.points[idx], wc.shift_codes[idx])
             if found is None:
-                raise RelationError(
+                raise VerificationError(
                     f"target class pair ({rep},{idx}) has no orbit witness")
             out.append((idx, rep, found[0]))
     return out
@@ -401,17 +362,17 @@ def witness_chain_to_json(am: Amalgam, wc: WitnessChain,
                           with_witnesses: bool = True) -> dict:
     """A JSON-ready dict: points as code strings, relations as class arrays."""
     doc = {
-        "points": [format_code(am, x) for x in wc.sample.points],
-        "n_values": list(wc.n_values),
-        "chain": [[list(cls) for cls in er.classes()] for er in wc.chain],
-        "target": [list(cls) for cls in wc.target.classes()],
+        "points": [format_code(am, x) for x in wc.points],
+        "n_values": list(range(len(wc.chain))),
+        "chain": [[list(cls) for cls in classes(er)] for er in wc.chain],
+        "target": [list(cls) for cls in classes(wc.target)],
         "stabilized_at": wc.stabilized_at,
         "certificates": [
-            {"point": wc.sample.index_of(cert.code),
+            {"point": idx,
              "sigma_length": cert.sigma_length,
              "order": cert.order,
              "stabilizer": [word_to_str(am, w) for w in cert.stabilizer.elements]}
-            for cert in wc.certificates
+            for idx, cert in enumerate(wc.certificates)
         ],
     }
     if with_witnesses:
@@ -423,29 +384,37 @@ def witness_chain_to_json(am: Amalgam, wc: WitnessChain,
 
 
 def witness_chain_from_json(am: Amalgam, doc: dict
-                            ) -> tuple[FinitePointSet, list[FiniteER], FiniteER]:
-    """Rebuild the point set and relations; verifies any embedded witnesses."""
-    base = FinitePointSet(parse_code(am, s) for s in doc["points"])
+                            ) -> tuple[tuple[BoundaryCode, ...],
+                                       list[Partition], Partition]:
+    """Rebuild the points and relations; verifies any embedded witnesses."""
+    points = tuple(parse_code(am, s) for s in doc["points"])
+    first: dict[BoundaryCode, int] = {}
+    for i, x in enumerate(points):
+        if first.setdefault(x, i) != i:
+            raise RelationError(f"duplicate point at positions {first[x]} "
+                                f"and {i}")
 
-    def er_from_classes(classes) -> FiniteER:
-        er = FiniteER(base)
-        seen: set[int] = set()
-        for cls in classes:
-            for a, b in zip(cls, cls[1:]):
-                er.relate(a, b)
+    def index(a: int) -> int:
+        if not 0 <= a < len(points):
+            raise RelationError(f"point {a} is not in the point set")
+        return a
+
+    def from_classes(class_lists) -> Partition:
+        labels: list[Optional[int]] = [None] * len(points)
+        for cls in class_lists:
+            least = min(cls, default=None)
             for a in cls:
-                if a in seen:
+                if labels[index(a)] is not None:
                     raise RelationError(f"point {a} in two classes")
-                seen.add(a)
-        if seen != set(range(len(base))):
+                labels[a] = least
+        if None in labels:
             raise RelationError("classes do not partition the point set")
-        return er
+        return tuple(labels)
 
-    chain = [er_from_classes(c) for c in doc["chain"]]
-    target = er_from_classes(doc["target"])
+    chain = [from_classes(c) for c in doc["chain"]]
+    target = from_classes(doc["target"])
     for w in doc.get("witnesses", []):
-        g = word_from_str(am, w["word"])
-        got = act_on_boundary(am, g, base.points[w["point"]])
-        if got != base.points[w["class_rep"]]:
+        x, rep = points[index(w["point"])], points[index(w["class_rep"])]
+        if act_on_boundary(am, word_from_str(am, w["word"]), x) != rep:
             raise RelationError(f"stored witness for point {w['point']} fails")
-    return base, chain, target
+    return points, chain, target

@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import __version__
 from .cber import (
+    RelationError,
     build_sample_space,
     hyperfiniteness_witness,
     orbit_equivalent,
@@ -226,6 +227,13 @@ def cmd_check(am: Amalgam, args) -> int:
 def cmd_witness(am: Amalgam, args) -> int:
     sample = build_sample_space(am, args.p_max, args.q_max)
     wc = hyperfiniteness_witness(am, sample, args.n_max)
+    if wc.stabilized_at is None:
+        # every relation past the sample's longest even shift is the target
+        enough = max(codes[-1][0] for codes in wc.shift_codes)
+        raise RelationError(
+            f"the chain up to --n-max {args.n_max} does not reach the orbit "
+            f"relation on the sample; raise --n-max ({enough} is always "
+            f"enough for this sample)")
     validate_witness_chain(wc)
     doc = witness_chain_to_json(am, wc, with_witnesses=not args.no_witnesses)
     doc["command"] = "witness"

@@ -76,14 +76,15 @@ def _validate_table(mul_table: Sequence[Sequence[int]]) -> None:
     n = len(mul_table)
     if n == 0:
         raise GroupError("empty multiplication table")
+    full = set(range(n))
     for row in mul_table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
+        if len(row) != n or not full.issuperset(row):
             raise GroupError("multiplication table is not square over 0..n-1")
     for i in range(n):
         if mul_table[0][i] != i or mul_table[i][0] != i:
             raise GroupError("index 0 is not a two-sided identity")
-    for i in range(n):
-        if len(set(mul_table[i])) != n or len({mul_table[j][i] for j in range(n)}) != n:
+    for i, (row, col) in enumerate(zip(mul_table, zip(*mul_table))):
+        if len(set(row)) != n or len(set(col)) != n:
             raise GroupError(f"row or column {i} is not a permutation")
     gens: list[int] = []
     reached = {0}
@@ -217,8 +218,8 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build a group from an int (cyclic order) or a spec dict.
 
     Dict forms: {"cyclic": n}, {"mul_table": [[...]]}, {"permutations": [[...]]},
-    each optionally with "names" (a list of strings); permutations may carry
-    a closure "cap".  Values of the wrong JSON type raise GroupError.
+    each optionally with "names" (a list of strings); only permutations may
+    carry a closure "cap".  Values of the wrong JSON type raise GroupError.
     """
     if type(spec) is int:
         return cyclic_group(spec)
@@ -232,6 +233,8 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
     if len(kinds) != 1:
         raise GroupError("group spec needs exactly one of cyclic/mul_table/permutations")
     kind = kinds[0]
+    if "cap" in spec and kind != "permutations":
+        raise GroupError("cap: only a permutations spec has a closure to cap")
     if kind == "cyclic":
         return cyclic_group(_spec_int(spec["cyclic"], kind), names)
     if kind == "mul_table":

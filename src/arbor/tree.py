@@ -82,10 +82,6 @@ class TruncatedTree:
     depths: tuple[int, ...]
     index: dict = field(compare=False, repr=False)
 
-    @property
-    def base(self) -> TreeVertex:
-        return self.vertices[0]
-
     def counts_by_distance(self) -> list[int]:
         counts = [0] * (self.radius + 1)
         for d in self.depths:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from arbor.cber import classes
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode, PeriodicWord, compare_words, format_code
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
@@ -316,11 +317,11 @@ def pairwise_witness_table(am: Amalgam, wc):
                 for i in range(0, x.horizon() + 2, 2)]
 
     rows = []
-    for cls in wc.target.classes():
+    for cls in classes(wc.target):
         rep = cls[0]
-        x = wc.sample.points[rep]
+        x = wc.points[rep]
         for idx in cls:
-            y = wc.sample.points[idx]
+            y = wc.points[idx]
             xs, ys = shift_minima(x), shift_minima(y)
             i, j, hx, hy = next((i, j, hx, hy) for i, cx, hx in xs
                                 for j, cy, hy in ys if cx == cy)

@@ -1,20 +1,22 @@
 """Relations on finite samples, witness chains, and orbit equivalence."""
 import json
+import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from arbor.cber import (
-    SAMPLE_SPACE_CAP, FiniteER, FinitePointSet, RelationError,
-    build_sample_space, hyperfiniteness_witness, orbit_equivalent,
-    orbit_witness_table, sample_space_size, validate_witness_chain,
+    SAMPLE_SPACE_CAP, RelationError, build_sample_space, classes,
+    hyperfiniteness_witness, orbit_equivalent, orbit_witness_table, partition,
+    refines, sample_space_size, validate_witness_chain,
     witness_chain_from_json, witness_chain_to_json, _orbit_min,
 )
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode, compare_words
-from arbor.groups import (A_SIDE, B_SIDE, Letter, invert, multiply,
-                          word_of_subgroup_element)
+from arbor.groups import (A_SIDE, B_SIDE, Letter, VerificationError,
+                          invert, multiply, word_of_subgroup_element)
 from arbor.tree import act_on_boundary, word_element
 
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min,
@@ -27,32 +29,63 @@ eL = Letter(A_SIDE, 0)
 
 
 def small_er():
-    base = FinitePointSet(["p", "q", "r", "s", "t"])
-    er = FiniteER(base)
-    er.relate(0, 2)
-    er.relate(3, 4)
-    return base, er
+    # five points: 0 ~ 2 and 3 ~ 4
+    return partition(5, [(0, 2), (3, 4)])
+
+
+def sl2z_chain_doc():
+    am = builtin("sl2z")
+    wc = hyperfiniteness_witness(am, build_sample_space(am, 1, 4), 6)
+    return am, witness_chain_to_json(am, wc)
 
 
 def test_point_set_rejects_duplicates():
-    with pytest.raises(RelationError, match="duplicate"):
-        FinitePointSet(["x", "x"])
+    am, doc = sl2z_chain_doc()
+    doc["points"][1] = doc["points"][0]
+    with pytest.raises(RelationError,
+                       match="duplicate point at positions 0 and 1"):
+        witness_chain_from_json(am, doc)
 
 
 def test_er_classes_and_transversal():
-    _, er = small_er()
-    assert er.classes() == ((0, 2), (1,), (3, 4))
+    er = small_er()
+    assert er == (0, 1, 0, 3, 3)
+    assert classes(er) == ((0, 2), (1,), (3, 4))
     # the least point of each class leads it: the class representatives
-    assert [cls[0] for cls in er.classes()] == [0, 1, 3]
-    assert er.related(0, 2) and not er.related(0, 1)
+    assert [cls[0] for cls in classes(er)] == [0, 1, 3]
+    assert er[0] == er[2] and er[0] != er[1]
+
+
+def test_partition_labels_are_least_reachable_points():
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        links = [(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.randint(0, 8))]
+        neighbours = [set() for _ in range(size)]
+        for a, b in links:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+
+        def reach(i):
+            seen, todo = {i}, [i]
+            while todo:
+                for j in neighbours[todo.pop()] - seen:
+                    seen.add(j)
+                    todo.append(j)
+            return seen
+
+        labels = partition(size, links)
+        assert labels == tuple(min(reach(i)) for i in range(size))
+        assert sorted(i for cls in classes(labels) for i in cls) == \
+            list(range(size))
 
 
 def test_refines():
-    base, er = small_er()
-    finer = FiniteER(base)
-    finer.relate(3, 4)
-    assert finer.refines(er)
-    assert not er.refines(finer)
+    er = small_er()
+    finer = partition(5, [(3, 4)])
+    assert refines(finer, er)
+    assert not refines(er, finer)
 
 
 def test_tail_equivalent_shift_pairs():
@@ -242,38 +275,38 @@ def test_dihedral_ends_witness_is_a_reflection():
     assert act_on_boundary(am, d.witness, right) == left
 
 
-@pytest.mark.parametrize("name,classes", [
+@pytest.mark.parametrize("name,n_classes", [
     ("dihedral", 1), ("sl2z", 3), ("psl2z", 3),
 ])
-def test_witness_chain_structure(name, classes):
+def test_witness_chain_structure(name, n_classes):
     am = builtin(name)
     space = build_sample_space(am, 1, 4)
     n_max = space.p_max + space.q_max * am.C.order
     wc = hyperfiniteness_witness(am, space, n_max)
     validate_witness_chain(wc)
-    assert len(wc.target.classes()) == classes
+    assert len(classes(wc.target)) == n_classes
     assert wc.stabilized_at is not None and wc.stabilized_at <= n_max
     assert len(wc.certificates) == len(space.points)
     # brute-force cross-check of the target relation
     for i in range(len(space.points)):
         for j in range(i + 1, len(space.points)):
             expect = orbit_equivalent(am, space.points[i], space.points[j])
-            assert wc.target.related(i, j) == expect.equivalent
+            assert (wc.target[i] == wc.target[j]) == expect.equivalent
 
 
 def test_witness_chain_monotone_growth():
     am = builtin("sl2z")
     space = build_sample_space(am, 1, 4)
     wc = hyperfiniteness_witness(am, space, 4)
-    sizes = [len(er.classes()) for er in wc.chain]
+    sizes = [len(classes(er)) for er in wc.chain]
     assert sizes == sorted(sizes, reverse=True)
-    assert wc.chain[0].refines(wc.target)
+    assert refines(wc.chain[0], wc.target)
     # E_0 groups exactly the points sharing a canonical orbit code
     for i in range(len(space.points)):
         for j in range(len(space.points)):
             same = _orbit_min(am, space.points[i])[0] == \
                 _orbit_min(am, space.points[j])[0]
-            assert wc.chain[0].related(i, j) == same
+            assert (wc.chain[0][i] == wc.chain[0][j]) == same
 
 
 def test_witness_chain_json_roundtrip():
@@ -283,11 +316,41 @@ def test_witness_chain_json_roundtrip():
     doc = witness_chain_to_json(am, wc)
     text = json.dumps(doc, indent=2, sort_keys=True)
     back = json.loads(text)
-    base, chain, target = witness_chain_from_json(am, back)
-    assert base.points == wc.sample.points
-    assert [er.classes() for er in chain] == [er.classes() for er in wc.chain]
-    assert target.classes() == wc.target.classes()
+    points, chain, target = witness_chain_from_json(am, back)
+    assert points == wc.points
+    assert chain == list(wc.chain)
+    assert target == wc.target
     assert json.dumps(back, indent=2, sort_keys=True) == text
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"target": [[0, 1], [1, 2, 3, 4, 5, 6, 7]]}, "point 1 in two classes"),
+    ({"target": [[1, 2, 3, 4, 5, 6, 7]]},
+     "classes do not partition the point set"),
+    ({"chain": [[[0, 1, 2, 3], [4, 5, 6, 7, 8]]]},
+     "point 8 is not in the point set"),
+    ({"witnesses": [{"point": 0, "class_rep": -1, "word": "e"}]},
+     "point -1 is not in the point set"),
+], ids=["two-classes", "uncovered", "class-index", "witness-index"])
+def test_witness_chain_json_rejects_bad_classes(patch, message):
+    am, doc = sl2z_chain_doc()
+    assert len(doc["points"]) == 8
+    doc.update(patch)
+    with pytest.raises(RelationError, match=message):
+        witness_chain_from_json(am, doc)
+
+
+def test_validate_witness_chain_refuses_planted_defects():
+    am = builtin("sl2z")
+    wc = hyperfiniteness_witness(am, build_sample_space(am, 1, 4), 4)
+    validate_witness_chain(wc)
+    everything = (0,) * len(wc.points)
+    assert wc.chain[0] != everything
+    with pytest.raises(VerificationError, match="chain is not increasing"):
+        validate_witness_chain(replace(wc, chain=(everything, *wc.chain)))
+    with pytest.raises(VerificationError,
+                       match="chain does not exhaust the target relation"):
+        validate_witness_chain(replace(wc, target=everything))
 
 
 def test_witness_chain_json_rejects_corrupted_witness():

@@ -123,6 +123,10 @@ def test_config_errors(tmp_path, capsys):
         ({"permutations": [[1, 2, 3, 0]], "cap": "x"}, "model.h: cap"),
         ({"permutations": [[1, 2, 3, 0]], "cap": True}, "model.h: cap"),
         ({"permutations": [5]}, "model.h: permutations"),
+        ({"cyclic": 4, "cap": 2},
+         "model.h: cap: only a permutations spec has a closure to cap\n"),
+        ({"mul_table": table, "cap": 2},
+         "model.h: cap: only a permutations spec has a closure to cap\n"),
         ({"cyclic": 4, "nmes": ["e", "a", "a2", "a3"]},
          "model.h.nmes: unknown key\n"),
         ({"mul_table": swap_intercalate(c300, (1, 151, 1, 151))},
@@ -418,6 +422,7 @@ EDGE_CASES = [
      {}, 2),
     (["reiter", "--window", "z", "--support-size", "1000"], {}, 2),
     (["witness", "--n-max", "1000000000"], {}, 2),
+    (["witness", "--config", "psl2z", "--n-max", "1"], {}, 2),
     (["cfw", "--m-max", "1000000000"], {}, 2),
     (["reiter", "--window", "z", "--support-size", "-3"], {}, 2),
     (["cfw", "--config", "nosuch"], {}, 0),
@@ -535,6 +540,21 @@ def test_oversized_tree_ball_is_refused_fast(capsys, argv, count):
     assert time.perf_counter() - started < 0.5
     assert (rc, out) == (2, "")
     assert err == f"error: {count}, over the vertex cap of 100000\n"
+
+
+def test_witness_below_stabilization_names_n_max(capsys):
+    rc, out, err = run(capsys, ["witness", "--config", "psl2z",
+                                "--n-max", "1"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: the chain up to --n-max 1 does not reach the "
+                   "orbit relation on the sample; raise --n-max (6 is always "
+                   "enough for this sample)\n")
+    # the advertised bound is enough, and so is the chain's stabilization
+    for n_max in ("6", "2"):
+        rc, out, _ = run(capsys, ["witness", "--config", "psl2z",
+                                  "--n-max", n_max])
+        assert rc == 0
+        assert json.loads(out)["stabilized_at"] == 2
 
 
 def _readme_commands() -> list:

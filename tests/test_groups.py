@@ -50,6 +50,23 @@ def test_table_validation_rejects_non_latin():
         group_from_table([[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1], [1]], "multiplication table is not square over 0..n-1"),
+    # an entry out of range is reported before the broken identity
+    ([[1, 0], [0, 7]], "multiplication table is not square over 0..n-1"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+     "multiplication table is not square over 0..n-1"),
+    ([[1, 0], [0, 1]], "index 0 is not a two-sided identity"),
+    # column 1 repeats an entry and so does row 2: the lower index is named
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 1]], "row or column 1 is not a permutation"),
+    ([[0, 1, 2], [1, 0, 0], [2, 2, 1]], "row or column 1 is not a permutation"),
+])
+def test_table_validation_messages_in_order(table, message):
+    with pytest.raises(GroupError) as exc:
+        group_from_table(table)
+    assert str(exc.value) == message
+
+
 # A Latin square with two-sided identity that fails associativity.
 LOOP_5 = [
     [0, 1, 2, 3, 4],
