@@ -274,7 +274,8 @@ class WitnessChain:
     chain: tuple[Partition, ...]
     target: Partition
     stabilized_at: Optional[int]
-    certificates: tuple[TheoremStyleCertificate, ...]  # per point, in order
+    # per point, in order; none when the chain stops short of the target
+    certificates: tuple[TheoremStyleCertificate, ...]
     shift_codes: tuple[ShiftCodes, ...]  # per point, from _even_shift_codes
 
 
@@ -282,12 +283,14 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
                             n_max: int) -> WitnessChain:
     """Build E_0 <= E_1 <= ... <= E_n_max from shift witnesses on the sample.
 
-    Every sample point needs its stabilizer certificate first.  E_n relates
-    two sample points when even shifts i, j <= n give equal canonical orbit
-    codes, closed transitively inside the sample.  The target is the same
-    construction with unbounded (horizon-capped) shifts, which is the full
-    orbit relation on the sample.  The chain's entries are counted before
-    any certificate and refused over CHAIN_ENTRY_CAP.
+    E_n relates two sample points when even shifts i, j <= n give equal
+    canonical orbit codes, closed transitively inside the sample.  The
+    target is the same construction with unbounded (horizon-capped) shifts,
+    which is the full orbit relation on the sample.  The chain's entries are
+    counted first and refused over CHAIN_ENTRY_CAP.  Only a chain that
+    reaches its target goes on to every sample point's stabilizer
+    certificate: one that stops short is left without certificates, for its
+    caller to refuse.
     """
     if n_max < 0:
         raise RelationError("n_max must be nonnegative")
@@ -297,19 +300,6 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
             f"a witness chain of {n_max + 1} relations over "
             f"{len(sample.points)} points has {entries} entries, over the cap "
             f"of {CHAIN_ENTRY_CAP}; lower n_max")
-    certs: list[TheoremStyleCertificate] = []
-    missing = []
-    for x in sample.points:
-        cert = check_theorem_A(am, x)
-        if cert is None:
-            missing.append(x)
-        else:
-            certs.append(cert)
-    if missing:
-        raise HypothesisError(
-            f"no stabilizer certificate for {len(missing)} sample point(s); "
-            f"first: {missing[0]!r}")
-
     mins: dict = {}
     shift_codes = tuple(_even_shift_codes(am, x, mins) for x in sample.points)
     occurrences: dict[BoundaryCode, list[tuple[int, int]]] = {}
@@ -328,6 +318,21 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
     target = relation_at(None)
     stabilized_at = next((n for n, er in enumerate(chain) if er == target),
                          None)
+    if stabilized_at is None:
+        return WitnessChain(sample.points, chain, target, None, (),
+                            shift_codes)
+    certs: list[TheoremStyleCertificate] = []
+    missing = []
+    for x in sample.points:
+        cert = check_theorem_A(am, x)
+        if cert is None:
+            missing.append(x)
+        else:
+            certs.append(cert)
+    if missing:
+        raise HypothesisError(
+            f"no stabilizer certificate for {len(missing)} sample point(s); "
+            f"first: {missing[0]!r}")
     return WitnessChain(sample.points, chain, target, stabilized_at,
                         tuple(certs), shift_codes)
 

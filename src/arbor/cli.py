@@ -279,7 +279,13 @@ def _reiter_window(args):
                     f"generators: need integers, got {args.generators!r}")
         # the integer line is the free group of rank 1
         check_window_size(1, radius, args.vertex_cap)
-        return integer_window(radius, steps), list(range(args.support_size))
+        window = integer_window(radius, steps)
+        if args.support_size > len(window.vertices):
+            raise ConfigError(
+                f"--support-size: {args.support_size} support points do not "
+                f"fit in the window of radius {radius}, which has "
+                f"{len(window.vertices)} vertices")
+        return window, list(range(args.support_size))
     if args.window == "free":
         if args.generators:
             raise ConfigError("generators: the free window always uses all "

@@ -318,36 +318,109 @@ class TheoremStyleCertificate:
         return self.stabilizer.order
 
 
+def _ray_walk(am: Amalgam, x: BoundaryCode
+              ) -> tuple[int, tuple[int, ...], Optional[int]]:
+    """(sigma, the H elements fixing the end x, one element that dies at
+    letter sigma - 1 or None when sigma is 0), from one lockstep walk.
+
+    Every element of H walks along x as in act_on_boundary: e turns the
+    first letter into the first letter of e.x and a carry in C, and each
+    later letter is one step-table lookup.  e fixes the ray's vertex after
+    n letters exactly when its first n emitted letters are x's, so an
+    element dies at the first letter it changes, the survivors after n
+    letters fix the first n steps, and sigma is the count of letters read
+    when the last one died.  Survivors' carries are distinct (a survivor e
+    with carry c after the letters spelling P has e P = P c), so once
+    (cycle position, survivor carries) repeats nothing dies any more; nor
+    does anything alive after len(prefix) + len(cycle)*|C| letters, past
+    which each survivor's own (cycle position, carry) has repeated.
+    """
+    first = x.letter_at(0).rep
+    head = am.rep_element(A_SIDE, first)
+    survivors, dead = [], None
+    for e in am.H.elements():
+        rep, carry = am.decompose(A_SIDE, am.H.mul(e, head))
+        if rep == first:
+            survivors.append((carry, e))
+        elif dead is None:
+            dead = e
+    sigma = 0 if dead is None else 1
+    bound = len(x.prefix) + len(x.cycle) * am.C.order
+    seen: set = set()
+    j = 1
+    while len(survivors) > 1 and j < bound:
+        if j >= len(x.prefix):
+            state = ((j - len(x.prefix)) % len(x.cycle),
+                     frozenset(c for c, _ in survivors))
+            if state in seen:
+                break
+            seen.add(state)
+        letter = x.letter_at(j)
+        kept = []
+        for c, e in survivors:
+            rep, carry = am.step(letter.side, c, letter.rep)
+            if rep == letter.rep:
+                kept.append((carry, e))
+            elif sigma != j + 1:
+                sigma, dead = j + 1, e
+        survivors = kept
+        j += 1
+    return sigma, tuple(e for _, e in survivors), dead
+
+
+def _words(am: Amalgam, elements) -> tuple[ReducedWord, ...]:
+    return tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
+                         for e in elements), key=ReducedWord.sort_key))
+
+
+def _recheck_end(am: Amalgam, x: BoundaryCode,
+                 words: tuple[ReducedWord, ...]) -> None:
+    if any(act_on_boundary(am, h, x) != x for h in words):
+        raise VerificationError("ray stabilizer element fails to fix the end")
+
+
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
-    """Elements of the base vertex group fixing the end x."""
-    out = []
-    for elem in am.H.elements():
-        h = word_of_subgroup_element(am, A_SIDE, elem)
-        if act_on_boundary(am, h, x) == x:
-            out.append(h)
-    out.sort(key=ReducedWord.sort_key)
-    return tuple(out)
+    """Elements of the base vertex group fixing the end x, each re-applied."""
+    words = _words(am, _ray_walk(am, x)[1])
+    _recheck_end(am, x, words)
+    return words
 
 
 def check_theorem_A(am: Amalgam, x: BoundaryCode,
                     max_len: Optional[int] = None) -> Optional[TheoremStyleCertificate]:
     """Least n with Stab(first n steps of the ray) equal to Stab(the end).
 
-    Base-rooted rays only: both stabilizers are computed inside H.  Returns
-    None when no n up to max_len works; segment stabilizers only shrink, so
-    equality at n persists for every longer segment.
+    Base-rooted rays only: both stabilizers lie inside H, and one lockstep
+    walk (_ray_walk) gives n.  Returns None when n is over max_len; segment
+    stabilizers only shrink, so equality at n persists for every longer
+    segment.  Each stabilizer element is re-applied to every vertex of the
+    segment and to the end, and below n one element is shown to fix the
+    segment of n - 1 steps but move the vertex at n.
     """
     if max_len is None:
         max_len = x.horizon() + 2
     elif max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
-    target = frozenset(ray_stabilizer(am, x))
-    for n in range(max_len + 1):
-        stab = stabilizer_of_segment(am, code_truncate(x, n))
-        if frozenset(stab.elements) == target:
-            return TheoremStyleCertificate(x, n, stab, tuple(sorted(
-                target, key=ReducedWord.sort_key)))
-    return None
+    sigma, fixing, dead = _ray_walk(am, x)
+    if sigma > max_len:
+        return None
+    segment = code_truncate(x, sigma)
+    words = _words(am, fixing)
+    if any(act_on_vertex(am, h, v) != v
+           for h in words for v in segment.vertices):
+        raise VerificationError(
+            "segment stabilizer element fails to fix the segment")
+    _recheck_end(am, x, words)
+    if sigma:
+        g = word_of_subgroup_element(am, A_SIDE, dead)
+        near, far = segment.vertices[-2:]
+        if act_on_vertex(am, g, near) != near \
+                or act_on_vertex(am, g, far) == far:
+            raise VerificationError(
+                f"no element fixes {sigma - 1} steps of the ray but not "
+                f"{sigma}")
+    return TheoremStyleCertificate(x, sigma, SegmentStabilizer(segment, words),
+                                   words)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           format_fraction, l1_distance)
 from arbor.tree import (GeodesicPath, TreeError, act_on_boundary, base_vertex,
-                        build_tree, geodesic, stabilizer_of_segment,
-                        word_element)
+                        build_tree, code_truncate, geodesic,
+                        stabilizer_of_segment, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
@@ -293,6 +293,33 @@ def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
                 order = stabilizer_of_segment(am, path).order
                 hist[order] = hist.get(order, 0) + 1
     return sum(hist.values()), tuple(sorted(hist.items()))
+
+
+def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
+    """Elements of the base vertex group fixing the end x: every element
+    applied with act_on_boundary, sorted as the library sorts them."""
+    out = []
+    for elem in am.H.elements():
+        h = word_of_subgroup_element(am, A_SIDE, elem)
+        if act_on_boundary(am, h, x) == x:
+            out.append(h)
+    out.sort(key=ReducedWord.sort_key)
+    return tuple(out)
+
+
+def check_theorem_A(am: Amalgam, x: BoundaryCode,
+                    max_len: Optional[int] = None):
+    """(n, segment stabilizer, ray stabilizer) for the least n whose segment
+    stabilizer, searched afresh for every n, equals the ray stabilizer; None
+    when no n up to max_len (default: horizon + 2) works."""
+    if max_len is None:
+        max_len = x.horizon() + 2
+    ray = ray_stabilizer(am, x)
+    for n in range(max_len + 1):
+        stab = stabilizer_of_segment(am, code_truncate(x, n))
+        if frozenset(stab.elements) == frozenset(ray):
+            return n, stab, ray
+    return None
 
 
 def orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:

@@ -4,9 +4,14 @@ Properties the boundary and vertex actions must keep whatever engine
 computes them: the identity acts trivially, acting by h then g is acting
 by gh, g^-1 undoes g, and edges go to edges.  Products are checked against
 the rewriting closure, which never touches the normal-form tables, and the
-lockstep walk behind canonical orbit codes against applying every base
-element.  Runs on the three built-in models and the benchmark's two
-fixtures.
+lockstep walks behind canonical orbit codes, ray stabilizers and theorem-A
+certificates against applying every base element.  Runs on the three
+built-in models and the benchmark's two fixtures; the walks also run on
+S4 *_S3 S4 (the point stabilizer S3 on both sides), the only model here
+with a non-cyclic C.  With a cyclic C a carry and its image under the step
+table generate the same subgroup, so a stabilizer walk that forgets to move
+its survivors' carries still finds every stabilizer, and only S4 *_S3 S4
+catches it.
 """
 from pathlib import Path
 
@@ -19,15 +24,20 @@ from arbor.codes import BoundaryCode
 from arbor.groups import (A_SIDE, B_SIDE, Letter, ReducedWord, invert,
                           multiply)
 from arbor.tree import (TreeVertex, act_on_boundary, act_on_vertex,
-                        is_adjacent, validate_vertex)
+                        check_theorem_A, is_adjacent, ray_stabilizer,
+                        validate_vertex)
 
+import bruteforce
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min, tagged_of_reduced,
                         words_equal)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "perfbench" / "fixtures"
 MODELS = {name: builtin(name) for name in BUILTIN_NAMES}
 MODELS.update((p.stem, builtin(str(p)))
               for p in sorted(FIXTURES.glob("*.json")))
+WALK_MODELS = dict(MODELS, s4_s3_s4=builtin(str(HERE / "models"
+                                                / "s4_s3_s4.json")))
 
 LAWS = settings(max_examples=100, deadline=None, derandomize=True,
                 database=None)
@@ -134,9 +144,9 @@ def test_step_table_is_exact(name):
                 assert am.step(side, c, rep) == am.decompose(side, u)
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(WALK_MODELS))
 def test_orbit_min_walk_matches_every_element_applied(name):
-    am = MODELS[name]
+    am = WALK_MODELS[name]
 
     @LAWS
     @given(ends(am))
@@ -147,5 +157,26 @@ def test_orbit_min_walk_matches_every_element_applied(name):
             else BoundaryCode(head, x.cycle[1:] + x.cycle[:1])
         for code in (x, trivial):
             assert _orbit_min(am, code) == orbit_min(am, code)
+
+    law()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MODELS))
+def test_stabilizer_walk_matches_every_element_applied(name):
+    am = WALK_MODELS[name]
+
+    @LAWS
+    @given(ends(am), st.integers(0, 4))
+    def law(x, max_len):
+        ray = bruteforce.ray_stabilizer(am, x)
+        assert ray_stabilizer(am, x) == ray
+        for cap in (None, max_len):
+            cert = check_theorem_A(am, x, cap)
+            expect = bruteforce.check_theorem_A(am, x, cap)
+            assert (cert is None) == (expect is None)
+            if cert is not None:
+                assert (cert.sigma_length, cert.stabilizer,
+                        cert.ray_stabilizer) == expect
+                assert cert.order == len(ray)
 
     law()

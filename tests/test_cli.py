@@ -8,10 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from arbor import tree
 from arbor.cli import ConfigError, load_config, main
+from arbor.groups import B_SIDE, Letter, ReducedWord
 from arbor.reiter import monotone_tensor
 
 from bruteforce import swap_intercalate, tensor_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 EQUIV_X = "prefix=e;cycle=b,a"
 EQUIV_Y = "prefix=;cycle=a,b"
@@ -271,6 +276,49 @@ def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
     assert err == "internal error: orbit witness failed re-verification\n"
 
 
+S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
+SIGMA_3 = "prefix=e;cycle=t1,s1"  # on S4: sigma_length 3, ray order 1
+
+
+@pytest.mark.parametrize("what,plant,message", [
+    # the element that dies at sigma reported as fixing the end
+    ("stabilizers", lambda n, fix, dead: (n, fix + (dead,), dead),
+     "ray stabilizer element fails to fix the end"),
+    ("theorem-a", lambda n, fix, dead: (n, fix + (dead,), dead),
+     "segment stabilizer element fails to fix the segment"),
+    # ... and as fixing the end one step earlier, where it fixes the segment
+    ("theorem-a", lambda n, fix, dead: (n - 1, fix + (dead,), dead),
+     "ray stabilizer element fails to fix the end"),
+    # the identity as the element that dies at sigma
+    ("theorem-a", lambda n, fix, dead: (n, fix, 0),
+     "no element fixes 2 steps of the ray but not 3"),
+], ids=["ray", "segment", "ray-after-segment", "sigma"])
+def test_failed_stabilizer_recheck_exits_3(monkeypatch, capsys, what, plant,
+                                           message):
+    rc, out, _ = run(capsys, ["check", "--what", "theorem-a", "--config", S4,
+                              "--codes", SIGMA_3])
+    assert rc == 0 and json.loads(out)["rows"][0]["sigma_length"] == 3
+    # plant maps the walk's (sigma, fixing elements, dying element) to what
+    # the re-checks see
+    walk = tree._ray_walk
+    monkeypatch.setattr("arbor.tree._ray_walk",
+                        lambda am, x: plant(*walk(am, x)))
+    rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
+                                "--codes", SIGMA_3])
+    assert (rc, out, err) == (3, "", f"internal error: {message}\n")
+
+
+def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
+    # every conjugated element comes out as one K letter, which moves the
+    # base vertex that the survey's first segment starts at
+    monkeypatch.setattr("arbor.tree.multiply",
+                        lambda am, u, v: ReducedWord((Letter(B_SIDE, 1),), 0))
+    rc, out, err = run(capsys, ["check", "--what", "acylindrical",
+                                "--seg-length", "1"])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: conjugated stabilizer element fails to fix\n"
+
+
 def test_equiv_bad_code(capsys):
     rc, _, err = run(capsys, ["equiv", "--x", "prefix=;cycle=b,a",
                               "--y", EQUIV_Y])
@@ -376,9 +424,6 @@ def test_cfw_custom_tensor(tmp_path, capsys):
     assert "tensor" in err
 
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-
 # (argv, extra environment, exit code): bad or edge input on the reiter,
 # cfw, witness, sample-space and cap paths must end in a verdict or one error
 # line, never a traceback.  "{tmp}" is replaced by a fresh temporary
@@ -426,6 +471,14 @@ EDGE_CASES = [
     (["cfw", "--m-max", "1000000000"], {}, 2),
     (["reiter", "--window", "z", "--support-size", "-3"], {}, 2),
     (["cfw", "--config", "nosuch"], {}, 0),
+    # 81 points fill the window but escape it; more cannot fit at all, and
+    # are refused before the support is listed
+    (["reiter", "--window", "z", "--radius", "40", "--support-size", "81"],
+     {}, 2),
+    (["reiter", "--window", "z", "--radius", "40", "--support-size", "82"],
+     {}, 2),
+    (["reiter", "--window", "z", "--radius", "40", "--support-size",
+      "1000000000"], {}, 2),
 ]
 
 
@@ -494,6 +547,15 @@ def test_free_window_default_radius(capsys):
      "has 2193330 entries, over the cap of 1000000"),
     (["--window", "free", "--rank", "4", "--support-radius", "2"],
      "has 1792674 entries, over the cap of 1000000"),
+    (["--window", "z", "--radius", "40", "--support-size", "81"],
+     "error: support vertex 40 escapes under generator 1; shrink the support "
+     "or grow the window\n"),
+    (["--window", "z", "--radius", "40", "--support-size", "82"],
+     "error: --support-size: 82 support points do not fit in the window of "
+     "radius 40, which has 81 vertices\n"),
+    (["--window", "z", "--radius", "40", "--support-size", "1000000000"],
+     "error: --support-size: 1000000000 support points do not fit in the "
+     "window of radius 40, which has 81 vertices\n"),
 ])
 def test_oversized_window_or_lp_is_refused_fast(capsys, argv, count):
     started = time.perf_counter()
@@ -555,6 +617,17 @@ def test_witness_below_stabilization_names_n_max(capsys):
                                   "--n-max", n_max])
         assert rc == 0
         assert json.loads(out)["stabilized_at"] == 2
+
+
+def test_short_n_max_is_refused_before_any_certificate(monkeypatch, capsys):
+    def certify(*args):
+        raise AssertionError("a certificate was built before the refusal")
+
+    monkeypatch.setattr("arbor.cber.check_theorem_A", certify)
+    rc, out, err = run(capsys, ["witness", "--config", "psl2z",
+                                "--n-max", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the chain up to --n-max 1 does not reach")
 
 
 def _readme_commands() -> list:
