@@ -376,7 +376,7 @@ def witness_chain_to_json(am: Amalgam, wc: WitnessChain,
             {"point": idx,
              "sigma_length": cert.sigma_length,
              "order": cert.order,
-             "stabilizer": [word_to_str(am, w) for w in cert.stabilizer.elements]}
+             "stabilizer": [word_to_str(am, w) for w in cert.elements]}
             for idx, cert in enumerate(wc.certificates)
         ],
     }

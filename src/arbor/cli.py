@@ -166,7 +166,7 @@ def cmd_tree(am: Amalgam, args) -> int:
         "command": "tree",
         "radius": args.radius,
         "vertices": len(tree.vertices),
-        "edges": len(tree.edges),
+        "edges": len(tree.vertices) - 1,
         "counts_by_distance": tree.counts_by_distance(),
     }, args)
     return 0
@@ -213,7 +213,7 @@ def cmd_check(am: Amalgam, args) -> int:
                 "certified": True,
                 "sigma_length": cert.sigma_length,
                 "order": cert.order,
-                "ray_order": len(cert.ray_stabilizer),
+                "ray_order": cert.order,
             })
     _emit({
         "command": "check",

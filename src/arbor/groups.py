@@ -195,6 +195,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
 GroupSpec = Union[int, dict]
 # every key a spec dict may hold; make_group reads no other
 SPEC_KEYS = ("cyclic", "mul_table", "permutations", "names", "cap")
+# characters a report puts between element names (, ; *) or that would end
+# or escape a quoted dot label (" \); names must avoid them to read back
+NAME_SEPARATORS = ',;*"\\'
 
 
 def _spec_int(value, key: str) -> int:
@@ -229,6 +232,13 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
     if names is not None and (not isinstance(names, (list, tuple)) or
                               not all(isinstance(n, str) for n in names)):
         raise GroupError(f"names: need a list of strings, got {names!r}")
+    for name in names or ():
+        if not name or name != name.strip() \
+                or any(c in name for c in NAME_SEPARATORS):
+            raise GroupError(
+                f"names: {name!r} cannot be read back from a report; a name "
+                f"is nonempty, has no surrounding whitespace and holds none "
+                f"of {' '.join(NAME_SEPARATORS)}")
     kinds = [k for k in ("cyclic", "mul_table", "permutations") if k in spec]
     if len(kinds) != 1:
         raise GroupError("group spec needs exactly one of cyclic/mul_table/permutations")

@@ -8,7 +8,7 @@ the base vertex are exactly the letter streams of boundary codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import BoundaryCode
@@ -23,6 +23,9 @@ K_TYPE = 1
 # Vertices a truncated tree may hold; the ARBOR_VERTEX_CAP environment
 # variable overrides it on the command line.
 VERTEX_CAP = 100_000
+
+# Letter names `tree --dot` may write into its labels, summed over vertices.
+DOT_LETTER_CAP = 10_000_000
 
 
 class TreeError(ValueError):
@@ -76,11 +79,17 @@ def is_adjacent(v: TreeVertex, w: TreeVertex) -> bool:
 
 @dataclass(frozen=True)
 class TruncatedTree:
+    """A ball in breadth-first order: vertex i > 0 hangs below parent[i] by
+    letter[i]; the base has parent -1 and letter None."""
+
     radius: int
-    vertices: tuple[TreeVertex, ...]
-    edges: tuple[tuple[int, int], ...]
+    parent: tuple[int, ...]
+    letter: tuple[Optional[Letter], ...]
     depths: tuple[int, ...]
-    index: dict = field(compare=False, repr=False)
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self.depths))
 
     def counts_by_distance(self) -> list[int]:
         counts = [0] * (self.radius + 1)
@@ -88,11 +97,15 @@ class TruncatedTree:
             counts[d] += 1
         return counts
 
-    def index_of(self, v: TreeVertex) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise TreeError(f"vertex not inside the truncated tree: {v}") from None
+    def vertex(self, i: int) -> TreeVertex:
+        """Vertex i spelled as a word, by climbing its parents."""
+        if not 0 <= i < len(self.depths):
+            raise TreeError(f"vertex {i} is not inside the truncated tree")
+        word = []
+        while i > 0:
+            word.append(self.letter[i])
+            i = self.parent[i]
+        return TreeVertex(len(word) % 2, tuple(reversed(word)))
 
 
 def ball_size(am: Amalgam, radius: int) -> int:
@@ -109,7 +122,7 @@ def ball_size(am: Amalgam, radius: int) -> int:
 
 def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> TruncatedTree:
     """Breadth-first ball of the given radius around the base vertex, counted
-    first and refused over the vertex cap."""
+    first and refused over the vertex cap; its letters are shared objects."""
     if radius < 0:
         raise TreeError("radius must be nonnegative")
     # a growing ball (a + b > 4) holds over 2**half vertices: past the cap,
@@ -120,28 +133,18 @@ def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> Trunca
     if too_big or count > vertex_cap:
         raise TreeError(f"the tree ball of radius {radius} has {count} "
                         f"vertices, over the vertex cap of {vertex_cap}")
-    vertices: list[TreeVertex] = [base_vertex()]
-    depths: list[int] = [0]
-    edges: list[tuple[int, int]] = []
-    index = {vertices[0]: 0}
-    level: list[int] = [0]
+    alphabet = [[Letter(side, rep) for rep in range(am.transversal(side).index)]
+                for side in (A_SIDE, B_SIDE)]
+    parent, letter, depths = [-1], [None], [0]
+    level = range(1)  # the vertices one depth up
     for depth in range(1, radius + 1):
-        nxt: list[int] = []
-        for vi in level:
-            v = vertices[vi]
-            side = A_SIDE if len(v.word) % 2 == 0 else B_SIDE
-            start = 0 if not v.word else 1
-            for rep in range(start, am.transversal(side).index):
-                word = v.word + (Letter(side, rep),)
-                child = TreeVertex(1 - v.vtype, word)
-                index[child] = len(vertices)
-                vertices.append(child)
-                depths.append(depth)
-                edges.append((vi, index[child]))
-                nxt.append(index[child])
-        level = nxt
-    return TruncatedTree(radius, tuple(vertices), tuple(edges),
-                         tuple(depths), index)
+        # only the base's children may begin with the trivial letter
+        letters = alphabet[(depth - 1) % 2][depth > 1:]
+        parent += [vi for vi in level for _ in letters]
+        letter += letters * len(level)
+        level = range(level.stop, len(parent))
+        depths += [depth] * len(level)
+    return TruncatedTree(radius, tuple(parent), tuple(letter), tuple(depths))
 
 
 def word_element(am: Amalgam, letters: Sequence[Letter]) -> ReducedWord:
@@ -184,10 +187,9 @@ def validate_geodesic(am: Amalgam, path: GeodesicPath) -> None:
             raise TreeError("path backtracks")
 
 
-def geodesic(tree: TruncatedTree, v: TreeVertex, w: TreeVertex) -> GeodesicPath:
-    """The unique shortest path between two tree vertices."""
-    tree.index_of(v)
-    tree.index_of(w)
+def geodesic(tree: TruncatedTree, i: int, j: int) -> GeodesicPath:
+    """The unique shortest path between tree vertices i and j."""
+    v, w = tree.vertex(i), tree.vertex(j)
     lcp = 0
     while lcp < min(len(v.word), len(w.word)) and v.word[lcp] == w.word[lcp]:
         lcp += 1
@@ -306,16 +308,15 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
 
 @dataclass(frozen=True)
 class TheoremStyleCertificate:
-    """Witness that a finite initial segment already pins the ray stabilizer."""
+    """The elements fixing the first sigma_length steps of a ray, and its end."""
 
     code: BoundaryCode
     sigma_length: int
-    stabilizer: SegmentStabilizer
-    ray_stabilizer: tuple[ReducedWord, ...]
+    elements: tuple[ReducedWord, ...]
 
     @property
     def order(self) -> int:
-        return self.stabilizer.order
+        return len(self.elements)
 
 
 def _ray_walk(am: Amalgam, x: BoundaryCode
@@ -419,8 +420,7 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
             raise VerificationError(
                 f"no element fixes {sigma - 1} steps of the ray but not "
                 f"{sigma}")
-    return TheoremStyleCertificate(x, sigma, SegmentStabilizer(segment, words),
-                                   words)
+    return TheoremStyleCertificate(x, sigma, words)
 
 
 @dataclass(frozen=True)
@@ -453,19 +453,18 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     if tree_radius < seg_length:
         raise TreeError("tree radius must be at least the segment length")
     tree = build_tree(am, tree_radius, vertex_cap)
-    neighbors: list[list[int]] = [[] for _ in tree.vertices]
-    for a, b in tree.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+    neighbors = [[p] if p >= 0 else [] for p in tree.parent]
+    for child in tree.vertices[1:]:
+        neighbors[tree.parent[child]].append(child)
     hist: dict[int, int] = {}
     count = 0
-    for i, v in enumerate(tree.vertices):
+    for i in tree.vertices:
         walk = [(i, -1)]  # (vertex, the vertex it was reached from)
         for _ in range(seg_length):
             walk = [(w, u) for u, prev in walk for w in neighbors[u]
                     if w != prev]
         for j in sorted(u for u, _ in walk if u > i):
-            path = geodesic(tree, v, tree.vertices[j])
+            path = geodesic(tree, i, j)
             stab = stabilizer_of_segment(am, path)
             hist[stab.order] = hist.get(stab.order, 0) + 1
             count += 1
@@ -474,13 +473,24 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
 
 
 def to_dot(am: Amalgam, tree: TruncatedTree) -> str:
-    """Graphviz source: H-type vertices as circles, K-type as boxes."""
+    """Graphviz source: H-type vertices as circles, K-type as boxes, each
+    labelled with its word.  The labels hold sum(depths) letter names, which
+    is counted first and refused over DOT_LETTER_CAP."""
+    letters = sum(tree.depths)
+    if letters > DOT_LETTER_CAP:
+        raise TreeError(f"the dot labels of a ball of radius {tree.radius} "
+                        f"hold {letters} letters, over the cap of "
+                        f"{DOT_LETTER_CAP}")
     lines = ["graph bass_serre {"]
-    for i, v in enumerate(tree.vertices):
-        shape = "circle" if v.vtype == H_TYPE else "box"
-        label = ",".join(am.letter_name(letter) for letter in v.word)
-        lines.append(f'  v{i} [label="{label}", shape={shape}];')
-    for i, j in tree.edges:
-        lines.append(f"  v{i} -- v{j};")
+    labels = [""]
+    for i, depth in enumerate(tree.depths):
+        if i:
+            name = am.letter_name(tree.letter[i])
+            up = labels[tree.parent[i]]
+            labels.append(f"{up},{name}" if depth > 1 else name)
+        shape = "circle" if depth % 2 == H_TYPE else "box"
+        lines.append(f'  v{i} [label="{labels[i]}", shape={shape}];')
+    for i in tree.vertices[1:]:
+        lines.append(f"  v{tree.parent[i]} -- v{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

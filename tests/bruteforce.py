@@ -3,11 +3,13 @@
 Two roads that never touch the normal-form machinery: a bounded rewriting
 closure over tagged words, and faithful matrix/affine representations of the
 three built-in models.  Exhaustive searches the library replaced with
-direct constructions: segments from all vertex pairs, orbit witnesses
-rebuilt from scratch for every pair, canonical orbit codes from every base
-element applied and compared, and permutation-group tables with every
-product composed, associativity by the triple loop, and coset
-partitions rebuilt element by element.  Direct checks of what the commands
+direct constructions: tree balls that store every vertex's word (with
+geodesics through two words' common prefix and dot labels joined from the
+words), segments from all vertex pairs, orbit witnesses rebuilt from
+scratch for every pair, canonical orbit codes from every base element
+applied and compared, and permutation-group tables with every product
+composed, associativity by the triple loop, and coset partitions rebuilt
+element by element.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
 equivalence), codes read back off their rays, and a bounded word search for
 orbit witnesses over every normal form up to a length.  Deviation tensors built
@@ -17,6 +19,7 @@ line uses.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -29,8 +32,8 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           format_fraction, l1_distance)
-from arbor.tree import (GeodesicPath, TreeError, act_on_boundary, base_vertex,
-                        build_tree, code_truncate, geodesic,
+from arbor.tree import (H_TYPE, GeodesicPath, TreeError, TreeVertex,
+                        act_on_boundary, base_vertex, code_truncate,
                         stabilizer_of_segment, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
@@ -280,15 +283,88 @@ def element_key(model_name: str, am: Amalgam, w: ReducedWord):
 
 # --- tree and orbit surveys --------------------------------------------------
 
+@dataclass(frozen=True)
+class WordTree:
+    """A tree ball that stores every vertex's whole word and an index from
+    words to vertex numbers."""
+
+    radius: int
+    vertices: tuple[TreeVertex, ...]
+    edges: tuple[tuple[int, int], ...]
+    depths: tuple[int, ...]
+    index: dict = field(compare=False, repr=False)
+
+    def index_of(self, v: TreeVertex) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise TreeError(f"vertex not inside the truncated tree: {v}") from None
+
+
+def word_tree(am: Amalgam, radius: int) -> WordTree:
+    """Breadth-first ball of the given radius, each child's word spelled by
+    appending one letter to its parent's."""
+    vertices: list[TreeVertex] = [base_vertex()]
+    depths: list[int] = [0]
+    edges: list[tuple[int, int]] = []
+    index = {vertices[0]: 0}
+    level: list[int] = [0]
+    for depth in range(1, radius + 1):
+        nxt: list[int] = []
+        for vi in level:
+            v = vertices[vi]
+            side = A_SIDE if len(v.word) % 2 == 0 else B_SIDE
+            start = 0 if not v.word else 1
+            for rep in range(start, am.transversal(side).index):
+                word = v.word + (Letter(side, rep),)
+                child = TreeVertex(1 - v.vtype, word)
+                index[child] = len(vertices)
+                vertices.append(child)
+                depths.append(depth)
+                edges.append((vi, index[child]))
+                nxt.append(index[child])
+        level = nxt
+    return WordTree(radius, tuple(vertices), tuple(edges), tuple(depths),
+                    index)
+
+
+def word_geodesic(tree: WordTree, v: TreeVertex, w: TreeVertex) -> GeodesicPath:
+    """The path between two vertices of the ball through their words'
+    longest common prefix."""
+    tree.index_of(v)
+    tree.index_of(w)
+    lcp = 0
+    while lcp < min(len(v.word), len(w.word)) and v.word[lcp] == w.word[lcp]:
+        lcp += 1
+    down = [v.word[:k] for k in range(len(v.word), lcp - 1, -1)]
+    up = [w.word[:k] for k in range(lcp + 1, len(w.word) + 1)]
+    verts = [TreeVertex(len(word) % 2, word) for word in down + up]
+    return GeodesicPath(tuple(verts))
+
+
+def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
+    """The Graphviz source `tree --dot` writes, each label joined from the
+    vertex's stored word."""
+    lines = ["graph bass_serre {"]
+    for i, v in enumerate(tree.vertices):
+        shape = "circle" if v.vtype == H_TYPE else "box"
+        label = ",".join(am.letter_name(letter) for letter in v.word)
+        lines.append(f'  v{i} [label="{label}", shape={shape}];')
+    for i, j in tree.edges:
+        lines.append(f"  v{i} -- v{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
     """(segments, orders histogram) from a geodesic between every vertex pair
     of the ball, keeping the pairs at distance seg_length."""
-    tree = build_tree(am, tree_radius)
+    tree = word_tree(am, tree_radius)
     hist: dict[int, int] = {}
     nv = len(tree.vertices)
     for i in range(nv):
         for j in range(i + 1, nv):
-            path = geodesic(tree, tree.vertices[i], tree.vertices[j])
+            path = word_geodesic(tree, tree.vertices[i], tree.vertices[j])
             if path.length == seg_length:
                 order = stabilizer_of_segment(am, path).order
                 hist[order] = hist.get(order, 0) + 1

@@ -69,9 +69,10 @@ def test_criterion_1_tree_structure():
     tree = build_tree(am, 6)
     assert tree.counts_by_distance() == [1, 2, 4, 4, 8, 8, 16]
     n = len(tree.vertices)
-    assert len(tree.edges) == n - 1
+    edges = [(tree.parent[j], j) for j in tree.vertices[1:]]
+    assert len(edges) == n - 1
     adj = [[] for _ in range(n)]
-    for i, j in tree.edges:
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     seen = {0}
@@ -83,9 +84,10 @@ def test_criterion_1_tree_structure():
                 seen.add(nxt)
                 frontier.append(nxt)
     assert len(seen) == n
-    for idx, v in enumerate(tree.vertices):
+    for idx in tree.vertices:
         if tree.depths[idx] < 6:
-            assert len(adj[idx]) == (2 if v.vtype == H_TYPE else 3)
+            vtype = tree.vertex(idx).vtype
+            assert len(adj[idx]) == (2 if vtype == H_TYPE else 3)
     _report(1, "radius-6 tree [1,2,4,4,8,8,16], connected acyclic "
                "(2,3)-biregular", started, 1.0)
 

@@ -175,8 +175,9 @@ def test_stabilizer_walk_matches_every_element_applied(name):
             expect = bruteforce.check_theorem_A(am, x, cap)
             assert (cert is None) == (expect is None)
             if cert is not None:
-                assert (cert.sigma_length, cert.stabilizer,
-                        cert.ray_stabilizer) == expect
+                n, stab, brute_ray = expect
+                assert (cert.sigma_length, cert.elements, cert.elements) == \
+                    (n, stab.elements, brute_ray)
                 assert cert.order == len(ray)
 
     law()

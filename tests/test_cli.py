@@ -22,6 +22,19 @@ EQUIV_X = "prefix=e;cycle=b,a"
 EQUIV_Y = "prefix=;cycle=a,b"
 OTHER_Y = "prefix=;cycle=a,b2"
 
+# H names no report can read back, each put in place of psl2z's "s": codes
+# and words are joined with , ; and *, and dot labels are quoted
+UNREADABLE_NAMES = {"comma": "a,b", "space": " s", "empty": "",
+                    "semicolon": "s;t", "star": "s*t", "quote": 's"',
+                    "backslash": "s\\"}
+
+
+def psl2z_named(h_name: str) -> dict:
+    return {"model": {"h": {"cyclic": 2, "names": ["e", h_name]},
+                      "k": {"cyclic": 3, "names": ["e", "t", "t2"]},
+                      "c": {"cyclic": 1, "names": ["e"]},
+                      "embed_h": [0], "embed_k": [0]}}
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -136,7 +149,9 @@ def test_config_errors(tmp_path, capsys):
          "model.h.nmes: unknown key\n"),
         ({"mul_table": swap_intercalate(c300, (1, 151, 1, 151))},
          "model.h: table is not associative"),
-    ]
+    ] + [({"cyclic": 4, "names": ["e", name, "a2", "a3"]},
+          f"model.h: names: {name!r} cannot be read back from a report")
+         for name in UNREADABLE_NAMES.values()]
     cases = [({"model": dict(model, h=spec)}, msg) for spec, msg in broken_h]
     cases += [
         ({"model": dict(model, embed_h=[0, True])}, "model.embed_h"),
@@ -479,7 +494,14 @@ EDGE_CASES = [
      {}, 2),
     (["reiter", "--window", "z", "--radius", "40", "--support-size",
       "1000000000"], {}, 2),
-]
+    # the labels of the dihedral ball of radius 3162 hold 3162 * 3163 letters,
+    # over DOT_LETTER_CAP; one radius less fits
+    (["tree", "--config", "dihedral", "--radius", "3162", "--dot",
+      "{tmp}/ball.dot"], {}, 2),
+    (["tree", "--config", "dihedral", "--radius", "4", "--dot",
+      "{tmp}/ball.dot"], {}, 0),
+] + [(["witness", "--config", f"{{tmp}}/names_{label}.json"], {}, 2)
+     for label in UNREADABLE_NAMES]
 
 
 @pytest.mark.parametrize("argv,env,code", EDGE_CASES,
@@ -487,6 +509,9 @@ EDGE_CASES = [
 def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{root}", str(ROOT))
             for a in argv]
+    for label, name in UNREADABLE_NAMES.items():
+        (tmp_path / f"names_{label}.json").write_text(
+            json.dumps(psl2z_named(name)))
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
@@ -515,6 +540,22 @@ def test_unreadable_target_is_a_usage_error(target):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.endswith(
         f"error: argument --target: invalid Fraction value: '{target}'\n")
+
+
+def test_oversized_dot_is_refused_fast(tmp_path, capsys):
+    dot = tmp_path / "ball.dot"
+    started = time.perf_counter()
+    rc, out, err = run(capsys, ["tree", "--config", "dihedral", "--radius",
+                                "3162", "--dot", str(dot)])
+    assert time.perf_counter() - started < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: the dot labels of a ball of radius 3162 hold "
+                   "10001406 letters, over the cap of 10000000\n")
+    assert not dot.exists()
+    rc, _, _ = run(capsys, ["tree", "--config", "dihedral", "--radius",
+                            "3161", "--dot", str(dot)])
+    assert rc == 0
+    assert dot.read_text().count("--") == 2 * 3161
 
 
 def test_oversized_grid_check_is_refused_fast(capsys):

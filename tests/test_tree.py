@@ -1,9 +1,12 @@
 """Tree construction, vertex/boundary actions, geodesics, and stabilizers."""
+import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from arbor.cli import load_config
+from arbor.cli import load_config, main
 from arbor.codes import BoundaryCode
 from arbor.groups import (
     A_SIDE, B_SIDE, Letter, invert, multiply,
@@ -18,9 +21,14 @@ from arbor.tree import (
 )
 
 from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
-                        enumerate_reduced_words, geodesic_to_code)
+                        enumerate_reduced_words, geodesic_to_code,
+                        word_geodesic, word_tree, word_tree_dot)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "perfbench" / "fixtures"
+ORACLE_MODELS = BUILTIN_NAMES + tuple(
+    str(p) for p in sorted(FIXTURES.glob("*.json"))) + (
+    str(HERE / "models" / "s4_s3_s4.json"),)
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -91,12 +99,13 @@ def test_build_tree_profiles(name, profile):
     assert tree.counts_by_distance() == profile
     assert tree.counts_by_distance() == expected_level_counts(
         am.A.index, am.B.index, 4)
-    assert len(set(tree.vertices)) == len(tree.vertices)
-    assert len(tree.edges) == len(tree.vertices) - 1
-    for v in tree.vertices:
+    verts = [tree.vertex(i) for i in tree.vertices]
+    assert len(set(verts)) == len(verts)
+    for v in verts:
         validate_vertex(am, v)
-    for i, j in tree.edges:
-        assert is_adjacent(tree.vertices[i], tree.vertices[j])
+    for i in tree.vertices[1:]:
+        assert tree.parent[i] < i
+        assert is_adjacent(verts[tree.parent[i]], verts[i])
 
 
 def test_build_tree_radius_six_profile():
@@ -121,6 +130,50 @@ def test_ball_size_counts_the_built_tree(name):
         assert ball_size(am, radius) == len(build_tree(am, radius).vertices)
 
 
+@pytest.mark.parametrize("name", ORACLE_MODELS,
+                         ids=lambda name: Path(name).stem)
+def test_parent_arrays_match_the_word_tree(name, tmp_path, capsys):
+    am = builtin(name)
+    for radius in range(5):
+        tree, words = build_tree(am, radius), word_tree(am, radius)
+        assert tree.depths == words.depths
+        assert tuple(map(tree.vertex, tree.vertices)) == words.vertices
+        assert tuple((tree.parent[i], i) for i in tree.vertices[1:]) == \
+            words.edges
+        dot = tmp_path / f"r{radius}.dot"
+        assert main(["tree", "--config", name, "--radius", str(radius),
+                     "--dot", str(dot)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["vertices"], doc["edges"], doc["counts_by_distance"]) == (
+            len(words.vertices), len(words.edges),
+            [words.depths.count(d) for d in range(radius + 1)])
+        assert dot.read_text() == word_tree_dot(am, words)
+    tree, words = build_tree(am, 3), word_tree(am, 3)
+    for i in tree.vertices:
+        for j in tree.vertices:
+            assert geodesic(tree, i, j) == word_geodesic(
+                words, words.vertices[i], words.vertices[j])
+
+
+def test_largest_dihedral_ball_is_fast_and_small():
+    # 2 * 49,999 + 1 vertices: the largest ball the vertex cap admits
+    am, radius = builtin("dihedral"), 49_999
+    started = time.perf_counter()
+    tree = build_tree(am, radius)
+    assert time.perf_counter() - started < 1
+    assert len(tree.vertices) == 99_999
+    assert tree.vertex(len(tree.vertices) - 1).word == \
+        ((aL, bL) * radius)[:radius]
+    # the peak is measured in a second, untimed build: tracing slows it
+    tracemalloc.start()
+    try:
+        build_tree(am, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_act_on_vertex_translates_base_coset():
     am = builtin("sl2z")
     a = normal_form(am, [("H", 1)])
@@ -134,11 +187,12 @@ def test_act_on_vertex_identity_and_inverse():
         tree = build_tree(am, 4)
         e = am.identity_word()
         words = enumerate_reduced_words(am, 2)
-        for v in tree.vertices:
+        verts = [tree.vertex(i) for i in tree.vertices]
+        for v in verts:
             assert act_on_vertex(am, e, v) == v
         for g in words:
             gi = invert(am, g)
-            for v in tree.vertices[:7]:
+            for v in verts[:7]:
                 assert act_on_vertex(am, gi, act_on_vertex(am, g, v)) == v
 
 
@@ -149,7 +203,7 @@ def test_act_on_vertex_is_an_action():
     for g in words[:12]:
         for h in words[:12]:
             gh = multiply(am, g, h)
-            for v in tree.vertices[::3]:
+            for v in map(tree.vertex, tree.vertices[::3]):
                 assert act_on_vertex(am, gh, v) == \
                     act_on_vertex(am, g, act_on_vertex(am, h, v))
 
@@ -159,9 +213,9 @@ def test_act_on_vertex_preserves_adjacency():
         am = builtin(name)
         tree = build_tree(am, 4)
         for g in enumerate_reduced_words(am, 3):
-            for i, j in tree.edges:
-                gv = act_on_vertex(am, g, tree.vertices[i])
-                gw = act_on_vertex(am, g, tree.vertices[j])
+            for i in tree.vertices[1:]:
+                gv = act_on_vertex(am, g, tree.vertex(tree.parent[i]))
+                gw = act_on_vertex(am, g, tree.vertex(i))
                 assert is_adjacent(gv, gw)
 
 
@@ -181,21 +235,23 @@ def test_geodesic_through_base_and_reversal():
     tree = build_tree(am, 2)
     v = TreeVertex(K_TYPE, (aL,))
     w = TreeVertex(K_TYPE, (eL,))
-    path = geodesic(tree, v, w)
+    assert (tree.vertex(2), tree.vertex(1)) == (v, w)
+    path = geodesic(tree, 2, 1)
     assert path.length == 2
     assert path.vertices == (v, base_vertex(), w)
     validate_geodesic(am, path)
-    back = geodesic(tree, w, v)
+    back = geodesic(tree, 1, 2)
     assert back.vertices == tuple(reversed(path.vertices))
 
 
 def test_geodesic_distances_match_word_structure():
     am = builtin("sl2z")
     tree = build_tree(am, 4)
-    for v in tree.vertices[::5]:
-        for w in tree.vertices[::7]:
-            path = geodesic(tree, v, w)
+    for i in tree.vertices[::5]:
+        for j in tree.vertices[::7]:
+            path = geodesic(tree, i, j)
             validate_geodesic(am, path)
+            v, w = tree.vertex(i), tree.vertex(j)
             lcp = 0
             while (lcp < min(len(v.word), len(w.word))
                    and v.word[lcp] == w.word[lcp]):
@@ -204,11 +260,12 @@ def test_geodesic_distances_match_word_structure():
 
 
 def test_geodesic_requires_tree_membership():
-    am = builtin("sl2z")
-    tree = build_tree(am, 2)
-    outside = TreeVertex(K_TYPE, (aL, b2L, aL))
-    with pytest.raises(TreeError, match="inside"):
-        geodesic(tree, base_vertex(), outside)
+    tree = build_tree(builtin("sl2z"), 2)
+    assert len(tree.vertices) == 7
+    for outside in (-1, 7, 10 ** 9):
+        for ends in ((0, outside), (outside, 0)):
+            with pytest.raises(TreeError, match="inside"):
+                geodesic(tree, *ends)
 
 
 def test_code_truncate_and_inverse():
@@ -312,11 +369,11 @@ def test_stabilizer_away_from_base():
     am = builtin("sl2z")
     tree = build_tree(am, 4)
     group_order = {H_TYPE: am.H.order, K_TYPE: am.K.order}
-    for v in tree.vertices[::4]:
-        for w in tree.vertices[::6]:
-            path = geodesic(tree, v, w)
+    for i in tree.vertices[::4]:
+        for j in tree.vertices[::6]:
+            path = geodesic(tree, i, j)
             stab = stabilizer_of_segment(am, path)
-            assert group_order[v.vtype] % stab.order == 0
+            assert group_order[path.vertices[0].vtype] % stab.order == 0
             for g in stab.elements:
                 for u in path.vertices:
                     assert act_on_vertex(am, g, u) == u
@@ -342,7 +399,7 @@ def test_theorem_certificates_at_length_one(name, order):
     assert cert is not None
     assert cert.sigma_length == 1
     assert cert.order == order
-    assert frozenset(cert.stabilizer.elements) == frozenset(cert.ray_stabilizer)
+    assert cert.elements == ray_stabilizer(am, x)
 
 
 def test_theorem_check_exhaustion_returns_none():
@@ -392,16 +449,16 @@ def test_to_dot_is_deterministic_and_wellformed():
     assert dot1 == dot2
     assert dot1.startswith("graph bass_serre {")
     assert dot1.endswith("}\n")
-    assert dot1.count("--") == len(tree.edges)
+    assert dot1.count("--") == len(tree.vertices) - 1
     assert dot1.count("shape=circle") == sum(
-        1 for v in tree.vertices if v.vtype == H_TYPE)
+        1 for i in tree.vertices if tree.vertex(i).vtype == H_TYPE)
     assert 'v0 [label="", shape=circle];' in dot1
 
 
 def test_word_element_of_vertex_words():
     am = builtin("sl2z")
     tree = build_tree(am, 4)
-    for v in tree.vertices:
+    for v in map(tree.vertex, tree.vertices):
         w = word_element(am, v.word)
         assert act_on_vertex(am, w, TreeVertex(v.vtype, ()) if v.vtype == H_TYPE
                              else vertex_from_letters([], K_TYPE)) == v
