@@ -332,6 +332,9 @@ def cmd_reiter(am: Amalgam, args) -> int:
             "ok": True,
         }, args)
         return 0
+    if args.grid_check and args.denominator < 1:
+        raise ConfigError(f"--denominator: need at least 1, got "
+                          f"{args.denominator}")
     window, support = _reiter_window(args)
     if args.grid_check:
         check_grid_size(len(support), args.denominator)

@@ -262,9 +262,11 @@ def _window_deviations(window: SchreierWindow, p: ProbVector) -> list[Fraction]:
 
 
 # Dense LP entries (rows times columns) reiter_lp hands to the simplex.  The
-# largest LP in the tests and the benchmark has about 26,000 entries; on one
-# core, z with 200 support points (486,621) takes about 3 s and the rank-3
-# free window on the 2-ball (307,910) about 10 s.
+# largest LP in the tests and the benchmark has about 26,000 entries; in
+# process on one core of a 2-core Xeon, z with 200 support points (486,621)
+# takes about 0.55 s, the rank-3 free window on the 2-ball (307,910) about
+# 0.8 s and z with 287 points (997,920), the largest the cap admits, about
+# 1.1 s.
 LP_ENTRY_CAP = 1_000_000
 
 

@@ -15,7 +15,8 @@ equivalence), codes read back off their rays, and a bounded word search for
 orbit witnesses over every normal form up to a length.  Deviation tensors built
 from a model's boundary action, as inputs for `cfw`.  The built-in models
 themselves come from the packaged configs, through the loader the command
-line uses.
+line uses.  The two-phase simplex with every tableau entry a Fraction, which
+the integer tableau of `arbor.lp` must match pivot for pivot.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from arbor import lp
 from arbor.cber import classes
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode, PeriodicWord, compare_words, format_code
@@ -528,3 +530,142 @@ def boundary_product_tensor(am: Amalgam, points, mu, words,
         tuple(format_code(am, x) for x in points),
         tuple(Fraction(q) for q in mu),
         values)
+
+
+class _FractionTableau:
+    """Sparse rows over Fraction in terms of the current basis, plus
+    reduced costs: row r reads sum_j rows[r][j] x_j = rhs[r], with
+    rows[r][basis[r]] == 1; red holds the nonzero reduced costs and z the
+    objective value.  Every (row, column) pivot is appended to pivots."""
+
+    def __init__(self, rows, rhs, basis, pivots: list) -> None:
+        self.rows, self.rhs, self.basis = rows, rhs, basis
+        self.red: dict = {}
+        self.z = Fraction(0)
+        self.pivots = pivots
+
+    def price(self, cost: dict) -> None:
+        red = dict(cost)
+        z = Fraction(0)
+        for row, b, col in zip(self.rows, self.rhs, self.basis):
+            cb = cost.get(col)
+            if cb:
+                for j, v in row.items():
+                    red[j] = red.get(j, Fraction(0)) - cb * v
+                z += cb * b
+        self.red = {j: v for j, v in red.items() if v}
+        self.z = z
+
+    def pivot(self, r: int, col: int) -> None:
+        self.pivots.append((r, col))
+        piv = self.rows[r][col]
+        prow = {j: v / piv for j, v in self.rows[r].items()}
+        self.rows[r] = prow
+        self.rhs[r] /= piv
+        pb = self.rhs[r]
+        for i, row in enumerate(self.rows):
+            factor = row.get(col)
+            if i != r and factor is not None:
+                _fraction_eliminate(row, prow, factor)
+                self.rhs[i] -= factor * pb
+        factor = self.red.get(col)
+        if factor is not None:
+            _fraction_eliminate(self.red, prow, factor)
+            self.z += factor * pb
+        self.basis[r] = col
+
+
+def _fraction_eliminate(row: dict, prow: dict, factor: Fraction) -> None:
+    for j, v in prow.items():
+        new = row.get(j, Fraction(0)) - factor * v
+        if new:
+            row[j] = new
+        else:
+            del row[j]
+
+
+def _fraction_loop(tab: _FractionTableau, allowed: int) -> None:
+    pivots = 0
+    while True:
+        candidates = [(v, j) for j, v in tab.red.items()
+                      if j < allowed and v < 0]
+        if not candidates:
+            return
+        if pivots >= lp.BLAND_AFTER:
+            enter = min(j for _, j in candidates)
+        else:
+            enter = min(candidates)[1]
+        leave, best = -1, None
+        for r, row in enumerate(tab.rows):
+            coef = row.get(enter)
+            if coef is not None and coef > 0:
+                ratio = tab.rhs[r] / coef
+                if (best is None or ratio < best or (
+                        ratio == best and tab.basis[r] < tab.basis[leave])):
+                    leave, best = r, ratio
+        if leave < 0:
+            raise lp.LpError("unbounded objective")
+        tab.pivot(leave, enter)
+        pivots += 1
+        if pivots > lp.MAX_PIVOTS:
+            raise lp.LpError(f"pivot budget {lp.MAX_PIVOTS} exhausted")
+
+
+def fraction_simplex(c, a_ub, b_ub, a_eq, b_eq, pivots: list
+                     ) -> lp.LpSolution:
+    """The two-phase simplex of `lp.solve_lp` with every tableau entry a
+    Fraction; its (row, column) pivots are appended to pivots in order, also
+    when it fails.  The solution is not re-verified; infeasible and
+    unbounded programs raise the same LpError."""
+    n = len(c)
+    cons = [({j: Fraction(v) for j, v in enumerate(row) if v}, Fraction(b))
+            for row, b in zip(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))]
+    n_ub = len(a_ub)
+    rows, rhs, basis, signs, with_art = [], [], [], [], []
+    slack, art = n, n + n_ub
+    for i, (row, b) in enumerate(cons):
+        sign = -1 if b < 0 else 1
+        row = {j: sign * v for j, v in row.items()}
+        if i < n_ub:
+            row[slack + i] = Fraction(sign)
+        if i < n_ub and sign > 0:
+            basis.append(slack + i)
+        else:
+            row[art + i] = Fraction(1)
+            basis.append(art + i)
+            with_art.append(i)
+        rows.append(row)
+        rhs.append(b * sign)
+        signs.append(sign)
+    tab = _FractionTableau(rows, rhs, basis, pivots)
+    if with_art:
+        tab.price({art + i: Fraction(1) for i in with_art})
+        _fraction_loop(tab, art)
+        if tab.z > 0:
+            raise lp.LpError("infeasible constraints")
+        keep = []
+        for r in range(len(tab.rows)):
+            if tab.basis[r] >= art:
+                real = [j for j in tab.rows[r] if j < art]
+                if not real:
+                    continue
+                tab.pivot(r, min(real))
+            keep.append(r)
+        tab.rows = [tab.rows[r] for r in keep]
+        tab.rhs = [tab.rhs[r] for r in keep]
+        tab.basis = [tab.basis[r] for r in keep]
+        for row in tab.rows:
+            for i in with_art:
+                if i < n_ub:
+                    row.pop(art + i, None)
+    tab.price({j: Fraction(v) for j, v in enumerate(c) if v})
+    _fraction_loop(tab, art)
+    x = [Fraction(0)] * n
+    for col, b in zip(tab.basis, tab.rhs):
+        if col < n:
+            x[col] = b
+    y = [-tab.red.get(slack + i, Fraction(0)) for i in range(n_ub)]
+    y += [-signs[i] * tab.red.get(art + i, Fraction(0))
+          for i in range(n_ub, len(cons))]
+    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    return lp.LpSolution(value, tuple(x), tuple(y))

@@ -1,16 +1,21 @@
+import dataclasses
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from arbor import tree
+from arbor import reiter, tree
 from arbor.cli import ConfigError, load_config, main
 from arbor.groups import B_SIDE, Letter, ReducedWord
+from arbor.lp import LpSolution
 from arbor.reiter import monotone_tensor
 
 from bruteforce import swap_intercalate, tensor_to_json
@@ -334,6 +339,78 @@ def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
     assert err == "internal error: conjugated stabilizer element fails to fix\n"
 
 
+def test_reiter_value_mismatch_exits_3(monkeypatch, capsys):
+    # a simplex that reports its vertex one unit worse than it deviates
+    solve = reiter.solve_lp
+
+    def off_by_one(*program):
+        sol = solve(*program)
+        return LpSolution(sol.value + 1, sol.x, sol.y)
+
+    monkeypatch.setattr("arbor.reiter.solve_lp", off_by_one)
+    rc, out, err = run(capsys, ["reiter", "--window", "z",
+                                "--support-size", "3"])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: verification mismatch: simplex reported "
+                   "5/3 but the vertex deviates by 2/3\n")
+
+
+def test_cfw_late_mass_recheck_exits_3(monkeypatch, capsys):
+    # stage 0's late mass is 4095/4096; the extraction stores 1/2 instead
+    extract = reiter.cfw_extract
+
+    def corrupted(tensor, m_max=None):
+        ext = extract(tensor, m_max)
+        first = dataclasses.replace(ext.rows[0], bad_mass=Fraction(1, 2))
+        return dataclasses.replace(ext, rows=(first,) + ext.rows[1:])
+
+    monkeypatch.setattr("arbor.cli.cfw_extract", corrupted)
+    rc, out, err = run(capsys, ["cfw"])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: late mass at stage 0 recomputes to "
+                   "4095/4096, stored 1/2\n")
+
+
+def test_unscaled_elimination_fails_the_lp_certificate(monkeypatch, capsys):
+    # the integer pivot without its row scale is right only when the pivot
+    # numerator divides the entry it clears; the z window's LP on two points
+    # has a pivot where it does not
+    def unscaled(row, b, den, prow, pb, p, col):
+        factor = row[col] // gcd(row[col], p)
+        for j, v in prow.items():
+            new = row.get(j, 0) - factor * v
+            if new:
+                row[j] = new
+            else:
+                del row[j]
+        return b - factor * pb, den
+
+    monkeypatch.setattr("arbor.lp._eliminate", unscaled)
+    rc, out, err = run(capsys, ["reiter", "--window", "z",
+                                "--support-size", "2"])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: certificate: constraint 6 is violated\n"
+
+
+# sha256 of the reports of the largest LPs the entry cap admits, recorded
+# from the Fraction tableau before the simplex moved to integer rows
+LARGE_LP_DIGESTS = {
+    "--window free --rank 3 --support-radius 2":
+        "6fce7011c237d9b8e1b3fefb89464f263c39710a34ed618ea7465c6aecd5fea5",
+    "--window free --rank 2 --support-radius 3":
+        "389c19ff3155e48b7c6dba5c997d82e8fa30266e420d3a1676de111d5fbf3a17",
+    "--window z --support-size 287":
+        "59c733a073dc47b7929c0e21f57ad1873abe6b97b37ddb451b2a71e147723cb7",
+}
+
+
+@pytest.mark.parametrize("args", LARGE_LP_DIGESTS)
+def test_large_lp_reports_keep_their_bytes(capsys, args):
+    rc, out, err = run(capsys, ["reiter", *args.split()])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_LP_DIGESTS[args]
+
+
 def test_equiv_bad_code(capsys):
     rc, _, err = run(capsys, ["equiv", "--x", "prefix=;cycle=b,a",
                               "--y", EQUIV_Y])
@@ -353,6 +430,19 @@ def test_witness_report(capsys):
     rc, out, _ = run(capsys, ["witness", "--no-witnesses"])
     assert rc == 0
     assert "witnesses" not in json.loads(out)
+
+
+@pytest.mark.parametrize("support", ["3", "1000000000"])
+@pytest.mark.parametrize("denominator", ["0", "-5"])
+def test_reiter_bad_denominator_is_refused_first(capsys, support,
+                                                  denominator):
+    # refused before the window is built, so an oversized support never
+    # gets its own refusal
+    rc, out, err = run(capsys, ["reiter", "--window", "z", "--support-size",
+                                support, "--grid-check", "--denominator",
+                                denominator])
+    assert (rc, out) == (2, "")
+    assert err == f"error: --denominator: need at least 1, got {denominator}\n"
 
 
 def test_reiter_z_window(capsys):

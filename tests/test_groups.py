@@ -257,7 +257,8 @@ def test_left_cosets_rejects_non_subgroup(tmp_path):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("name", MODEL_NAMES,
+                         ids=lambda name: Path(name).stem)
 def test_cosets_match_the_brute_force_partition(name):
     am = builtin(name)
     for side in (A_SIDE, B_SIDE):

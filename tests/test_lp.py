@@ -1,12 +1,16 @@
-"""Exact simplex solver against hand solutions and a float reference."""
+"""Exact simplex solver against hand solutions, a float reference and the
+Fraction tableau it replaced."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arbor import lp
 from arbor.lp import LpError, LpSolution, solve_lp, verify_optimal
+from bruteforce import fraction_simplex
 
 
 def test_simple_bounded_maximum():
@@ -198,3 +202,65 @@ def test_against_highs_with_dual_certificate(lp):
         col = sum(row[j] * v for row, v in zip(a_ub + a_eq, sol.y))
         assert col <= c[j]
     assert sum(b * v for b, v in zip(b_ub + b_eq, sol.y)) == sol.value
+
+
+# entries with denominators, so rows are scaled by their lcm and pivots
+# that do not divide an entry scale and reduce the row they clear
+_RATIONAL = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2),
+                             Fraction(-3, 2), Fraction(2, 3), Fraction(-5, 6)])
+
+
+@st.composite
+def _rational_lps(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(_RATIONAL, min_size=n, max_size=n)
+    c = draw(row)
+    a_ub = draw(st.lists(row, max_size=5))
+    a_eq = draw(st.lists(row, max_size=3))
+    box = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        # feasible at x0: right-hand sides of either sign, and zero slacks
+        # make degenerate vertices
+        x0 = draw(st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2)]),
+                           min_size=n, max_size=n))
+        slack = st.sampled_from([0, 0, 1, Fraction(1, 3)])
+        b_eq = [sum(a * x for a, x in zip(r, x0)) for r in a_eq]
+        b_ub = [sum(a * x for a, x in zip(r, x0)) + draw(slack) for r in a_ub]
+        box += sum(x0)
+    else:
+        rhs = st.sampled_from([0, 1, 2, -1, Fraction(1, 2), Fraction(-4, 3)])
+        b_ub = [draw(rhs) for _ in a_ub]
+        b_eq = [draw(rhs) for _ in a_eq]
+    if a_eq and draw(st.booleans()):  # a redundant equality row
+        k = draw(st.sampled_from([2, -1, Fraction(1, 3)]))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    if draw(st.booleans()):  # a box, so most programs are bounded
+        a_ub.append([1] * n)
+        b_ub.append(box)
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@pytest.mark.parametrize("bland_after", [lp.BLAND_AFTER, 0, 2])
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(program=_rational_lps())
+def test_integer_tableau_matches_the_fraction_oracle(bland_after, program):
+    pivots, want_pivots = [], []
+    real_pivot = lp._Tableau.pivot
+
+    def record(tab, r, col):
+        pivots.append((r, col))
+        real_pivot(tab, r, col)
+
+    with mock.patch.object(lp, "BLAND_AFTER", bland_after), \
+            mock.patch.object(lp._Tableau, "pivot", record):
+        try:
+            want = fraction_simplex(*program, want_pivots)
+        except LpError as err:
+            with pytest.raises(LpError) as got:
+                solve_lp(*program)
+            assert str(got.value) == str(err)
+        else:
+            got = solve_lp(*program)
+            assert (got.value, got.x, got.y) == (want.value, want.x, want.y)
+    assert pivots == want_pivots

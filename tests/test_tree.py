@@ -123,7 +123,8 @@ def test_build_tree_vertex_cap():
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(
-    str(p) for p in sorted(FIXTURES.glob("*.json"))))
+    str(p) for p in sorted(FIXTURES.glob("*.json"))),
+    ids=lambda name: Path(name).stem)
 def test_ball_size_counts_the_built_tree(name):
     am = builtin(name)
     for radius in range(7):
