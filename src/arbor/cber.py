@@ -19,7 +19,8 @@ from .codes import BoundaryCode, compare_words, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, invert, multiply,
                      word_of_subgroup_element, word_to_str, word_from_str)
-from .tree import act_on_boundary, check_theorem_A, TheoremStyleCertificate, word_element
+from .tree import (act_on_boundary, check_theorem_A, lockstep,
+                   TheoremStyleCertificate, word_element)
 
 
 class RelationError(ValueError):
@@ -74,44 +75,14 @@ def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]
     vertex, so this minimum is a complete orbit invariant for equal codes and
     the first stage of the shift search for tail-related ones.
 
-    Every element of H walks along x in lockstep.  An element e turns x's
-    first letter into the first letter of e.x and a carry in C; each later
-    letter is one step-table lookup that moves the carry past it.  At every
-    position only the elements that emit the least letter survive.  Their
-    carries are distinct, so the walk stops when one carry is left; or when
-    (cycle position, survivor carries) repeats, since nothing was dropped
-    in between and nothing ever will be; or after
-    len(prefix) + 3*len(cycle)*|C| positions, past which any two survivors'
-    streams agree forever (each is periodic within len(cycle)*|C| letters
-    after the prefix; Fine and Wilf).  The code is then derived by
-    act_on_boundary and must spell the letters the walk emitted.
+    The lockstep walk of H along x (tree.lockstep) keeps the elements that
+    emit the least letter; the code is then derived by act_on_boundary from
+    the first survivor and must spell the letters the walk emitted.
     """
-    head = am.rep_element(A_SIDE, x.letter_at(0).rep)
-    moved = [(am.decompose(A_SIDE, am.H.mul(e, head)), e)
-             for e in am.H.elements()]
-    least = min(rc[0] for rc, _ in moved)
-    emitted = [Letter(A_SIDE, least)]
-    survivors = [(c, e) for (r, c), e in moved if r == least]  # H order
-    bound = len(x.prefix) + 3 * len(x.cycle) * am.C.order
-    seen: set = set()
-    j = 1
-    while len(survivors) > 1 and j < bound:
-        if j >= len(x.prefix):
-            state = ((j - len(x.prefix)) % len(x.cycle),
-                     frozenset(c for c, _ in survivors))
-            if state in seen:
-                break
-            seen.add(state)
-        letter = x.letter_at(j)
-        moved = [(am.step(letter.side, c, letter.rep), e)
-                 for c, e in survivors]
-        least = min(rc[0] for rc, _ in moved)
-        emitted.append(Letter(letter.side, least))
-        survivors = [(c, e) for (r, c), e in moved if r == least]
-        j += 1
+    emitted, survivors, _, _ = lockstep(am, x, True)
     h = word_of_subgroup_element(am, A_SIDE, survivors[0][1])
     code = act_on_boundary(am, h, x)
-    if code.letters(len(emitted)) != tuple(emitted):
+    if code.letters(len(emitted)) != emitted:
         raise VerificationError(
             "canonical orbit code disagrees with the lockstep walk")
     return code, h

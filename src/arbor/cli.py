@@ -316,6 +316,10 @@ def _group_gens(group, spec: Optional[str]) -> list:
 
 def cmd_reiter(am: Amalgam, args) -> int:
     if args.window == "group":
+        if args.grid_check:
+            raise ConfigError("--grid-check: the group window has no LP "
+                              "optimum to cross-check; use --window z or "
+                              "free")
         side = 0 if args.side == "h" else 1
         group = am.side_group(side)
         gens = _group_gens(group, args.generators)
@@ -480,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_fraction,
                    help="verdict epsilon, e.g. 1/3")
     p.add_argument("--grid-check", action="store_true",
-                   help="cross-check the optimum against a denominator grid")
+                   help="cross-check the z or free window's optimum "
+                        "against a denominator grid")
     p.add_argument("--denominator", type=int, default=20,
                    help="grid denominator cap for --grid-check "
                         "(default: %(default)s)")

@@ -266,6 +266,65 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     return BoundaryCode(out_prefix, cycle_letters)
 
 
+def lockstep(am: Amalgam, x: BoundaryCode, least: bool
+             ) -> tuple[tuple[Letter, ...], list[tuple[int, int]], int,
+                        Optional[int]]:
+    """Walk every element of H along the end x at once.
+
+    An element e turns x's first letter into the first letter of e.x and a
+    carry in C; each later letter is one step-table lookup that moves the
+    carry past it and emits the next letter of e.x.  At each position only
+    the elements that emit the wanted letter survive: the least one when
+    least is set, otherwise x's own letter, so that the survivors after n
+    letters fix the ray's first n steps.  Returns the emitted letters, the
+    survivors as (carry, e) in H.elements() order, sigma (the letter count
+    at the last death, 0 when none dies) and the first element that died
+    there.
+
+    Survivors' carries are distinct (e P = P' c = e' P gives e = e'), so
+    the walk stops when one survivor is left; or when (cycle position,
+    survivor carries) repeats, since nothing died in between and the same
+    stretch then repeats forever; or after len(prefix) + 3*len(cycle)*|C|
+    letters.  Past len(prefix) + len(cycle)*|C| letters every survivor's own
+    (cycle position, carry) has repeated, so its stream, like x's, is
+    periodic with a period of at most len(cycle)*|C|; two such streams that
+    agree for twice that long agree forever (Fine and Wilf), so nothing
+    dies after the bound.
+    """
+    letter = x.letter_at(0)
+    head = am.rep_element(A_SIDE, letter.rep)
+    moved = [(am.decompose(A_SIDE, am.H.mul(e, head)), e)
+             for e in am.H.elements()]
+    emitted: list[Letter] = []
+    sigma, dead = 0, None
+    bound = len(x.prefix) + 3 * len(x.cycle) * am.C.order
+    seen: set = set()
+    j = 0
+    while True:
+        if least:
+            letter = Letter(letter.side, min(r for (r, _), _ in moved))
+        emitted.append(letter)
+        survivors, want = [], letter.rep
+        for (rep, carry), e in moved:
+            if rep == want:
+                survivors.append((carry, e))
+            elif sigma != j + 1:
+                sigma, dead = j + 1, e
+        j += 1
+        if len(survivors) == 1 or j >= bound:
+            break
+        if j >= len(x.prefix):
+            state = ((j - len(x.prefix)) % len(x.cycle),
+                     frozenset(c for c, _ in survivors))
+            if state in seen:
+                break
+            seen.add(state)
+        letter = x.letter_at(j)
+        moved = [(am.step(letter.side, c, letter.rep), e)
+                 for c, e in survivors]
+    return tuple(emitted), survivors, sigma, dead
+
+
 @dataclass(frozen=True)
 class SegmentStabilizer:
     """The exact setwise-fixing subgroup of a finite segment, as normal forms."""
@@ -319,71 +378,43 @@ class TheoremStyleCertificate:
         return len(self.elements)
 
 
-def _ray_walk(am: Amalgam, x: BoundaryCode
-              ) -> tuple[int, tuple[int, ...], Optional[int]]:
-    """(sigma, the H elements fixing the end x, one element that dies at
-    letter sigma - 1 or None when sigma is 0), from one lockstep walk.
-
-    Every element of H walks along x as in act_on_boundary: e turns the
-    first letter into the first letter of e.x and a carry in C, and each
-    later letter is one step-table lookup.  e fixes the ray's vertex after
-    n letters exactly when its first n emitted letters are x's, so an
-    element dies at the first letter it changes, the survivors after n
-    letters fix the first n steps, and sigma is the count of letters read
-    when the last one died.  Survivors' carries are distinct (a survivor e
-    with carry c after the letters spelling P has e P = P c), so once
-    (cycle position, survivor carries) repeats nothing dies any more; nor
-    does anything alive after len(prefix) + len(cycle)*|C| letters, past
-    which each survivor's own (cycle position, carry) has repeated.
-    """
-    first = x.letter_at(0).rep
-    head = am.rep_element(A_SIDE, first)
-    survivors, dead = [], None
-    for e in am.H.elements():
-        rep, carry = am.decompose(A_SIDE, am.H.mul(e, head))
-        if rep == first:
-            survivors.append((carry, e))
-        elif dead is None:
-            dead = e
-    sigma = 0 if dead is None else 1
-    bound = len(x.prefix) + len(x.cycle) * am.C.order
-    seen: set = set()
-    j = 1
-    while len(survivors) > 1 and j < bound:
-        if j >= len(x.prefix):
-            state = ((j - len(x.prefix)) % len(x.cycle),
-                     frozenset(c for c, _ in survivors))
-            if state in seen:
-                break
-            seen.add(state)
-        letter = x.letter_at(j)
-        kept = []
-        for c, e in survivors:
-            rep, carry = am.step(letter.side, c, letter.rep)
-            if rep == letter.rep:
-                kept.append((carry, e))
-            elif sigma != j + 1:
-                sigma, dead = j + 1, e
-        survivors = kept
-        j += 1
-    return sigma, tuple(e for _, e in survivors), dead
-
-
 def _words(am: Amalgam, elements) -> tuple[ReducedWord, ...]:
     return tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
                          for e in elements), key=ReducedWord.sort_key))
 
 
-def _recheck_end(am: Amalgam, x: BoundaryCode,
+def _recheck_ray(am: Amalgam, x: BoundaryCode, sigma: int, fixing: list,
                  words: tuple[ReducedWord, ...]) -> None:
+    """Each reported word fixes the end x, and each element of H outside
+    fixing moves the ray's vertex at sigma.
+
+    H fixes the base, so for sigma >= 1 only the elements fixing the first
+    step can fix that vertex: the conjugates r c r^-1 (c in C) by the
+    first letter's representative r.
+    """
     if any(act_on_boundary(am, h, x) != x for h in words):
         raise VerificationError("ray stabilizer element fails to fix the end")
+    H = am.H
+    r = am.rep_element(A_SIDE, x.letter_at(0).rep)
+    suspects = H.elements() if sigma == 0 else [
+        H.mul(H.mul(r, am.embed_to_side(A_SIDE, c)), H.inv(r))
+        for c in am.C.elements()]
+    far = TreeVertex(sigma % 2, x.letters(sigma))
+    for e in suspects:
+        if e not in fixing and act_on_vertex(
+                am, word_of_subgroup_element(am, A_SIDE, e), far) == far:
+            raise VerificationError(f"an element left out of the stabilizer "
+                                    f"fixes the ray's vertex at distance "
+                                    f"{sigma}")
 
 
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
-    """Elements of the base vertex group fixing the end x, each re-applied."""
-    words = _words(am, _ray_walk(am, x)[1])
-    _recheck_end(am, x, words)
+    """Elements of the base vertex group fixing the end x, each re-applied,
+    and shown to be all of them."""
+    _, survivors, sigma, _ = lockstep(am, x, False)
+    fixing = [e for _, e in survivors]
+    words = _words(am, fixing)
+    _recheck_ray(am, x, sigma, fixing, words)
     return words
 
 
@@ -392,26 +423,28 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     """Least n with Stab(first n steps of the ray) equal to Stab(the end).
 
     Base-rooted rays only: both stabilizers lie inside H, and one lockstep
-    walk (_ray_walk) gives n.  Returns None when n is over max_len; segment
-    stabilizers only shrink, so equality at n persists for every longer
-    segment.  Each stabilizer element is re-applied to every vertex of the
-    segment and to the end, and below n one element is shown to fix the
-    segment of n - 1 steps but move the vertex at n.
+    walk gives n as its last death.  Returns None when n is over max_len;
+    segment stabilizers only shrink, so equality at n persists for every
+    longer segment.  Each stabilizer element is re-applied to every vertex
+    of the segment and to the end, every other element of H is shown to
+    move the segment, and below n one element is shown to fix the segment
+    of n - 1 steps but move the vertex at n.
     """
     if max_len is None:
         max_len = x.horizon() + 2
     elif max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
-    sigma, fixing, dead = _ray_walk(am, x)
+    _, survivors, sigma, dead = lockstep(am, x, False)
     if sigma > max_len:
         return None
     segment = code_truncate(x, sigma)
+    fixing = [e for _, e in survivors]
     words = _words(am, fixing)
     if any(act_on_vertex(am, h, v) != v
            for h in words for v in segment.vertices):
         raise VerificationError(
             "segment stabilizer element fails to fix the segment")
-    _recheck_end(am, x, words)
+    _recheck_ray(am, x, sigma, fixing, words)
     if sigma:
         g = word_of_subgroup_element(am, A_SIDE, dead)
         near, far = segment.vertices[-2:]

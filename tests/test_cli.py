@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import reiter, tree
+from arbor import cber, reiter, tree
 from arbor.cli import ConfigError, load_config, main
 from arbor.groups import B_SIDE, Letter, ReducedWord
 from arbor.lp import LpSolution
@@ -287,6 +287,16 @@ def test_equiv_negative(capsys):
     assert doc["conclusive"] is True
 
 
+def test_group_window_refuses_grid_check(monkeypatch, capsys):
+    # refused before the certificate is computed
+    monkeypatch.setattr("arbor.cli.check_uniform_coamenable", None)
+    rc, out, err = run(capsys, ["reiter", "--window", "group",
+                                "--grid-check"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: --grid-check: the group window has no LP optimum "
+                   "to cross-check; use --window z or free\n")
+
+
 def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
     # products that keep only their left factor spell a wrong witness
     monkeypatch.setattr("arbor.cber.multiply", lambda am, g, h: g)
@@ -302,30 +312,85 @@ SIGMA_3 = "prefix=e;cycle=t1,s1"  # on S4: sigma_length 3, ray order 1
 
 @pytest.mark.parametrize("what,plant,message", [
     # the element that dies at sigma reported as fixing the end
-    ("stabilizers", lambda n, fix, dead: (n, fix + (dead,), dead),
+    ("stabilizers",
+     lambda out, fix, n, dead: (out, fix + [(0, dead)], n, dead),
      "ray stabilizer element fails to fix the end"),
-    ("theorem-a", lambda n, fix, dead: (n, fix + (dead,), dead),
+    ("theorem-a",
+     lambda out, fix, n, dead: (out, fix + [(0, dead)], n, dead),
      "segment stabilizer element fails to fix the segment"),
     # ... and as fixing the end one step earlier, where it fixes the segment
-    ("theorem-a", lambda n, fix, dead: (n - 1, fix + (dead,), dead),
+    ("theorem-a",
+     lambda out, fix, n, dead: (out, fix + [(0, dead)], n - 1, dead),
      "ray stabilizer element fails to fix the end"),
     # the identity as the element that dies at sigma
-    ("theorem-a", lambda n, fix, dead: (n, fix, 0),
+    ("theorem-a", lambda out, fix, n, dead: (out, fix, n, 0),
      "no element fixes 2 steps of the ray but not 3"),
-], ids=["ray", "segment", "ray-after-segment", "sigma"])
+    # no death at all, so the identity alone must be all of H
+    ("theorem-a", lambda out, fix, n, dead: (out, fix, 0, None),
+     "an element left out of the stabilizer fixes the ray's vertex at "
+     "distance 0"),
+], ids=["ray", "segment", "ray-after-segment", "sigma", "sigma-zero"])
 def test_failed_stabilizer_recheck_exits_3(monkeypatch, capsys, what, plant,
                                            message):
     rc, out, _ = run(capsys, ["check", "--what", "theorem-a", "--config", S4,
                               "--codes", SIGMA_3])
     assert rc == 0 and json.loads(out)["rows"][0]["sigma_length"] == 3
-    # plant maps the walk's (sigma, fixing elements, dying element) to what
-    # the re-checks see
-    walk = tree._ray_walk
-    monkeypatch.setattr("arbor.tree._ray_walk",
-                        lambda am, x: plant(*walk(am, x)))
+    # plant maps the walk's (letters, survivors, sigma, dying element) to
+    # what the re-checks see
+    walk = tree.lockstep
+    monkeypatch.setattr("arbor.tree.lockstep",
+                        lambda am, x, least: plant(*walk(am, x, least)))
     rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
                                 "--codes", SIGMA_3])
     assert (rc, out, err) == (3, "", f"internal error: {message}\n")
+
+
+ORDER_3 = "prefix=e;cycle=t1,s18"  # on S4: sigma_length 1, ray order 3
+
+
+@pytest.mark.parametrize("what", ["stabilizers", "theorem-a"])
+def test_dropped_stabilizer_element_exits_3(monkeypatch, capsys, what):
+    rc, out, _ = run(capsys, ["check", "--what", "theorem-a", "--config", S4,
+                              "--codes", ORDER_3])
+    row = json.loads(out)["rows"][0]
+    assert rc == 0 and (row["sigma_length"], row["order"]) == (1, 3)
+    # a walk that loses its last survivor reports a subgroup too small; each
+    # element it reports still fixes the segment and the end
+    walk = tree.lockstep
+
+    def dropping(am, x, least):
+        out, fix, n, dead = walk(am, x, least)
+        return out, fix[:-1] if len(fix) > 1 else fix, n, dead
+
+    monkeypatch.setattr("arbor.tree.lockstep", dropping)
+    rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
+                                "--codes", ORDER_3])
+    assert (rc, out, err) == (3, "", "internal error: an element left out of "
+                              "the stabilizer fixes the ray's vertex at "
+                              "distance 1\n")
+
+
+def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):
+    # the walk reports a first letter that its first survivor does not spell
+    walk = cber.lockstep
+
+    def misread(am, x, least):
+        out, fix, n, dead = walk(am, x, least)
+        return (Letter(out[0].side, out[0].rep + 1),) + out[1:], fix, n, dead
+
+    monkeypatch.setattr("arbor.cber.lockstep", misread)
+    rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: canonical orbit code disagrees with the "
+                   "lockstep walk\n")
+
+
+def test_missing_orbit_witness_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("arbor.cber._shift_witness", lambda *args: None)
+    rc, out, err = run(capsys, ["witness", "--config", "dihedral"])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: target class pair (0,0) has no orbit "
+                   "witness\n")
 
 
 def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
@@ -547,6 +612,8 @@ EDGE_CASES = [
     (["reiter", "--window", "z", "--support-size", "3", "--grid-check",
       "--denominator", "0"], {}, 2),
     (["reiter", "--window", "group", "--generators", "zz"], {}, 2),
+    (["reiter", "--window", "group", "--grid-check", "--denominator", "0"],
+     {}, 2),
     (["cfw", "--tensor", "{tmp}/missing.json"], {}, 2),
     (["cfw", "--tensor", "{tmp}"], {}, 2),
     (["cfw", "--m-max", "0"], {}, 2),
