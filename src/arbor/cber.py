@@ -10,10 +10,9 @@ positive answer is returned with a verified group-element witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product as iproduct
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .codes import BoundaryCode, compare_words, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
@@ -88,8 +87,7 @@ def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]
     return code, h
 
 
-@dataclass(frozen=True)
-class OrbitDecision:
+class OrbitDecision(NamedTuple):
     """Outcome of an orbit-equivalence query, with its verified witness if any."""
 
     equivalent: bool
@@ -157,8 +155,7 @@ def orbit_equivalent(am: Amalgam, x: BoundaryCode,
     return OrbitDecision(True, g, shifts)
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class SampleSpace(NamedTuple):
     """All canonical boundary codes within prefix and cycle length caps."""
 
     p_max: int
@@ -236,8 +233,7 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
 CHAIN_ENTRY_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(NamedTuple):
     """An increasing chain of finite relations on the sample points, E_n for
     n = 0..n_max, and the orbit relation it should exhaust."""
 

@@ -314,12 +314,38 @@ def _group_gens(group, spec: Optional[str]) -> list:
     return out
 
 
+# reiter flags that only some windows read, with those windows and the
+# default: they parse to None, so a flag given to a window that does not
+# read it is refused, and cmd_reiter fills in the default otherwise
+_WINDOW_FLAGS = {
+    "--radius": (("z", "free"), None),
+    "--support-size": (("z",), 10),
+    "--rank": (("free",), 2),
+    "--support-radius": (("free",), 2),
+    "--side": (("group",), "k"),
+    "--denominator": (("z", "free"), 20),
+}
+
+
+def _window_flags(args) -> None:
+    """Refuse a flag the chosen window does not read, and fill in the
+    default of each one it does that was not given."""
+    for flag, (windows, default) in _WINDOW_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.window not in windows:
+            raise ConfigError(f"{flag}: the {args.window} window does not "
+                              f"use this flag; only --window "
+                              f"{' or '.join(windows)} does")
+
+
 def cmd_reiter(am: Amalgam, args) -> int:
+    if args.window == "group" and args.grid_check:
+        raise ConfigError("--grid-check: the group window has no LP "
+                          "optimum to cross-check; use --window z or free")
+    _window_flags(args)
     if args.window == "group":
-        if args.grid_check:
-            raise ConfigError("--grid-check: the group window has no LP "
-                              "optimum to cross-check; use --window z or "
-                              "free")
         side = 0 if args.side == "h" else 1
         group = am.side_group(side)
         gens = _group_gens(group, args.generators)
@@ -412,6 +438,10 @@ def _add_sample_caps(p: argparse.ArgumentParser) -> None:
                    help="sample cycle cap (default: %(default)s)")
 
 
+def _window_default(flag: str) -> str:
+    return f"(default: {_WINDOW_FLAGS[flag][1]})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="sl2z",
@@ -467,17 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, choices=["z", "free", "group"])
     p.add_argument("--radius", type=int,
                    help="window radius (default: derived from the support)")
-    p.add_argument("--support-size", type=int, default=10,
+    p.add_argument("--support-size", type=int,
                    help="interval length for the z window "
-                        "(default: %(default)s)")
-    p.add_argument("--rank", type=int, default=2,
-                   help="free window rank (default: %(default)s)")
-    p.add_argument("--support-radius", type=int, default=2,
+                        + _window_default("--support-size"))
+    p.add_argument("--rank", type=int,
+                   help="free window rank " + _window_default("--rank"))
+    p.add_argument("--support-radius", type=int,
                    help="support ball radius for the free window "
-                        "(default: %(default)s)")
-    p.add_argument("--side", choices=["h", "k"], default="k",
+                        + _window_default("--support-radius"))
+    p.add_argument("--side", choices=["h", "k"],
                    help="finite factor for the group window "
-                        "(default: %(default)s)")
+                        + _window_default("--side"))
     p.add_argument("--generators",
                    help="comma-separated steps (z) or element names (group); "
                         "free-window generators are fixed")
@@ -486,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-check", action="store_true",
                    help="cross-check the z or free window's optimum "
                         "against a denominator grid")
-    p.add_argument("--denominator", type=int, default=20,
+    p.add_argument("--denominator", type=int,
                    help="grid denominator cap for --grid-check "
-                        "(default: %(default)s)")
+                        + _window_default("--denominator"))
 
     p = sub.add_parser("cfw", parents=[common],
                        help="threshold extraction from a deviation tensor")

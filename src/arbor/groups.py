@@ -6,9 +6,8 @@ pair of O(1) decomposition tables, so normal-form reduction never searches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 A_SIDE = 0  # letters drawn from the H-side transversal
 B_SIDE = 1  # letters drawn from the K-side transversal
@@ -31,8 +30,7 @@ class VerificationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group as an explicit multiplication table, identity at index 0."""
 
     order: int
@@ -254,8 +252,7 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
                                    names, cap=cap)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """Left-coset representatives of an embedded subgroup, least element
     index per coset, cosets in the order of their least elements."""
 
@@ -266,16 +263,14 @@ class Transversal:
         return len(self.reps)
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     """One transversal letter: a side tag and a representative index on that side."""
 
     side: int
     rep: int
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(NamedTuple):
     """Normal form: alternating nontrivial transversal letters, then a carry in C."""
 
     letters: tuple[Letter, ...]

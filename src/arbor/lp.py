@@ -26,10 +26,9 @@ which proves the vertex optimal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _ZERO = Fraction(0)
 
@@ -44,8 +43,7 @@ class LpError(RuntimeError):
     solution that fails its optimality certificate."""
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """An optimal vertex with its dual certificate.
 
     x is the primal assignment.  y holds one dual value per constraint, the

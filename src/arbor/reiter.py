@@ -7,11 +7,11 @@ returned vertex before anything is reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .groups import Amalgam, VerificationError
 from .lp import solve_lp
@@ -99,8 +99,7 @@ def l1_distance(p: ProbVector, q: ProbVector) -> Fraction:
 
 # --- windows: finite pieces of Schreier graphs --------------------------------
 
-@dataclass(frozen=True)
-class SchreierWindow:
+class SchreierWindow(NamedTuple):
     """A finite piece of a Schreier graph: vertices and partial generator maps."""
 
     vertices: tuple
@@ -232,8 +231,7 @@ def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
         f"vertex cap of {vertex_cap}; lower the radius or the support")
 
 
-@dataclass(frozen=True)
-class ReiterCertificate:
+class ReiterCertificate(NamedTuple):
     """A vector whose worst generator deviation is strictly below epsilon."""
 
     p: ProbVector
@@ -242,13 +240,8 @@ class ReiterCertificate:
     max_deviation: Fraction
     per_gen: tuple
 
-    def __post_init__(self):
-        if self.max_deviation >= self.epsilon:
-            raise ValueError("certificate bound is not strict")
 
-
-@dataclass(frozen=True)
-class ReiterLpResult:
+class ReiterLpResult(NamedTuple):
     """Exact minimizer of the worst-case deviation over a support."""
 
     optimum: Fraction
@@ -438,7 +431,8 @@ def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
     coset of C.
 
     Validates eps > 0 and the generator range, then certifies the deviation,
-    which is exactly zero simultaneously for all base points.
+    which is exactly zero simultaneously for all base points; a deviation
+    not strictly below eps fails the certificate's re-check.
     """
     group = am.side_group(side)
     eps = Fraction(eps)
@@ -452,13 +446,14 @@ def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
     per = tuple((s, max(reiter_deviation(p, [s], window.image, x)
                         for x in window.vertices)) for s in gens)
     worst = max((dev for _, dev in per), default=Fraction(0))
+    if worst >= eps:
+        raise VerificationError("certificate bound is not strict")
     return ReiterCertificate(p, tuple(gens), eps, worst, per)
 
 
 # --- deviation tensors and threshold extraction -----------------------------
 
-@dataclass(frozen=True)
-class DeviationTensor:
+class DeviationTensor(NamedTuple):
     """d[i][j][g][x]: exact deviations for a doubly indexed vector family.
 
     Row i is a refinement stage, column j a window stage, g runs over listed
@@ -470,25 +465,6 @@ class DeviationTensor:
     point_labels: tuple
     mu: tuple
     values: tuple
-
-    def __post_init__(self):
-        if len(self.mu) != len(self.point_labels):
-            raise ValueError("mu must weight exactly the sample points")
-        if sum(self.mu, Fraction(0)) != 1 or any(q < 0 for q in self.mu):
-            raise ValueError("mu must be a probability vector")
-        for i, plane in enumerate(self.values):
-            if len(plane) != len(self.values[0]):
-                raise ValueError("ragged j dimension")
-            for j, block in enumerate(plane):
-                if len(block) != len(self.group_labels):
-                    raise ValueError("ragged group dimension")
-                for g, row in enumerate(block):
-                    if len(row) != len(self.point_labels):
-                        raise ValueError("ragged point dimension")
-                    for q in row:
-                        if not (0 <= q <= 2):
-                            raise ValueError(
-                                f"deviation out of [0,2] at {(i, j, g)}")
 
     @property
     def i_count(self) -> int:
@@ -502,15 +478,39 @@ class DeviationTensor:
         return self.values[i][j][g][x]
 
 
+def check_tensor(t: DeviationTensor) -> DeviationTensor:
+    """t itself, once mu is shown to be a probability vector on the points
+    and every plane, block and row to have its full size, with deviations
+    in [0, 2]; raises ValueError otherwise."""
+    if len(t.mu) != len(t.point_labels):
+        raise ValueError("mu must weight exactly the sample points")
+    if sum(t.mu, Fraction(0)) != 1 or any(q < 0 for q in t.mu):
+        raise ValueError("mu must be a probability vector")
+    for i, plane in enumerate(t.values):
+        if len(plane) != len(t.values[0]):
+            raise ValueError("ragged j dimension")
+        for j, block in enumerate(plane):
+            if len(block) != len(t.group_labels):
+                raise ValueError("ragged group dimension")
+            for g, row in enumerate(block):
+                if len(row) != len(t.point_labels):
+                    raise ValueError("ragged point dimension")
+                for q in row:
+                    if not (0 <= q <= 2):
+                        raise ValueError(
+                            f"deviation out of [0,2] at {(i, j, g)}")
+    return t
+
+
 def tensor_from_json(doc: dict) -> DeviationTensor:
-    return DeviationTensor(
+    return check_tensor(DeviationTensor(
         tuple(doc["group"]),
         tuple(doc["points"]),
         tuple(parse_fraction(q) for q in doc["mu"]),
         tuple(tuple(tuple(tuple(parse_fraction(q) for q in row)
                           for row in block) for block in plane)
               for plane in doc["values"]),
-    )
+    ))
 
 
 def monotone_tensor(i_count: int = 11, j_count: int = 13) -> DeviationTensor:
@@ -518,11 +518,11 @@ def monotone_tensor(i_count: int = 11, j_count: int = 13) -> DeviationTensor:
     values = tuple(
         tuple(((Fraction(1, j + 1),),) for j in range(j_count))
         for _ in range(i_count))
-    return DeviationTensor(("g1",), ("x0",), (Fraction(1),), values)
+    return check_tensor(
+        DeviationTensor(("g1",), ("x0",), (Fraction(1),), values))
 
 
-@dataclass(frozen=True)
-class CfwRow:
+class CfwRow(NamedTuple):
     """Extraction record for one refinement stage."""
 
     i: int
@@ -535,8 +535,7 @@ class CfwRow:
         return self.bad_mass < self.bound
 
 
-@dataclass(frozen=True)
-class CfwExtraction:
+class CfwExtraction(NamedTuple):
     tensor: DeviationTensor
     m_max: int
     rows: tuple

@@ -8,8 +8,7 @@ the base vertex are exactly the letter streams of boundary codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import BoundaryCode
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
@@ -32,8 +31,7 @@ class TreeError(ValueError):
     """Raised for invalid vertices, paths, or exceeded caps."""
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     vtype: int
     word: tuple[Letter, ...]
 
@@ -77,8 +75,7 @@ def is_adjacent(v: TreeVertex, w: TreeVertex) -> bool:
     return len(b.word) == len(a.word) + 1 and b.word[:len(a.word)] == a.word
 
 
-@dataclass(frozen=True)
-class TruncatedTree:
+class TruncatedTree(NamedTuple):
     """A ball in breadth-first order: vertex i > 0 hangs below parent[i] by
     letter[i]; the base has parent -1 and letter None."""
 
@@ -165,8 +162,7 @@ def act_on_vertex(am: Amalgam, g: ReducedWord, v: TreeVertex) -> TreeVertex:
     return vertex_from_letters(letters, v.vtype)
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     vertices: tuple[TreeVertex, ...]
 
     @property
@@ -325,8 +321,7 @@ def lockstep(am: Amalgam, x: BoundaryCode, least: bool
     return tuple(emitted), survivors, sigma, dead
 
 
-@dataclass(frozen=True)
-class SegmentStabilizer:
+class SegmentStabilizer(NamedTuple):
     """The exact setwise-fixing subgroup of a finite segment, as normal forms."""
 
     segment: GeodesicPath
@@ -365,8 +360,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
     return SegmentStabilizer(segment, tuple(found))
 
 
-@dataclass(frozen=True)
-class TheoremStyleCertificate:
+class TheoremStyleCertificate(NamedTuple):
     """The elements fixing the first sigma_length steps of a ray, and its end."""
 
     code: BoundaryCode
@@ -456,8 +450,7 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     return TheoremStyleCertificate(x, sigma, words)
 
 
-@dataclass(frozen=True)
-class AcylindricityReport:
+class AcylindricityReport(NamedTuple):
     """Orders of all length-L segment stabilizers inside a truncated tree."""
 
     seg_length: int

@@ -33,7 +33,7 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           Letter, ReducedWord, invert, multiply,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
-                          format_fraction, l1_distance)
+                          check_tensor, format_fraction, l1_distance)
 from arbor.tree import (H_TYPE, GeodesicPath, TreeError, TreeVertex,
                         act_on_boundary, base_vertex, code_truncate,
                         stabilizer_of_segment, word_element)
@@ -525,11 +525,11 @@ def boundary_product_tensor(am: Amalgam, points, mu, words,
                           for x in points) for g in words)
               for j in range(j_count))
         for i in range(i_count))
-    return DeviationTensor(
+    return check_tensor(DeviationTensor(
         tuple(word_to_str(am, g) for g in words),
         tuple(format_code(am, x) for x in points),
         tuple(Fraction(q) for q in mu),
-        values)
+        values))
 
 
 class _FractionTableau:

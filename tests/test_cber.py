@@ -1,7 +1,6 @@
 """Relations on finite samples, witness chains, and orbit equivalence."""
 import json
 import random
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -347,10 +346,10 @@ def test_validate_witness_chain_refuses_planted_defects():
     everything = (0,) * len(wc.points)
     assert wc.chain[0] != everything
     with pytest.raises(VerificationError, match="chain is not increasing"):
-        validate_witness_chain(replace(wc, chain=(everything, *wc.chain)))
+        validate_witness_chain(wc._replace(chain=(everything, *wc.chain)))
     with pytest.raises(VerificationError,
                        match="chain does not exhaust the target relation"):
-        validate_witness_chain(replace(wc, target=everything))
+        validate_witness_chain(wc._replace(target=everything))
 
 
 def test_witness_chain_json_rejects_corrupted_witness():

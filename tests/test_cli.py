@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +13,7 @@ import pytest
 
 from arbor import cber, reiter, tree
 from arbor.cli import ConfigError, load_config, main
-from arbor.groups import B_SIDE, Letter, ReducedWord
+from arbor.groups import B_SIDE, Amalgam, Letter, ReducedWord
 from arbor.lp import LpSolution
 from arbor.reiter import monotone_tensor
 
@@ -385,6 +384,25 @@ def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):
                    "lockstep walk\n")
 
 
+def test_unstable_junction_exits_3(monkeypatch, capsys):
+    # an absorb that never appends: feeding ray letters never stops cancelling
+    monkeypatch.setattr("arbor.tree.absorb",
+                        lambda am, letters, carry, side, elem: carry)
+    rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: junction phase failed to stabilize\n"
+
+
+def test_acyclic_carry_phase_exits_3(monkeypatch, capsys):
+    # a step that counts carries up instead of keeping them in C: no
+    # (cycle position, carry) state repeats
+    monkeypatch.setattr(Amalgam, "step",
+                        lambda am, side, carry, rep: (rep, carry + 1))
+    rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: carry phase failed to cycle\n"
+
+
 def test_missing_orbit_witness_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("arbor.cber._shift_witness", lambda *args: None)
     rc, out, err = run(capsys, ["witness", "--config", "dihedral"])
@@ -402,6 +420,15 @@ def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
                                 "--seg-length", "1"])
     assert (rc, out) == (3, "")
     assert err == "internal error: conjugated stabilizer element fails to fix\n"
+
+
+def test_unstrict_group_certificate_exits_3(monkeypatch, capsys):
+    # a deviation of 1/2 on a finite factor, where the uniform vector has 0
+    monkeypatch.setattr("arbor.reiter.reiter_deviation",
+                        lambda p, gens, apply, x: Fraction(1, 2))
+    rc, out, err = run(capsys, ["reiter", "--window", "group"])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: certificate bound is not strict\n"
 
 
 def test_reiter_value_mismatch_exits_3(monkeypatch, capsys):
@@ -426,8 +453,8 @@ def test_cfw_late_mass_recheck_exits_3(monkeypatch, capsys):
 
     def corrupted(tensor, m_max=None):
         ext = extract(tensor, m_max)
-        first = dataclasses.replace(ext.rows[0], bad_mass=Fraction(1, 2))
-        return dataclasses.replace(ext, rows=(first,) + ext.rows[1:])
+        first = ext.rows[0]._replace(bad_mass=Fraction(1, 2))
+        return ext._replace(rows=(first,) + ext.rows[1:])
 
     monkeypatch.setattr("arbor.cli.cfw_extract", corrupted)
     rc, out, err = run(capsys, ["cfw"])
@@ -552,6 +579,33 @@ def test_reiter_generators_flag(capsys):
     assert "generators" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--window", "group", "--support-size", "-5", "--rank", "0",
+      "--radius", "-3"],
+     "--radius: the group window does not use this flag; only --window z "
+     "or free does"),
+    (["--window", "z", "--side", "h", "--support-size", "3"],
+     "--side: the z window does not use this flag; only --window group does"),
+    (["--window", "free", "--support-size", "10"],
+     "--support-size: the free window does not use this flag; only --window "
+     "z does"),
+    (["--window", "z", "--rank", "2", "--support-radius", "2"],
+     "--rank: the z window does not use this flag; only --window free does"),
+    (["--window", "group", "--denominator", "20"],
+     "--denominator: the group window does not use this flag; only --window "
+     "z or free does"),
+])
+def test_flag_the_window_does_not_use_is_refused(monkeypatch, capsys, argv,
+                                                  message):
+    # refused before any window or certificate is built, even at the
+    # flag's default value
+    for name in ("check_uniform_coamenable", "integer_window",
+                 "free_tree_window"):
+        monkeypatch.setattr(f"arbor.cli.{name}", None)
+    rc, out, err = run(capsys, ["reiter", *argv])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cfw_builtin_tensor(capsys):
     rc, out, _ = run(capsys, ["cfw"])
     assert rc == 0
@@ -592,6 +646,36 @@ def test_cfw_custom_tensor(tmp_path, capsys):
     rc, _, err = run(capsys, ["cfw", "--tensor", str(path)])
     assert rc == 2
     assert "tensor" in err
+
+
+def _bad_tensor(edit):
+    doc = tensor_to_json(monotone_tensor(2, 2))
+    edit(doc)
+    return doc
+
+
+# tensor documents cfw --tensor refuses, each with its message
+BAD_TENSORS = {
+    "mu_length": (_bad_tensor(lambda d: d.update(mu=["1/2", "1/2"])),
+                  "mu must weight exactly the sample points"),
+    "mu_sum": (_bad_tensor(lambda d: d.update(mu=["1/2"])),
+               "mu must be a probability vector"),
+    "ragged_j": (_bad_tensor(lambda d: d["values"][1].pop()),
+                 "ragged j dimension"),
+    "ragged_group": (_bad_tensor(lambda d: d["values"][0][0].pop()),
+                     "ragged group dimension"),
+    "ragged_point": (_bad_tensor(lambda d: d["values"][0][0][0].pop()),
+                     "ragged point dimension"),
+}
+
+
+@pytest.mark.parametrize("label", BAD_TENSORS)
+def test_tensor_refusals_name_their_defect(tmp_path, capsys, label):
+    doc, message = BAD_TENSORS[label]
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["cfw", "--tensor", str(path)])
+    assert (rc, out, err) == (2, "", f"error: tensor: {message}\n")
 
 
 # (argv, extra environment, exit code): bad or edge input on the reiter,
@@ -657,8 +741,14 @@ EDGE_CASES = [
       "{tmp}/ball.dot"], {}, 2),
     (["tree", "--config", "dihedral", "--radius", "4", "--dot",
       "{tmp}/ball.dot"], {}, 0),
+    (["reiter", "--window", "group", "--support-size", "-5", "--rank", "0",
+      "--radius", "-3"], {}, 2),
+    (["reiter", "--window", "z", "--side", "h", "--support-size", "3"],
+     {}, 2),
 ] + [(["witness", "--config", f"{{tmp}}/names_{label}.json"], {}, 2)
-     for label in UNREADABLE_NAMES]
+     for label in UNREADABLE_NAMES
+] + [(["cfw", "--tensor", f"{{tmp}}/tensor_{label}.json"], {}, 2)
+     for label in BAD_TENSORS]
 
 
 @pytest.mark.parametrize("argv,env,code", EDGE_CASES,
@@ -669,6 +759,8 @@ def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
     for label, name in UNREADABLE_NAMES.items():
         (tmp_path / f"names_{label}.json").write_text(
             json.dumps(psl2z_named(name)))
+    for label, (doc, _) in BAD_TENSORS.items():
+        (tmp_path / f"tensor_{label}.json").write_text(json.dumps(doc))
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)

@@ -12,10 +12,12 @@ from arbor.codes import parse_code
 from arbor.groups import B_SIDE, normal_form
 from arbor.reiter import (
     GRID_VECTOR_CAP,
+    DeviationTensor,
     OverBudget,
     ProbVector,
     WindowEscape,
     cfw_extract,
+    check_tensor,
     check_uniform_coamenable,
     check_window_size,
     coset_window,
@@ -271,9 +273,10 @@ def test_tensor_json_roundtrip():
 
 
 def test_tensor_validation():
-    with pytest.raises(ValueError):
-        monotone_tensor().__class__(("g1",), ("x0", "x1"), (Fraction(1),),
-                                    ((((Fraction(0), Fraction(0)),),),))
+    with pytest.raises(ValueError,
+                       match="mu must weight exactly the sample points"):
+        check_tensor(DeviationTensor(("g1",), ("x0", "x1"), (Fraction(1),),
+                                     ((((Fraction(0), Fraction(0)),),),)))
     bad = tensor_to_json(monotone_tensor(2, 2))
     bad["values"][0][0][0][0] = "5/2"
     with pytest.raises(ValueError):
