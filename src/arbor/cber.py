@@ -18,7 +18,8 @@ from .codes import BoundaryCode, compare_words, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, invert, multiply,
                      word_of_subgroup_element, word_to_str, word_from_str)
-from .tree import (act_on_boundary, check_theorem_A, lockstep,
+from .tree import (act_on_boundary, ball_bits, ball_size, check_theorem_A,
+                   geometric, lockstep, lockstep_bound, over_cap,
                    TheoremStyleCertificate, word_element)
 
 
@@ -139,13 +140,38 @@ def _shift_witness(am: Amalgam, x: BoundaryCode, xs: ShiftCodes,
     return None
 
 
+# Step-table lookups the lockstep walks of one orbit_equivalent call may
+# make, by their own bound.  On one core a psl2z pair of 400-letter cycles
+# plans 482,802 and takes about 0.6 s, a pair of 800-letter cycles
+# 1,925,602 and 2.4 s.
+EQUIV_STEP_CAP = 1_000_000
+
+
+def shift_walk_steps(am: Amalgam, x: BoundaryCode) -> int:
+    """The most step-table lookups _even_shift_codes makes for x.
+
+    Each even shift is walked for up to lockstep's bound for x, which no
+    shift of x exceeds: every element of H meets the first letter, and at
+    most |C| survivors, whose carries are distinct, each later one.
+    """
+    shifts = (x.horizon() + 1) // 2 + 1
+    return shifts * (am.H.order + am.C.order * (lockstep_bound(am, x) - 1))
+
+
 def orbit_equivalent(am: Amalgam, x: BoundaryCode,
                      y: BoundaryCode) -> OrbitDecision:
     """Decide whether some group element carries y to x.
 
     Complete: it scans even shift pairs up to the horizons and reconstructs
-    a witness from the shift prefixes and minimizing base elements.
+    a witness from the shift prefixes and minimizing base elements.  The
+    walks are counted first and refused over EQUIV_STEP_CAP.
     """
+    steps = shift_walk_steps(am, x) + shift_walk_steps(am, y)
+    if steps > EQUIV_STEP_CAP:
+        raise RelationError(
+            f"the orbit walks of two codes of {len(x.prefix) + len(x.cycle)} "
+            f"and {len(y.prefix) + len(y.cycle)} letters would take {steps} "
+            f"steps, over the cap of {EQUIV_STEP_CAP}; shorten the codes")
     mins: dict = {}
     found = _shift_witness(am, x, _even_shift_codes(am, x, mins),
                            y, _even_shift_codes(am, y, mins))
@@ -166,25 +192,16 @@ class SampleSpace(NamedTuple):
 SAMPLE_SPACE_CAP = 100_000
 
 
-def _geometric(r: int, n: int) -> int:
-    """1 + r + ... + r^(n-1)."""
-    if r <= 1:
-        return n if r == 1 else min(n, 1)
-    return (r ** n - 1) // (r - 1)
-
-
 def sample_space_size(am: Amalgam, p_max: int, q_max: int) -> int:
     """The (prefix, cycle) candidates build_sample_space enumerates, counted.
 
-    With a and b nontrivial representatives on the H and K sides, a cycle of
-    2k letters has (ab)^k choices, and a prefix of p >= 1 letters has
-    (a+1)*b*a*b*... (p factors) choices: position 0 may be trivial.
+    A prefix spells a vertex of the tree ball of radius p_max (position 0
+    may be the trivial letter), and a cycle of 2k letters has r**k choices,
+    r = (|H:C| - 1)(|K:C| - 1).
     """
-    a, b = am.A.index - 1, am.B.index - 1
-    r = a * b
-    pairs, odd = divmod(p_max, 2)
-    prefixes = 1 + (a + 1) * ((1 + b) * _geometric(r, pairs) + odd * r ** pairs)
-    return prefixes * r * _geometric(r, q_max // 2)
+    a, b = am.A.index, am.B.index
+    r = (a - 1) * (b - 1)
+    return ball_size(a, b, p_max) * r * geometric(r, q_max // 2)
 
 
 def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
@@ -194,18 +211,18 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
     """
     if p_max < 0 or q_max < 2:
         raise RelationError("need p_max >= 0 and q_max >= 2")
-    caps = f"prefixes up to {p_max} and cycles up to {q_max} letters"
-    if (am.A.index - 1) * (am.B.index - 1) > 1 and max(p_max, q_max) > 8192:
-        # the count grows at least like 2**(cap / 2): do not compute it
+    a, b = am.A.index, am.B.index
+    # the prefixes alone number over 2**ball_bits, and in a growing tree the
+    # r**(q_max // 2) longest cycles alone over 2**(q_max // 2 - 1)
+    growing = (a - 1) * (b - 1) > 1
+    bits = max(ball_bits(a, b, p_max), q_max // 2 - 1 if growing else 0)
+    count = over_cap(SAMPLE_SPACE_CAP, bits,
+                     lambda: sample_space_size(am, p_max, q_max))
+    if count:
         raise RelationError(
-            f"a sample space with {caps} would enumerate more than 2**4096 "
-            f"candidate codes, over the cap of {SAMPLE_SPACE_CAP}")
-    count = sample_space_size(am, p_max, q_max)
-    if count > SAMPLE_SPACE_CAP:
-        raise RelationError(
-            f"a sample space with {caps} would enumerate {count} candidate "
-            f"codes, over the cap of {SAMPLE_SPACE_CAP}; lower the prefix or "
-            f"cycle cap")
+            f"a sample space with prefixes up to {p_max} and cycles up to "
+            f"{q_max} letters would enumerate {count} candidate codes, over "
+            f"the cap of {SAMPLE_SPACE_CAP}; lower the prefix or cycle cap")
     pools = {A_SIDE: [Letter(A_SIDE, r) for r in range(1, am.A.index)],
              B_SIDE: [Letter(B_SIDE, r) for r in range(1, am.B.index)]}
     found = set()

@@ -173,6 +173,7 @@ def cmd_tree(am: Amalgam, args) -> int:
 
 
 def cmd_check(am: Amalgam, args) -> int:
+    _mode_flags(args)
     if args.what == "acylindrical":
         report = check_acylindricity(am, args.seg_length,
                                      vertex_cap=args.vertex_cap)
@@ -314,37 +315,63 @@ def _group_gens(group, spec: Optional[str]) -> list:
     return out
 
 
-# reiter flags that only some windows read, with those windows and the
-# default: they parse to None, so a flag given to a window that does not
-# read it is refused, and cmd_reiter fills in the default otherwise
-_WINDOW_FLAGS = {
-    "--radius": (("z", "free"), None),
-    "--support-size": (("z",), 10),
-    "--rank": (("free",), 2),
-    "--support-radius": (("free",), 2),
-    "--side": (("group",), "k"),
-    "--denominator": (("z", "free"), 20),
+# flags that only some modes of a subcommand read, with their defaults and
+# the (option, values) pairs that must all hold for a run to read them.
+# They parse to None, so a flag given to a run that does not read it is
+# refused, and a run that reads it gets the default when it is not given.
+_READERS = ("theorem-a", "stabilizers")  # check modes that read sample points
+_MODE_FLAGS = {
+    "reiter": {
+        "--radius": (None, (("window", ("z", "free")),)),
+        "--support-size": (10, (("window", ("z",)),)),
+        "--rank": (2, (("window", ("free",)),)),
+        "--support-radius": (2, (("window", ("free",)),)),
+        "--side": ("k", (("window", ("group",)),)),
+        "--denominator": (20, (("window", ("z", "free")),
+                               ("grid_check", (True,)))),
+    },
+    "check": {
+        "--codes": (None, (("what", _READERS),)),
+        "--p-max": (1, (("what", _READERS), ("codes", (None,)))),
+        "--q-max": (4, (("what", _READERS), ("codes", (None,)))),
+        "--max-len": (None, (("what", ("theorem-a",)),)),
+        "--seg-length": (2, (("what", ("acylindrical",)),)),
+        "--bound": (None, (("what", ("acylindrical",)),)),
+    },
+}
+
+# how a refusal names a run that does not read a flag, and the runs that do
+_MODE_NAMES = {
+    "window": ("the {} window", "--window {}"),
+    "what": ("--what {}", "--what {}"),
+    "grid_check": ("a run without --grid-check", "--grid-check"),
+    "codes": ("a run with --codes", "a run without --codes"),
 }
 
 
-def _window_flags(args) -> None:
-    """Refuse a flag the chosen window does not read, and fill in the
-    default of each one it does that was not given."""
-    for flag, (windows, default) in _WINDOW_FLAGS.items():
+def _mode_flags(args) -> None:
+    """Refuse a flag the run does not read, and fill in the default of each
+    one it does that was not given."""
+    for flag, (default, readers) in _MODE_FLAGS[args.command].items():
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif args.window not in windows:
-            raise ConfigError(f"{flag}: the {args.window} window does not "
-                              f"use this flag; only --window "
-                              f"{' or '.join(windows)} does")
+            continue
+        for option, values in readers:
+            value = getattr(args, option)
+            if value not in values:
+                refused, read = _MODE_NAMES[option]
+                raise ConfigError(
+                    f"{flag}: {refused.format(value)} does not use this "
+                    f"flag; only {read.format(' or '.join(map(str, values)))}"
+                    f" does")
 
 
 def cmd_reiter(am: Amalgam, args) -> int:
     if args.window == "group" and args.grid_check:
         raise ConfigError("--grid-check: the group window has no LP "
                           "optimum to cross-check; use --window z or free")
-    _window_flags(args)
+    _mode_flags(args)
     if args.window == "group":
         side = 0 if args.side == "h" else 1
         group = am.side_group(side)
@@ -431,15 +458,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
-def _add_sample_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-max", type=int, default=1,
-                   help="sample prefix cap (default: %(default)s)")
-    p.add_argument("--q-max", type=int, default=4,
-                   help="sample cycle cap (default: %(default)s)")
+def _mode_default(command: str, flag: str) -> str:
+    return f"(default: {_MODE_FLAGS[command][flag][0]})"
 
 
-def _window_default(flag: str) -> str:
-    return f"(default: {_WINDOW_FLAGS[flag][1]})"
+def _add_sample_caps(p: argparse.ArgumentParser, parsed: bool) -> None:
+    """--p-max and --q-max, with check's defaults parsed in when the
+    subcommand always reads them."""
+    for flag, text in (("--p-max", "sample prefix cap"),
+                       ("--q-max", "sample cycle cap")):
+        default = _MODE_FLAGS["check"][flag][0]
+        p.add_argument(flag, type=int, default=default if parsed else None,
+                       help=f"{text} (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,18 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["theorem-a", "acylindrical", "stabilizers"])
     p.add_argument("--codes", action="append",
                    help="boundary code (repeatable); default is the sample space")
-    _add_sample_caps(p)
+    _add_sample_caps(p, parsed=False)
     p.add_argument("--max-len", type=int,
                    help="segment length cap for theorem-a")
-    p.add_argument("--seg-length", type=int, default=2,
+    p.add_argument("--seg-length", type=int,
                    help="segment length for acylindrical "
-                        "(default: %(default)s)")
+                        + _mode_default("check", "--seg-length"))
     p.add_argument("--bound", type=int,
                    help="acylindrical verdict fails above this order")
 
     p = sub.add_parser("witness", parents=[common],
                        help="build and validate a finite witness chain")
-    _add_sample_caps(p)
+    _add_sample_caps(p, parsed=True)
     p.add_argument("--n-max", type=int, default=8,
                    help="last relation of the chain (default: %(default)s)")
     p.add_argument("--no-witnesses", action="store_true",
@@ -499,15 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window radius (default: derived from the support)")
     p.add_argument("--support-size", type=int,
                    help="interval length for the z window "
-                        + _window_default("--support-size"))
+                        + _mode_default("reiter", "--support-size"))
     p.add_argument("--rank", type=int,
-                   help="free window rank " + _window_default("--rank"))
+                   help="free window rank " + _mode_default("reiter", "--rank"))
     p.add_argument("--support-radius", type=int,
                    help="support ball radius for the free window "
-                        + _window_default("--support-radius"))
+                        + _mode_default("reiter", "--support-radius"))
     p.add_argument("--side", choices=["h", "k"],
                    help="finite factor for the group window "
-                        + _window_default("--side"))
+                        + _mode_default("reiter", "--side"))
     p.add_argument("--generators",
                    help="comma-separated steps (z) or element names (group); "
                         "free-window generators are fixed")
@@ -518,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "against a denominator grid")
     p.add_argument("--denominator", type=int,
                    help="grid denominator cap for --grid-check "
-                        + _window_default("--denominator"))
+                        + _mode_default("reiter", "--denominator"))
 
     p = sub.add_parser("cfw", parents=[common],
                        help="threshold extraction from a deviation tensor")

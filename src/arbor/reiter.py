@@ -15,6 +15,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .groups import Amalgam, VerificationError
 from .lp import solve_lp
+from .tree import ball_bits, ball_size, over_cap
 
 
 class OverBudget(ValueError):
@@ -205,30 +206,18 @@ def coset_window(am: Amalgam, side: int) -> SchreierWindow:
     return SchreierWindow(vertices, tuple(group.elements()), maps)
 
 
-def free_ball_size(rank: int, radius: int) -> int:
-    """Vertices of the radius ball in the free group of this rank, in closed
-    form.  Rank 1 is the integer line, so this also counts integer_window."""
+def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
+    """Refuse a free-group ball over the vertex cap: the ball in the
+    2·rank-regular tree, so rank 1 is the integer line of 2·radius + 1."""
     _free_gens(rank)
     _check_radius(radius)
-    if rank == 1:
-        return 2 * radius + 1
-    return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
-
-
-def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
-    """Refuse a free-group ball (rank 1: the integer line) over the vertex cap."""
-    _free_gens(rank)
-    if rank > 1 and radius > vertex_cap.bit_length():
-        # the ball outgrows 2**radius > vertex_cap: do not compute its size
-        count = f"more than 2**{radius}"
-    else:
-        size = free_ball_size(rank, radius)
-        if size <= vertex_cap:
-            return
-        count = str(size)
-    raise OverBudget(
-        f"the window of radius {radius} has {count} vertices, over the "
-        f"vertex cap of {vertex_cap}; lower the radius or the support")
+    degree = 2 * rank
+    count = over_cap(vertex_cap, ball_bits(degree, degree, radius),
+                     lambda: ball_size(degree, degree, radius))
+    if count:
+        raise OverBudget(
+            f"the window of radius {radius} has {count} vertices, over the "
+            f"vertex cap of {vertex_cap}; lower the radius or the support")
 
 
 class ReiterCertificate(NamedTuple):
@@ -348,17 +337,19 @@ GRID_VECTOR_CAP = 1_000_000
 
 
 def grid_vector_count(support_size: int, max_denominator: int) -> int:
-    """Vectors a grid search visits: sum over d of C(d+k-1, k-1)."""
-    if support_size < 1:
+    """Vectors a grid search visits: the sum over d of C(d+k-1, k-1), which
+    is C(D+k, k) - 1 by the hockey-stick identity."""
+    if support_size < 1 or max_denominator < 1:
         return 0
-    return sum(comb(d + support_size - 1, support_size - 1)
-               for d in range(1, max_denominator + 1))
+    return comb(max_denominator + support_size, support_size) - 1
 
 
 def check_grid_size(support_size: int, max_denominator: int) -> None:
     """Refuse a grid search that would visit more than GRID_VECTOR_CAP vectors."""
-    count = grid_vector_count(support_size, max_denominator)
-    if count > GRID_VECTOR_CAP:
+    # C(D+k, k) >= 2**min(D, k), so the count is over 2**(min(D, k) - 1)
+    count = over_cap(GRID_VECTOR_CAP, min(support_size, max_denominator) - 1,
+                     lambda: grid_vector_count(support_size, max_denominator))
+    if count:
         raise OverBudget(
             f"grid check over {support_size} support vertices with "
             f"denominators up to {max_denominator} would visit {count} "
@@ -370,8 +361,13 @@ def _numerators(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Nonnegative integer vectors of `parts` entries summing to total.
 
     Stars and bars: the cut points run through combinations in lexicographic
-    order, which orders the vectors lexicographically too.
+    order, which orders the vectors lexicographically too.  One part has
+    one vector, yielded as it is: its pool of cut points would be total
+    long.
     """
+    if parts == 1:
+        yield (total,)
+        return
     slots = total + parts - 1
     for bars in combinations(range(slots), parts - 1):
         yield tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))

@@ -8,7 +8,7 @@ the base vertex are exactly the letter streams of boundary codes.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codes import BoundaryCode
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
@@ -105,16 +105,55 @@ class TruncatedTree(NamedTuple):
         return TreeVertex(len(word) % 2, tuple(reversed(word)))
 
 
-def ball_size(am: Amalgam, radius: int) -> int:
-    """Vertices of the radius ball around the base vertex, in closed form:
-    depth 1 holds a = |H:C| of them, and later depths multiply by b - 1 and
-    a - 1 in turn, where b = |K:C|."""
-    a, b = am.A.index, am.B.index
+def geometric(r: int, n: int) -> int:
+    """1 + r + ... + r**(n-1)."""
+    if r <= 1:
+        return n if r == 1 else min(n, 1)
+    return (r ** n - 1) // (r - 1)
+
+
+def ball_size(a: int, b: int, radius: int) -> int:
+    """Vertices of the radius ball around a vertex of degree a in the
+    (a, b)-biregular tree, in closed form: depth 1 holds a of them, and
+    later depths multiply by b - 1 and a - 1 in turn.
+
+    The Bass-Serre tree of H *_C K is (|H:C|, |K:C|)-biregular, and the
+    free group of rank n has the 2n-regular tree as its Cayley graph.
+    """
     p = (a - 1) * (b - 1)  # growth over two depths
     odd, even = (radius + 1) // 2, radius // 2  # depths 2j+1 and 2j+2
-    if p == 1:
-        return 1 + a * odd + a * (b - 1) * even
-    return 1 + (a * (p ** odd - 1) + a * (b - 1) * (p ** even - 1)) // (p - 1)
+    return 1 + a * geometric(p, odd) + a * (b - 1) * geometric(p, even)
+
+
+def ball_bits(a: int, b: int, radius: int) -> int:
+    """An e such that a ball of radius >= 1 holds more than 2**e vertices;
+    0 for the line (a = b = 2), whose size is cheap to compute.
+
+    A growing ball at least doubles over every two depths, and over every
+    depth when a and b are both over 2.
+    """
+    if (a - 1) * (b - 1) == 1:
+        return 0
+    return radius if min(a, b) > 2 else (radius + 1) // 2
+
+
+def over_cap(cap: int, bits: int, count: Callable[[], int]) -> Optional[str]:
+    """None when count() is within cap; otherwise the count as a refusal
+    prints it.
+
+    The one rule for every budget: a count known to be over 2**bits is not
+    computed once 2**bits is past the cap, and reads "more than 2**bits";
+    a count too long to print reads the same way with its own bit length.
+    """
+    if bits > cap.bit_length():
+        return f"more than 2**{bits}"
+    n = count()
+    if n <= cap:
+        return None
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's digit limit for int to str
+        return f"more than 2**{(n - 1).bit_length() - 1}"
 
 
 def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> TruncatedTree:
@@ -122,12 +161,10 @@ def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> Trunca
     first and refused over the vertex cap; its letters are shared objects."""
     if radius < 0:
         raise TreeError("radius must be nonnegative")
-    # a growing ball (a + b > 4) holds over 2**half vertices: past the cap,
-    # do not compute its size
-    half = (radius + 1) // 2
-    too_big = am.A.index + am.B.index > 4 and half > vertex_cap.bit_length()
-    count = f"more than 2**{half}" if too_big else ball_size(am, radius)
-    if too_big or count > vertex_cap:
+    a, b = am.A.index, am.B.index
+    count = over_cap(vertex_cap, ball_bits(a, b, radius),
+                     lambda: ball_size(a, b, radius))
+    if count:
         raise TreeError(f"the tree ball of radius {radius} has {count} "
                         f"vertices, over the vertex cap of {vertex_cap}")
     alphabet = [[Letter(side, rep) for rep in range(am.transversal(side).index)]
@@ -262,6 +299,11 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     return BoundaryCode(out_prefix, cycle_letters)
 
 
+def lockstep_bound(am: Amalgam, x: BoundaryCode) -> int:
+    """The most letters lockstep walks along x (see its stop rules)."""
+    return len(x.prefix) + 3 * len(x.cycle) * am.C.order
+
+
 def lockstep(am: Amalgam, x: BoundaryCode, least: bool
              ) -> tuple[tuple[Letter, ...], list[tuple[int, int]], int,
                         Optional[int]]:
@@ -293,7 +335,7 @@ def lockstep(am: Amalgam, x: BoundaryCode, least: bool
              for e in am.H.elements()]
     emitted: list[Letter] = []
     sigma, dead = 0, None
-    bound = len(x.prefix) + 3 * len(x.cycle) * am.C.order
+    bound = lockstep_bound(am, x)
     seen: set = set()
     j = 0
     while True:

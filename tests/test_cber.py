@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from arbor.cber import (
-    SAMPLE_SPACE_CAP, RelationError, build_sample_space, classes,
+    EQUIV_STEP_CAP, SAMPLE_SPACE_CAP, RelationError, build_sample_space,
+    classes, shift_walk_steps,
     hyperfiniteness_witness, orbit_equivalent, orbit_witness_table, partition,
     refines, sample_space_size, validate_witness_chain,
     witness_chain_from_json, witness_chain_to_json, _orbit_min,
@@ -16,7 +17,7 @@ from arbor.cli import load_config
 from arbor.codes import BoundaryCode, compare_words
 from arbor.groups import (A_SIDE, B_SIDE, Letter, VerificationError,
                           invert, multiply, word_of_subgroup_element)
-from arbor.tree import act_on_boundary, word_element
+from arbor.tree import act_on_boundary, lockstep, word_element
 
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min,
                         pairwise_witness_table, tail_equivalent, word_search)
@@ -245,6 +246,31 @@ def test_orbit_equivalent_known_pairs():
     d3 = orbit_equivalent(am, x3, x4)
     assert d3.equivalent
     assert act_on_boundary(am, d3.witness, x4) == x3
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shift_walk_steps_bound_the_walks(name):
+    am = builtin(name)
+    for x in build_sample_space(am, 3, 6).points:
+        walked = sum(len(lockstep(am, x.shift_code(i), True)[0])
+                     for i in range(0, x.horizon() + 2, 2))
+        assert walked * am.H.order <= shift_walk_steps(am, x)
+
+
+def test_long_equiv_query_is_refused_before_any_walk(monkeypatch):
+    am = builtin("psl2z")
+    s, t, t2 = Letter(A_SIDE, 1), Letter(B_SIDE, 1), Letter(B_SIDE, 2)
+    x = BoundaryCode((), (s, t) * 199 + (s, t2))
+    y = BoundaryCode((), (s, t2) * 199 + (s, t))
+    # 201 even shifts: both elements of H meet the first letter, and one
+    # survivor each of the other 1,199 letters the walk may take
+    assert shift_walk_steps(am, x) == 201 * (2 + 1199) < EQUIV_STEP_CAP
+    assert orbit_equivalent(am, x, y).equivalent is False
+    longer = BoundaryCode((), (s, t) * 399 + (s, t2))
+    monkeypatch.setattr("arbor.cber.lockstep", None)
+    with pytest.raises(RelationError, match="would take 1204202 steps, over "
+                                            "the cap of 1000000"):
+        orbit_equivalent(am, longer, x)
 
 
 def test_orbit_equivalent_brute_agrees():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -594,6 +594,9 @@ def test_reiter_generators_flag(capsys):
     (["--window", "group", "--denominator", "20"],
      "--denominator: the group window does not use this flag; only --window "
      "z or free does"),
+    (["--window", "z", "--denominator", "-5"],
+     "--denominator: a run without --grid-check does not use this flag; only "
+     "--grid-check does"),
 ])
 def test_flag_the_window_does_not_use_is_refused(monkeypatch, capsys, argv,
                                                   message):
@@ -603,6 +606,34 @@ def test_flag_the_window_does_not_use_is_refused(monkeypatch, capsys, argv,
                  "free_tree_window"):
         monkeypatch.setattr(f"arbor.cli.{name}", None)
     rc, out, err = run(capsys, ["reiter", *argv])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--what", "acylindrical", "--max-len", "-5", "--codes", "junk"],
+     "--codes: --what acylindrical does not use this flag; only --what "
+     "theorem-a or stabilizers does"),
+    (["--what", "theorem-a", "--seg-length", "-3", "--bound", "-1"],
+     "--seg-length: --what theorem-a does not use this flag; only --what "
+     "acylindrical does"),
+    (["--what", "stabilizers", "--max-len", "3"],
+     "--max-len: --what stabilizers does not use this flag; only --what "
+     "theorem-a does"),
+    (["--what", "acylindrical", "--p-max", "1"],
+     "--p-max: --what acylindrical does not use this flag; only --what "
+     "theorem-a or stabilizers does"),
+    (["--what", "theorem-a", "--codes", EQUIV_X, "--q-max", "4"],
+     "--q-max: a run with --codes does not use this flag; only a run without "
+     "--codes does"),
+])
+def test_flag_the_check_mode_does_not_read_is_refused(monkeypatch, capsys,
+                                                      argv, message):
+    # refused before any survey, sample space or certificate is built, even
+    # at the flag's default value
+    for name in ("check_acylindricity", "build_sample_space",
+                 "check_theorem_A", "ray_stabilizer"):
+        monkeypatch.setattr(f"arbor.cli.{name}", None)
+    rc, out, err = run(capsys, ["check", *argv])
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -745,6 +776,20 @@ EDGE_CASES = [
       "--radius", "-3"], {}, 2),
     (["reiter", "--window", "z", "--side", "h", "--support-size", "3"],
      {}, 2),
+    # a flag the run does not read: --denominator without --grid-check, and
+    # check flags off the modes that read them
+    (["reiter", "--window", "z", "--denominator", "-5"], {}, 2),
+    (["reiter", "--window", "free", "--denominator", "0"], {}, 2),
+    (["check", "--what", "acylindrical", "--max-len", "-5", "--codes",
+      "junk"], {}, 2),
+    (["check", "--what", "theorem-a", "--seg-length", "-3", "--bound", "-1"],
+     {}, 2),
+    (["check", "--what", "stabilizers", "--codes", "prefix=;cycle=a,b",
+      "--p-max", "1"], {}, 2),
+    (["check", "--what", "acylindrical", "--seg-length", "1", "--bound",
+      "1"], {}, 1),
+    (["check", "--what", "theorem-a", "--codes", "prefix=;cycle=a,b",
+      "--max-len", "0"], {}, 1),
 ] + [(["witness", "--config", f"{{tmp}}/names_{label}.json"], {}, 2)
      for label in UNREADABLE_NAMES
 ] + [(["cfw", "--tensor", f"{{tmp}}/tensor_{label}.json"], {}, 2)
@@ -892,6 +937,72 @@ def test_oversized_tree_ball_is_refused_fast(capsys, argv, count):
     assert time.perf_counter() - started < 0.5
     assert (rc, out) == (2, "")
     assert err == f"error: {count}, over the vertex cap of 100000\n"
+
+
+NINES = "9" * 4300  # the longest integer the interpreter reads by default
+FIXTURE_C12 = str(ROOT / "perfbench" / "fixtures" / "c12_c3_c15.json")
+FIXTURE_S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
+GRID_TAIL = ("over the cap of 1000000; lower the denominator or shrink the "
+             "support")
+
+
+def _psl2z_cycle(flip) -> str:
+    """A psl2z code of 3,200 letters: s, then t or t2 as flip(i) says."""
+    return "prefix=;cycle=" + ",".join(
+        f"s,{'t2' if flip(i) else 't'}" for i in range(1600))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reiter", "--window", "z", "--support-size", "1", "--grid-check",
+      "--denominator", "100000000"],
+     "grid check over 1 support vertices with denominators up to 100000000 "
+     f"would visit 100000000 vectors, {GRID_TAIL}"),
+    (["reiter", "--window", "z", "--support-size", "1", "--grid-check",
+      "--denominator", "1000000000"],
+     "grid check over 1 support vertices with denominators up to 1000000000 "
+     f"would visit 1000000000 vectors, {GRID_TAIL}"),
+    (["reiter", "--window", "z", "--support-size", "1", "--grid-check",
+      "--denominator", "1" + "0" * 4000],
+     f"grid check over 1 support vertices with denominators up to 1{'0' * 4000}"
+     f" would visit 1{'0' * 4000} vectors, {GRID_TAIL}"),
+    (["reiter", "--window", "z", "--support-size", "49997", "--grid-check",
+      "--denominator", "1000000000"],
+     "grid check over 49997 support vertices with denominators up to "
+     f"1000000000 would visit more than 2**49996 vectors, {GRID_TAIL}"),
+    (["witness", "--config", FIXTURE_C12, "--p-max", "0", "--q-max", "8192"],
+     "a sample space with prefixes up to 0 and cycles up to 8192 letters "
+     "would enumerate more than 2**4095 candidate codes, over the cap of "
+     "100000; lower the prefix or cycle cap"),
+    (["witness", "--config", FIXTURE_S4, "--p-max", "8192", "--q-max", "8192"],
+     "a sample space with prefixes up to 8192 and cycles up to 8192 letters "
+     "would enumerate more than 2**4096 candidate codes, over the cap of "
+     "100000; lower the prefix or cycle cap"),
+    (["witness", "--config", FIXTURE_S4, "--p-max", "6000", "--q-max", "6000"],
+     "a sample space with prefixes up to 6000 and cycles up to 6000 letters "
+     "would enumerate more than 2**3000 candidate codes, over the cap of "
+     "100000; lower the prefix or cycle cap"),
+    (["tree", "--config", "dihedral", "--radius", NINES],
+     f"the tree ball of radius {NINES} has more than 2**14285 vertices, over "
+     "the vertex cap of 100000"),
+    (["reiter", "--window", "z", "--radius", NINES],
+     f"the window of radius {NINES} has more than 2**14285 vertices, over "
+     "the vertex cap of 100000; lower the radius or the support"),
+    (["equiv", "--config", "psl2z",
+      "--x", _psl2z_cycle(lambda i: bin(i).count("1") % 2),
+      "--y", _psl2z_cycle(lambda i: isqrt(i) % 2)],
+     "the orbit walks of two codes of 3200 and 3200 letters would take "
+     "30742402 steps, over the cap of 1000000; shorten the codes"),
+], ids=["grid-1e8", "grid-1e9", "grid-1e4000", "grid-49997", "sample-c12",
+        "sample-s4-8192", "sample-s4-6000", "tree-nines", "window-nines",
+        "equiv-3200"])
+def test_count_too_large_or_too_long_to_print_is_refused_fast(
+        capsys, argv, message):
+    # each one hung, or printed the interpreter's own digit-limit error in
+    # place of its count, before every budget shared one counting rule
+    started = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - started < 1
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_witness_below_stabilization_names_n_max(capsys):

@@ -22,7 +22,6 @@ from arbor.reiter import (
     check_window_size,
     coset_window,
     free_ball,
-    free_ball_size,
     free_reduce,
     free_tree_window,
     grid_search_min_deviation,
@@ -37,7 +36,7 @@ from arbor.reiter import (
     _numerators,
     _window_deviations,
 )
-from arbor.tree import act_on_boundary
+from arbor.tree import act_on_boundary, ball_size
 
 from bruteforce import (boundary_product_tensor, builtin, interior,
                         tensor_to_json)
@@ -147,17 +146,21 @@ def test_free_ball_sizes():
 
 
 def test_ball_sizes_in_closed_form():
+    # a free window is a ball in the 2·rank-regular tree; rank 1 is the line
     for radius in range(5):
-        assert free_ball_size(1, radius) == len(integer_window(radius).vertices)
+        assert ball_size(2, 2, radius) == len(integer_window(radius).vertices)
         for rank in range(1, 5):
-            assert free_ball_size(rank, radius) == len(free_ball(rank, radius))
-            assert free_ball_size(rank, radius) == \
+            assert ball_size(2 * rank, 2 * rank, radius) == \
+                len(free_ball(rank, radius))
+            assert ball_size(2 * rank, 2 * rank, radius) == \
                 len(free_tree_window(rank, radius).vertices)
-    assert free_ball_size(6, 5) == 193261
+    assert ball_size(12, 12, 5) == 193261
     with pytest.raises(ValueError, match="rank must be between 1 and 6"):
-        free_ball_size(7, 1)
+        check_window_size(7, 1, 100_000)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         free_ball(2, -1)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        check_window_size(1, -1, 100_000)
 
 
 def test_oversized_window_is_refused_before_building():
@@ -357,6 +360,19 @@ def test_integer_grid_matches_fraction_grid(case):
     assert value == max(_window_deviations(window, p))
     assert max(q.denominator for _, q in p.items()) <= max_den
     assert (value, p) == _fraction_grid(window, support, max_den)
+
+
+def test_grid_vector_count_is_one_binomial():
+    # the oracle: a loop over denominators, and the vectors _numerators
+    # lists for each
+    for k in range(1, 8):
+        for max_den in range(30):
+            loop = sum(comb(d + k - 1, k - 1) for d in range(1, max_den + 1))
+            assert grid_vector_count(k, max_den) == loop
+            if k <= 4 and max_den <= 8:
+                assert grid_vector_count(k, max_den) == sum(
+                    1 for d in range(1, max_den + 1) for _ in _numerators(d, k))
+    assert grid_vector_count(0, 5) == grid_vector_count(3, -2) == 0
 
 
 def test_grid_size_is_counted_first():

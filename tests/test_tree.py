@@ -14,8 +14,9 @@ from arbor.groups import (
 )
 from arbor.tree import (
     GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
-    act_on_vertex, ball_size, base_vertex, build_tree, check_acylindricity,
-    check_theorem_A, code_truncate, geodesic, is_adjacent,
+    act_on_vertex, ball_bits, ball_size, base_vertex, build_tree,
+    check_acylindricity, check_theorem_A, code_truncate, geodesic,
+    is_adjacent, over_cap,
     ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
     validate_vertex, vertex_from_letters, word_element,
 )
@@ -128,7 +129,33 @@ def test_build_tree_vertex_cap():
 def test_ball_size_counts_the_built_tree(name):
     am = builtin(name)
     for radius in range(7):
-        assert ball_size(am, radius) == len(build_tree(am, radius).vertices)
+        assert ball_size(am.A.index, am.B.index, radius) == \
+            len(build_tree(am, radius).vertices)
+
+
+def test_ball_bits_bound_every_ball():
+    for a in range(2, 7):
+        for b in range(2, 7):
+            for radius in range(1, 13):
+                assert ball_size(a, b, radius) > 2 ** ball_bits(a, b, radius)
+    # the line is counted, not bounded; the free ball of rank 2 doubles at
+    # every depth, sl2z's tree at every other
+    assert ball_bits(2, 2, 10 ** 9) == 0
+    assert ball_bits(4, 4, 10 ** 9) == 10 ** 9
+    assert ball_bits(2, 3, 60) == 30
+
+
+def test_over_cap_counts_only_what_it_can():
+    def never():
+        raise AssertionError("counted a size already known to be too large")
+
+    assert over_cap(100, 8, never) == "more than 2**8"
+    assert over_cap(100, 7, lambda: 100) is None
+    assert over_cap(100, 7, lambda: 101) == "101"
+    # a count too long to print reads as a power of two below it
+    assert over_cap(100, 0, lambda: 10 ** 5000) == "more than 2**16609"
+    assert over_cap(100, 0, lambda: 2 ** 20000) == "more than 2**19999"
+    assert 2 ** 16609 < 10 ** 5000
 
 
 @pytest.mark.parametrize("name", ORACLE_MODELS,
