@@ -940,8 +940,7 @@ def test_oversized_tree_ball_is_refused_fast(capsys, argv, count):
 
 
 NINES = "9" * 4300  # the longest integer the interpreter reads by default
-FIXTURE_C12 = str(ROOT / "perfbench" / "fixtures" / "c12_c3_c15.json")
-FIXTURE_S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
+C12 = str(ROOT / "perfbench" / "fixtures" / "c12_c3_c15.json")
 GRID_TAIL = ("over the cap of 1000000; lower the denominator or shrink the "
              "support")
 
@@ -969,15 +968,15 @@ def _psl2z_cycle(flip) -> str:
       "--denominator", "1000000000"],
      "grid check over 49997 support vertices with denominators up to "
      f"1000000000 would visit more than 2**49996 vectors, {GRID_TAIL}"),
-    (["witness", "--config", FIXTURE_C12, "--p-max", "0", "--q-max", "8192"],
+    (["witness", "--config", C12, "--p-max", "0", "--q-max", "8192"],
      "a sample space with prefixes up to 0 and cycles up to 8192 letters "
      "would enumerate more than 2**4095 candidate codes, over the cap of "
      "100000; lower the prefix or cycle cap"),
-    (["witness", "--config", FIXTURE_S4, "--p-max", "8192", "--q-max", "8192"],
+    (["witness", "--config", S4, "--p-max", "8192", "--q-max", "8192"],
      "a sample space with prefixes up to 8192 and cycles up to 8192 letters "
      "would enumerate more than 2**4096 candidate codes, over the cap of "
      "100000; lower the prefix or cycle cap"),
-    (["witness", "--config", FIXTURE_S4, "--p-max", "6000", "--q-max", "6000"],
+    (["witness", "--config", S4, "--p-max", "6000", "--q-max", "6000"],
      "a sample space with prefixes up to 6000 and cycles up to 6000 letters "
      "would enumerate more than 2**3000 candidate codes, over the cap of "
      "100000; lower the prefix or cycle cap"),
