@@ -191,6 +191,12 @@ class SampleSpace(NamedTuple):
 
 SAMPLE_SPACE_CAP = 100_000
 
+# Letters the candidate codes of a sample space may spell, bounded by the
+# candidates times p_max + q_max.  On one core, dihedral at p_max 1024 and
+# q_max 4 (a bound of 4.2 million) takes about 1.2 s, at p_max 2048 (16.8
+# million) 4.8 s, and at p_max 8192 about a minute.
+SAMPLE_LETTER_CAP = 10_000_000
+
 
 def sample_space_size(am: Amalgam, p_max: int, q_max: int) -> int:
     """The (prefix, cycle) candidates build_sample_space enumerates, counted.
@@ -207,7 +213,8 @@ def sample_space_size(am: Amalgam, p_max: int, q_max: int) -> int:
 def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
     """Enumerate every canonical code with |prefix| <= p_max, |cycle| <= q_max.
 
-    The candidates are counted first and refused over SAMPLE_SPACE_CAP.
+    The candidates are counted first and refused over SAMPLE_SPACE_CAP,
+    and a bound on the letters they spell over SAMPLE_LETTER_CAP.
     """
     if p_max < 0 or q_max < 2:
         raise RelationError("need p_max >= 0 and q_max >= 2")
@@ -223,6 +230,15 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
             f"a sample space with prefixes up to {p_max} and cycles up to "
             f"{q_max} letters would enumerate {count} candidate codes, over "
             f"the cap of {SAMPLE_SPACE_CAP}; lower the prefix or cycle cap")
+    # each candidate spells at most p_max + q_max letters
+    letters = over_cap(SAMPLE_LETTER_CAP, 0, lambda: sample_space_size(
+        am, p_max, q_max) * (p_max + q_max))
+    if letters:
+        raise RelationError(
+            f"a sample space with prefixes up to {p_max} and cycles up to "
+            f"{q_max} letters would spell up to {letters} letters in its "
+            f"candidate codes, over the cap of {SAMPLE_LETTER_CAP}; lower the "
+            f"prefix or cycle cap")
     pools = {A_SIDE: [Letter(A_SIDE, r) for r in range(1, am.A.index)],
              B_SIDE: [Letter(B_SIDE, r) for r in range(1, am.B.index)]}
     found = set()

@@ -374,11 +374,29 @@ class SegmentStabilizer(NamedTuple):
         return len(self.elements)
 
 
+def edge_conjugates(am: Amalgam, side: int, r: int) -> list[int]:
+    """r c r^-1 for every c in C, embedded on one side: the elements h of
+    that side's factor that fix the edge from its base coset to the
+    neighbour r.V, V the other factor, since h r V = r V exactly when
+    r^-1 h r lies in both factors, that is in C."""
+    grp = am.side_group(side)
+    r_inv = grp.inv(r)
+    return [grp.mul(grp.mul(r, am.embed_to_side(side, c)), r_inv)
+            for c in am.C.elements()]
+
+
 def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabilizer:
     """All g fixing every vertex of the segment, via translation to the base.
 
-    Conjugating the segment so it starts at a base coset reduces the search
-    to one finite factor, which is exhaustive and exact.
+    Translating the segment to start at a base coset reduces the search to
+    the factor G at that coset, and G fixes its own vertex.  Only the
+    elements fixing the first edge can fix a longer segment: the |C|
+    conjugates of C by the first step's representative (Serre, Trees, I.4).
+    They must all fix the second vertex, and there must be |G| / |G:C| of
+    them, all distinct; G permutes the |G:C| neighbours of its vertex
+    transitively, so by orbit-stabilizer they are the whole edge
+    stabilizer.  Each one that also fixes the rest is conjugated back and
+    re-applied to every vertex of the segment.
     """
     validate_geodesic(am, segment)
     v0 = segment.vertices[0]
@@ -389,11 +407,29 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
         raise TreeError("failed to translate the segment start to a base coset")
     side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
     grp = am.side_group(side)
+    if len(moved) == 1:
+        candidates = [word_of_subgroup_element(am, side, e)
+                      for e in grp.elements()]
+    else:
+        # the first step's word ends in r: (r,) from H, (1, r) from K, and
+        # () from K to the base, with r the identity
+        near = moved[1]
+        last = near.word[-1:]
+        r = am.letter_element(last[0]) if last and last[0].side == side else 0
+        elems = edge_conjugates(am, side, r)
+        size = grp.order // am.transversal(side).index
+        if len(elems) != size or len(set(elems)) != size:
+            raise VerificationError(
+                f"the first edge's stabilizer candidates are not "
+                f"|G|/|G:C| = {size} distinct elements")
+        candidates = [word_of_subgroup_element(am, side, e) for e in elems]
+        if any(act_on_vertex(am, h, near) != near for h in candidates):
+            raise VerificationError(
+                "a conjugate of C fails to fix the segment's first edge")
     t_inv = invert(am, t)
     found: list[ReducedWord] = []
-    for elem in grp.elements():
-        h = word_of_subgroup_element(am, side, elem)
-        if all(act_on_vertex(am, h, v) == v for v in moved):
+    for h in candidates:
+        if all(act_on_vertex(am, h, v) == v for v in moved[2:]):
             g = multiply(am, multiply(am, t_inv, h), t)
             if any(act_on_vertex(am, g, v) != v for v in segment.vertices):
                 raise VerificationError("conjugated stabilizer element fails to fix")
@@ -432,9 +468,7 @@ def _recheck_ray(am: Amalgam, x: BoundaryCode, sigma: int, fixing: list,
         raise VerificationError("ray stabilizer element fails to fix the end")
     H = am.H
     r = am.rep_element(A_SIDE, x.letter_at(0).rep)
-    suspects = H.elements() if sigma == 0 else [
-        H.mul(H.mul(r, am.embed_to_side(A_SIDE, c)), H.inv(r))
-        for c in am.C.elements()]
+    suspects = H.elements() if sigma == 0 else edge_conjugates(am, A_SIDE, r)
     far = TreeVertex(sigma % 2, x.letters(sigma))
     for e in suspects:
         if e not in fixing and act_on_vertex(

@@ -6,8 +6,9 @@ three built-in models.  Exhaustive searches the library replaced with
 direct constructions: tree balls that store every vertex's word (with
 geodesics through two words' common prefix and dot labels joined from the
 words), segments from all vertex pairs, orbit witnesses rebuilt from
-scratch for every pair, canonical orbit codes from every base element
-applied and compared, and permutation-group tables with every product
+scratch for every pair, segment stabilizers from every element of the
+factor at the segment's start, canonical orbit codes from every base
+element applied and compared, and permutation-group tables with every product
 composed, associativity by the triple loop, and coset partitions rebuilt
 element by element.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
@@ -34,9 +35,10 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           check_tensor, format_fraction, l1_distance)
-from arbor.tree import (H_TYPE, GeodesicPath, TreeError, TreeVertex,
-                        act_on_boundary, base_vertex, code_truncate,
-                        stabilizer_of_segment, word_element)
+from arbor.tree import (H_TYPE, K_TYPE, GeodesicPath, SegmentStabilizer,
+                        TreeError, TreeVertex, act_on_boundary, act_on_vertex,
+                        base_vertex, code_truncate, validate_geodesic,
+                        vertex_from_letters, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
@@ -356,6 +358,30 @@ def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
         lines.append(f"  v{i} -- v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
+                          ) -> SegmentStabilizer:
+    """All g fixing every vertex of the segment: the segment translated to
+    start at a base coset, every element of that coset's factor applied to
+    every translated vertex, and each one that fixes them all conjugated
+    back."""
+    validate_geodesic(am, segment)
+    v0 = segment.vertices[0]
+    t = invert(am, word_element(am, v0.word))
+    moved = [act_on_vertex(am, t, v) for v in segment.vertices]
+    start = base_vertex() if v0.vtype == H_TYPE \
+        else vertex_from_letters([], K_TYPE)
+    assert moved[0] == start
+    side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
+    t_inv = invert(am, t)
+    found = []
+    for elem in am.side_group(side).elements():
+        h = word_of_subgroup_element(am, side, elem)
+        if all(act_on_vertex(am, h, v) == v for v in moved):
+            found.append(multiply(am, multiply(am, t_inv, h), t))
+    found.sort(key=ReducedWord.sort_key)
+    return SegmentStabilizer(segment, tuple(found))
 
 
 def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):

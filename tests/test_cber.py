@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from arbor.cber import (
-    EQUIV_STEP_CAP, SAMPLE_SPACE_CAP, RelationError, build_sample_space,
+    EQUIV_STEP_CAP, SAMPLE_LETTER_CAP, SAMPLE_SPACE_CAP, RelationError,
+    build_sample_space,
     classes, shift_walk_steps,
     hyperfiniteness_witness, orbit_equivalent, orbit_witness_table, partition,
     refines, sample_space_size, validate_witness_chain,
@@ -207,6 +208,26 @@ def test_oversized_sample_space_is_refused_before_enumeration():
         build_sample_space(s4, 2, 20)
     with pytest.raises(RelationError, match="more than 2"):
         build_sample_space(s4, 1, 10 ** 9)
+
+
+def test_long_prefixes_are_refused_by_their_letters(monkeypatch):
+    # dihedral's line admits few candidates with long prefixes: 8,194 at
+    # p_max 2048, each spelling up to 2,052 letters
+    am = builtin("dihedral")
+    assert sample_space_size(am, 2048, 4) == 8194 < SAMPLE_SPACE_CAP
+    with pytest.raises(RelationError, match=" 16814088 letters in its "
+                       "candidate codes, over the cap of 10000000;"):
+        build_sample_space(am, 2048, 4)
+    # the cap is inclusive: exactly the bound is admitted
+    bound = sample_space_size(am, 3, 4) * (3 + 4)
+    monkeypatch.setattr("arbor.cber.SAMPLE_LETTER_CAP", bound)
+    assert len(build_sample_space(am, 3, 4).points) == 2
+    monkeypatch.setattr("arbor.cber.SAMPLE_LETTER_CAP", bound - 1)
+    with pytest.raises(RelationError, match=f" {bound} letters"):
+        build_sample_space(am, 3, 4)
+    # the largest sample space the README and the benchmark ask for
+    s4, _ = load_config(str(FIXTURES / "s4_c3_s3.json"))
+    assert sample_space_size(s4, 2, 4) * (2 + 4) < SAMPLE_LETTER_CAP
 
 
 def test_sample_space_is_canonical_and_sorted():

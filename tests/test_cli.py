@@ -422,6 +422,29 @@ def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
     assert err == "internal error: conjugated stabilizer element fails to fix\n"
 
 
+@pytest.mark.parametrize("plant,message", [
+    # conjugated the wrong way round: r^-1 C r is not the edge's stabilizer
+    (lambda conjugates, am, side, r: conjugates(
+        am, side, am.side_group(side).inv(r)),
+     "a conjugate of C fails to fix the segment's first edge"),
+    # one conjugate dropped: each one left still fixes the edge
+    (lambda conjugates, am, side, r: conjugates(am, side, r)[:-1],
+     "the first edge's stabilizer candidates are not |G|/|G:C| = 6 distinct "
+     "elements"),
+], ids=["inverse-representative", "dropped-candidate"])
+def test_wrong_edge_stabilizer_exits_3(monkeypatch, capsys, plant, message):
+    model = str(ROOT / "tests" / "models" / "s4_s3_s4.json")
+    argv = ["check", "--what", "acylindrical", "--config", model,
+            "--seg-length", "1"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and json.loads(out)["orders"] == [[6, 52]]
+    conjugates = tree.edge_conjugates
+    monkeypatch.setattr("arbor.tree.edge_conjugates",
+                        lambda *args: plant(conjugates, *args))
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (3, "", f"internal error: {message}\n")
+
+
 def test_unstrict_group_certificate_exits_3(monkeypatch, capsys):
     # a deviation of 1/2 on a finite factor, where the uniform vector has 0
     monkeypatch.setattr("arbor.reiter.reiter_deviation",
@@ -738,6 +761,9 @@ EDGE_CASES = [
     (["witness", "--config", "{root}/perfbench/fixtures/s4_c3_s3.json",
       "--p-max", "2", "--q-max", "20"], {}, 2),
     (["check", "--what", "theorem-a", "--q-max", "1000000000"], {}, 2),
+    # few candidates, but long ones: a bound of 268,582,920 letters
+    (["witness", "--config", "dihedral", "--p-max", "8192", "--q-max", "4",
+      "--no-witnesses"], {}, 2),
     (["check", "--what", "theorem-a", "--max-len", "-1"], {}, 2),
     (["tree", "--out", "{tmp}/nonexistent/d/x.json"], {}, 2),
     (["tree", "--radius", "1", "--dot", "{tmp}/nonexistent/ball.dot"], {}, 2),
@@ -980,6 +1006,11 @@ def _psl2z_cycle(flip) -> str:
      "a sample space with prefixes up to 6000 and cycles up to 6000 letters "
      "would enumerate more than 2**3000 candidate codes, over the cap of "
      "100000; lower the prefix or cycle cap"),
+    (["witness", "--config", "dihedral", "--p-max", "8192", "--q-max", "4",
+      "--no-witnesses"],
+     "a sample space with prefixes up to 8192 and cycles up to 4 letters "
+     "would spell up to 268582920 letters in its candidate codes, over the "
+     "cap of 10000000; lower the prefix or cycle cap"),
     (["tree", "--config", "dihedral", "--radius", NINES],
      f"the tree ball of radius {NINES} has more than 2**14285 vertices, over "
      "the vertex cap of 100000"),
@@ -992,8 +1023,8 @@ def _psl2z_cycle(flip) -> str:
      "the orbit walks of two codes of 3200 and 3200 letters would take "
      "30742402 steps, over the cap of 1000000; shorten the codes"),
 ], ids=["grid-1e8", "grid-1e9", "grid-1e4000", "grid-49997", "sample-c12",
-        "sample-s4-8192", "sample-s4-6000", "tree-nines", "window-nines",
-        "equiv-3200"])
+        "sample-s4-8192", "sample-s4-6000", "sample-letters", "tree-nines",
+        "window-nines", "equiv-3200"])
 def test_count_too_large_or_too_long_to_print_is_refused_fast(
         capsys, argv, message):
     # each one hung, or printed the interpreter's own digit-limit error in

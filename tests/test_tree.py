@@ -21,6 +21,7 @@ from arbor.tree import (
     validate_vertex, vertex_from_letters, word_element,
 )
 
+import bruteforce
 from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
                         enumerate_reduced_words, geodesic_to_code,
                         word_geodesic, word_tree, word_tree_dot)
@@ -30,6 +31,9 @@ FIXTURES = HERE.parent / "perfbench" / "fixtures"
 ORACLE_MODELS = BUILTIN_NAMES + tuple(
     str(p) for p in sorted(FIXTURES.glob("*.json"))) + (
     str(HERE / "models" / "s4_s3_s4.json"),)
+# the models whose C is neither central nor trivial: only there do the
+# conjugates r C r^-1 differ from C, so only there can a wrong one show
+S4_MODELS = (str(FIXTURES / "s4_c3_s3.json"), str(HERE / "models" / "s4_s3_s4.json"))
 
 aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
@@ -467,6 +471,63 @@ def test_acylindricity_walk_matches_pairwise_survey_on_index_4_5_model():
     report = check_acylindricity(am, 2)
     assert (report.segments, report.orders_histogram) == \
         acylindricity_survey(am, 2, report.tree_radius)
+
+
+def segments(am, length):
+    """Every segment of the given length in the ball of radius length + 2,
+    once from each end."""
+    ball = build_tree(am, length + 2)
+    near = [[p] if p >= 0 else [] for p in ball.parent]
+    for child in ball.vertices[1:]:
+        near[ball.parent[child]].append(child)
+    for i in ball.vertices:
+        walk = [(i, -1)]
+        for _ in range(length):
+            walk = [(w, u) for u, prev in walk for w in near[u] if w != prev]
+        for j, _ in walk:
+            yield geodesic(ball, i, j)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", S4_MODELS, ids=lambda name: Path(name).stem)
+def test_segment_stabilizer_matches_every_factor_element(name, length):
+    am, _ = load_config(name)
+    starts = set()
+    for path in segments(am, length):
+        starts.add(path.vertices[0].vtype)
+        assert stabilizer_of_segment(am, path).elements == \
+            bruteforce.stabilizer_of_segment(am, path).elements
+    assert starts == {H_TYPE, K_TYPE}
+
+
+@pytest.mark.parametrize("seg_length", [1, 2, 3])
+@pytest.mark.parametrize("name", S4_MODELS, ids=lambda name: Path(name).stem)
+def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
+    am, _ = load_config(name)
+    report = check_acylindricity(am, seg_length, seg_length + 1)
+    assert (report.segments, report.orders_histogram) == \
+        acylindricity_survey(am, seg_length, seg_length + 1)
+
+
+@pytest.mark.parametrize("config,seg_length,calls", [
+    (str(FIXTURES / "c12_c3_c15.json"), "3", 78_000),
+    (S4_MODELS[1], "2", 6_678),
+], ids=["c12-length-3", "s4_s3_s4-length-2"])
+def test_survey_vertex_actions(monkeypatch, capsys, config, seg_length, calls):
+    # each segment: one translation per vertex, |C| conjugates tried on
+    # the rest, and each survivor re-applied to every vertex (applying
+    # every element of the factor took 147,264 and 20,034)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return act_on_vertex(*args)
+
+    monkeypatch.setattr("arbor.tree.act_on_vertex", counted)
+    assert main(["check", "--what", "acylindrical", "--config", config,
+                 "--seg-length", seg_length]) == 0
+    capsys.readouterr()
+    assert count[0] == calls
 
 
 def test_to_dot_is_deterministic_and_wellformed():
