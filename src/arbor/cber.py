@@ -79,7 +79,7 @@ def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]
     emit the least letter; the code is then derived by act_on_boundary from
     the first survivor and must spell the letters the walk emitted.
     """
-    emitted, survivors, _, _ = lockstep(am, x, True)
+    emitted, survivors, _ = lockstep(am, x, True)
     h = word_of_subgroup_element(am, A_SIDE, survivors[0][1])
     code = act_on_boundary(am, h, x)
     if code.letters(len(emitted)) != emitted:

@@ -36,10 +36,6 @@ class TreeVertex(NamedTuple):
     word: tuple[Letter, ...]
 
 
-def base_vertex() -> TreeVertex:
-    return TreeVertex(H_TYPE, ())
-
-
 def vertex_from_letters(letters: Sequence[Letter], vtype: int) -> TreeVertex:
     """Normalize a letter word to the canonical vertex word of the given type."""
     out = list(letters)
@@ -304,69 +300,117 @@ def lockstep_bound(am: Amalgam, x: BoundaryCode) -> int:
     return len(x.prefix) + 3 * len(x.cycle) * am.C.order
 
 
-def lockstep(am: Amalgam, x: BoundaryCode, least: bool
-             ) -> tuple[tuple[Letter, ...], list[tuple[int, int]], int,
-                        Optional[int]]:
-    """Walk every element of H along the end x at once.
+def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
+             ) -> tuple[tuple[Letter, ...], list[tuple[int, int]],
+                        list[tuple[int, int]]]:
+    """Walk every element of a factor G along a path from G's base coset at
+    once.
 
-    An element e turns x's first letter into the first letter of e.x and a
-    carry in C; each later letter is one step-table lookup that moves the
-    carry past it and emits the next letter of e.x.  At each position only
-    the elements that emit the wanted letter survive: the least one when
-    least is set, otherwise x's own letter, so that the survivors after n
-    letters fix the ray's first n steps.  Returns the emitted letters, the
-    survivors as (carry, e) in H.elements() order, sigma (the letter count
-    at the last death, 0 when none dies) and the first element that died
-    there.
+    The path is an end x, walked by H from the base vertex, or a finite
+    letter sequence walked by the factor of its first letter's side: a
+    segment translated to start at a base coset, where from K the step to
+    the base vertex reads as the letter (B, 0).  An element e turns the
+    first letter into the first letter of e.path and a carry in C; each
+    later letter is one step-table lookup that moves the carry past it and
+    emits the next letter of e.path.  At each position only the elements
+    that emit the wanted letter survive: the least one when least is set,
+    otherwise the path's own letter, so that the survivors after k letters
+    fix the path's first k steps.  Returns the emitted letters, the
+    survivors as (carry, e) in G.elements() order, and, for a fixing walk,
+    each death as (k, e): e fixes k - 1 steps of the path but not k.
 
-    Survivors' carries are distinct (e P = P' c = e' P gives e = e'), so
-    the walk stops when one survivor is left; or when (cycle position,
-    survivor carries) repeats, since nothing died in between and the same
-    stretch then repeats forever; or after len(prefix) + 3*len(cycle)*|C|
-    letters.  Past len(prefix) + len(cycle)*|C| letters every survivor's own
-    (cycle position, carry) has repeated, so its stream, like x's, is
-    periodic with a period of at most len(cycle)*|C|; two such streams that
-    agree for twice that long agree forever (Fine and Wilf), so nothing
-    dies after the bound.
+    The walk stops when one survivor is left, since it never dies: it
+    emits the least letter, or it is the identity; a finite sequence is
+    otherwise walked to its end.  Along an end, survivors' carries are
+    distinct (e P = P' c = e' P gives e = e'), so the walk also stops when
+    (cycle position, survivor carries) repeats, since nothing died in
+    between and the same stretch then repeats forever; or after
+    len(prefix) + 3*len(cycle)*|C| letters.  Past
+    len(prefix) + len(cycle)*|C| letters every survivor's own (cycle
+    position, carry) has repeated, so its stream, like x's, is periodic with
+    a period of at most len(cycle)*|C|; two such streams that agree for
+    twice that long agree forever (Fine and Wilf), so nothing dies after
+    the bound.
     """
-    letter = x.letter_at(0)
-    head = am.rep_element(A_SIDE, letter.rep)
-    moved = [(am.decompose(A_SIDE, am.H.mul(e, head)), e)
-             for e in am.H.elements()]
+    if isinstance(path, BoundaryCode):
+        letter_at, bound, tail = path.letter_at, lockstep_bound(am, path), \
+            len(path.prefix)
+    else:  # a finite sequence reaches its bound before any cycle position
+        letter_at, bound, tail = path.__getitem__, len(path), len(path)
+    letter = letter_at(0)
+    head = am.rep_element(letter.side, letter.rep)
+    grp = am.side_group(letter.side)
+    moved = [(am.decompose(letter.side, grp.mul(e, head)), e)
+             for e in grp.elements()]
     emitted: list[Letter] = []
-    sigma, dead = 0, None
-    bound = lockstep_bound(am, x)
+    deaths: list[tuple[int, int]] = []
     seen: set = set()
     j = 0
     while True:
         if least:
             letter = Letter(letter.side, min(r for (r, _), _ in moved))
         emitted.append(letter)
-        survivors, want = [], letter.rep
-        for (rep, carry), e in moved:
-            if rep == want:
-                survivors.append((carry, e))
-            elif sigma != j + 1:
-                sigma, dead = j + 1, e
+        want = letter.rep
+        survivors = [(carry, e) for (rep, carry), e in moved if rep == want]
         j += 1
+        if not least:
+            deaths += [(j, e) for (rep, _), e in moved if rep != want]
         if len(survivors) == 1 or j >= bound:
             break
-        if j >= len(x.prefix):
-            state = ((j - len(x.prefix)) % len(x.cycle),
+        if j >= tail:
+            state = ((j - tail) % len(path.cycle),
                      frozenset(c for c, _ in survivors))
             if state in seen:
                 break
             seen.add(state)
-        letter = x.letter_at(j)
+        letter = letter_at(j)
         moved = [(am.step(letter.side, c, letter.rep), e)
                  for c, e in survivors]
-    return tuple(emitted), survivors, sigma, dead
+    return tuple(emitted), survivors, deaths
+
+
+def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
+                    survivors: list[tuple[int, int]],
+                    deaths: list[tuple[int, int]]) -> None:
+    """Nothing a fixing walk left out fixes its path, path[k] the vertex k
+    steps from the base coset of side, whose factor G fixes path[0].
+
+    Every death must lie on the path, and there must be one: G permutes the
+    |G:C| >= 2 neighbours of its vertex transitively, so some element dies
+    at the first letter.  By orbit-stabilizer the elements alive after it
+    are the whole stabilizer of the first edge (Serre, Trees, I.4) when
+    they are |G|/|G:C| distinct elements that each fix path[1]; every other
+    element moves path[1].  Each later death (k, e) is shown to move
+    path[k].
+    """
+    if not deaths or max(deaths)[0] >= len(path):
+        raise VerificationError("the walk reports no death, or one past its path")
+    later = [(k, e) for k, e in deaths if k > 1]
+    alive = [e for _, e in survivors] + [e for _, e in later]
+    size = am.side_group(side).order // am.transversal(side).index
+    if len(alive) != size or len(set(alive)) != size:
+        raise VerificationError(f"the walk's first-edge stabilizer is not "
+                                f"|G|/|G:C| = {size} distinct elements")
+
+    def moves(k: int, e: int) -> bool:
+        v = path[k]
+        return act_on_vertex(am, word_of_subgroup_element(am, side, e), v) != v
+
+    if any(moves(1, e) for e in alive):
+        raise VerificationError("an element the walk keeps past the first "
+                                "letter moves the first edge")
+    for k, e in later:
+        if not moves(k, e):
+            raise VerificationError(f"an element left out of the stabilizer "
+                                    f"fixes the path's vertex at distance {k}")
 
 
 class SegmentStabilizer(NamedTuple):
-    """The exact setwise-fixing subgroup of a finite segment, as normal forms."""
+    """The exact pointwise stabilizer of a finite segment, as normal forms.
 
-    segment: GeodesicPath
+    Each element fixes every vertex; one that maps the segment onto itself
+    by reversing it about its midpoint is not in it."""
+
     elements: tuple[ReducedWord, ...]
 
     @property
@@ -374,74 +418,50 @@ class SegmentStabilizer(NamedTuple):
         return len(self.elements)
 
 
-def edge_conjugates(am: Amalgam, side: int, r: int) -> list[int]:
-    """r c r^-1 for every c in C, embedded on one side: the elements h of
-    that side's factor that fix the edge from its base coset to the
-    neighbour r.V, V the other factor, since h r V = r V exactly when
-    r^-1 h r lies in both factors, that is in C."""
-    grp = am.side_group(side)
-    r_inv = grp.inv(r)
-    return [grp.mul(grp.mul(r, am.embed_to_side(side, c)), r_inv)
-            for c in am.C.elements()]
-
-
 def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabilizer:
     """All g fixing every vertex of the segment, via translation to the base.
 
-    Translating the segment to start at a base coset reduces the search to
-    the factor G at that coset, and G fixes its own vertex.  Only the
-    elements fixing the first edge can fix a longer segment: the |C|
-    conjugates of C by the first step's representative (Serre, Trees, I.4).
-    They must all fix the second vertex, and there must be |G| / |G:C| of
-    them, all distinct; G permutes the |G:C| neighbours of its vertex
-    transitively, so by orbit-stabilizer they are the whole edge
-    stabilizer.  Each one that also fixes the rest is conjugated back and
-    re-applied to every vertex of the segment.
+    Translating the segment by t to start at a base coset reduces the search
+    to the factor G at that coset, and G fixes its own vertex.  The lockstep
+    walk of G along the translated letters keeps the elements that fix the
+    rest, _check_complete shows that it left out none, and each one is
+    conjugated back and re-applied to every vertex of the segment.  The
+    survey builds its own segments, so an invalid one, or a translation
+    that misses the base coset, is a defect and not an input error.
     """
-    validate_geodesic(am, segment)
+    try:
+        validate_geodesic(am, segment)
+    except TreeError as exc:
+        raise VerificationError(f"survey segment is not a geodesic: {exc}") \
+            from None
     v0 = segment.vertices[0]
-    t = invert(am, word_element(am, v0.word))
+    back = word_element(am, v0.word)  # takes the base coset to v0
+    t = invert(am, back)
     moved = [act_on_vertex(am, t, v) for v in segment.vertices]
-    expected = base_vertex() if v0.vtype == H_TYPE else vertex_from_letters([], K_TYPE)
-    if moved[0] != expected:
-        raise TreeError("failed to translate the segment start to a base coset")
+    if moved[0] != vertex_from_letters([], v0.vtype):
+        raise VerificationError(
+            "failed to translate the segment start to a base coset")
     side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
-    grp = am.side_group(side)
-    if len(moved) == 1:
-        candidates = [word_of_subgroup_element(am, side, e)
-                      for e in grp.elements()]
-    else:
-        # the first step's word ends in r: (r,) from H, (1, r) from K, and
-        # () from K to the base, with r the identity
-        near = moved[1]
-        last = near.word[-1:]
-        r = am.letter_element(last[0]) if last and last[0].side == side else 0
-        elems = edge_conjugates(am, side, r)
-        size = grp.order // am.transversal(side).index
-        if len(elems) != size or len(set(elems)) != size:
-            raise VerificationError(
-                f"the first edge's stabilizer candidates are not "
-                f"|G|/|G:C| = {size} distinct elements")
-        candidates = [word_of_subgroup_element(am, side, e) for e in elems]
-        if any(act_on_vertex(am, h, near) != near for h in candidates):
-            raise VerificationError(
-                "a conjugate of C fails to fix the segment's first edge")
-    t_inv = invert(am, t)
-    found: list[ReducedWord] = []
-    for h in candidates:
-        if all(act_on_vertex(am, h, v) == v for v in moved[2:]):
-            g = multiply(am, multiply(am, t_inv, h), t)
-            if any(act_on_vertex(am, g, v) != v for v in segment.vertices):
-                raise VerificationError("conjugated stabilizer element fails to fix")
-            found.append(g)
-    found.sort(key=ReducedWord.sort_key)
-    return SegmentStabilizer(segment, tuple(found))
+    fixing = am.side_group(side).elements()
+    if len(moved) > 1:
+        # each step appends its letter, except K's step to the base vertex
+        letters = [w.word[-1] if len(w.word) > len(v.word)
+                   else Letter(B_SIDE, 0) for v, w in zip(moved, moved[1:])]
+        _, survivors, deaths = lockstep(am, letters, False)
+        _check_complete(am, side, moved, survivors, deaths)
+        fixing = [e for _, e in survivors]
+    words = [word_of_subgroup_element(am, side, e) for e in fixing]
+    found = sorted((multiply(am, multiply(am, back, h), t) for h in words),
+                   key=ReducedWord.sort_key)
+    if any(act_on_vertex(am, g, v) != v
+           for g in found for v in segment.vertices):
+        raise VerificationError("conjugated stabilizer element fails to fix")
+    return SegmentStabilizer(tuple(found))
 
 
 class TheoremStyleCertificate(NamedTuple):
     """The elements fixing the first sigma_length steps of a ray, and its end."""
 
-    code: BoundaryCode
     sigma_length: int
     elements: tuple[ReducedWord, ...]
 
@@ -450,41 +470,27 @@ class TheoremStyleCertificate(NamedTuple):
         return len(self.elements)
 
 
-def _words(am: Amalgam, elements) -> tuple[ReducedWord, ...]:
+def _words(am: Amalgam, survivors: list[tuple[int, int]]
+           ) -> tuple[ReducedWord, ...]:
     return tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
-                         for e in elements), key=ReducedWord.sort_key))
+                         for _, e in survivors), key=ReducedWord.sort_key))
 
 
-def _recheck_ray(am: Amalgam, x: BoundaryCode, sigma: int, fixing: list,
-                 words: tuple[ReducedWord, ...]) -> None:
-    """Each reported word fixes the end x, and each element of H outside
-    fixing moves the ray's vertex at sigma.
-
-    H fixes the base, so for sigma >= 1 only the elements fixing the first
-    step can fix that vertex: the conjugates r c r^-1 (c in C) by the
-    first letter's representative r.
-    """
+def _check_end(am: Amalgam, x: BoundaryCode,
+               words: tuple[ReducedWord, ...]) -> None:
     if any(act_on_boundary(am, h, x) != x for h in words):
         raise VerificationError("ray stabilizer element fails to fix the end")
-    H = am.H
-    r = am.rep_element(A_SIDE, x.letter_at(0).rep)
-    suspects = H.elements() if sigma == 0 else edge_conjugates(am, A_SIDE, r)
-    far = TreeVertex(sigma % 2, x.letters(sigma))
-    for e in suspects:
-        if e not in fixing and act_on_vertex(
-                am, word_of_subgroup_element(am, A_SIDE, e), far) == far:
-            raise VerificationError(f"an element left out of the stabilizer "
-                                    f"fixes the ray's vertex at distance "
-                                    f"{sigma}")
 
 
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
     """Elements of the base vertex group fixing the end x, each re-applied,
     and shown to be all of them."""
-    _, survivors, sigma, _ = lockstep(am, x, False)
-    fixing = [e for _, e in survivors]
-    words = _words(am, fixing)
-    _recheck_ray(am, x, sigma, fixing, words)
+    _, survivors, deaths = lockstep(am, x, False)
+    words = _words(am, survivors)
+    _check_end(am, x, words)
+    sigma = max(deaths, default=(0, None))[0]
+    _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices, survivors,
+                    deaths)
     return words
 
 
@@ -493,28 +499,29 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     """Least n with Stab(first n steps of the ray) equal to Stab(the end).
 
     Base-rooted rays only: both stabilizers lie inside H, and one lockstep
-    walk gives n as its last death.  Returns None when n is over max_len;
-    segment stabilizers only shrink, so equality at n persists for every
-    longer segment.  Each stabilizer element is re-applied to every vertex
-    of the segment and to the end, every other element of H is shown to
-    move the segment, and below n one element is shown to fix the segment
-    of n - 1 steps but move the vertex at n.
+    walk gives n as the position of its last death.  Returns None when n is
+    over max_len; segment stabilizers only shrink, so equality at n
+    persists for every longer segment.  Each stabilizer element is
+    re-applied to every vertex of the segment and to the end, an element
+    that dies at n is shown to fix the segment of n - 1 steps but move the
+    vertex at n, and _check_complete shows that every other element of H
+    moves the segment.
     """
     if max_len is None:
         max_len = x.horizon() + 2
     elif max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
-    _, survivors, sigma, dead = lockstep(am, x, False)
+    _, survivors, deaths = lockstep(am, x, False)
+    sigma, dead = max(deaths, default=(0, None))
     if sigma > max_len:
         return None
     segment = code_truncate(x, sigma)
-    fixing = [e for _, e in survivors]
-    words = _words(am, fixing)
+    words = _words(am, survivors)
     if any(act_on_vertex(am, h, v) != v
            for h in words for v in segment.vertices):
         raise VerificationError(
             "segment stabilizer element fails to fix the segment")
-    _recheck_ray(am, x, sigma, fixing, words)
+    _check_end(am, x, words)
     if sigma:
         g = word_of_subgroup_element(am, A_SIDE, dead)
         near, far = segment.vertices[-2:]
@@ -523,7 +530,8 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
             raise VerificationError(
                 f"no element fixes {sigma - 1} steps of the ray but not "
                 f"{sigma}")
-    return TheoremStyleCertificate(x, sigma, words)
+    _check_complete(am, A_SIDE, segment.vertices, survivors, deaths)
+    return TheoremStyleCertificate(sigma, words)
 
 
 class AcylindricityReport(NamedTuple):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from arbor import lp
 from arbor.cber import classes
@@ -37,12 +37,17 @@ from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           check_tensor, format_fraction, l1_distance)
 from arbor.tree import (H_TYPE, K_TYPE, GeodesicPath, SegmentStabilizer,
                         TreeError, TreeVertex, act_on_boundary, act_on_vertex,
-                        base_vertex, code_truncate, validate_geodesic,
+                        code_truncate, validate_geodesic,
                         vertex_from_letters, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
 BUILTIN_NAMES = ("dihedral", "sl2z", "psl2z")
+
+
+def base_vertex() -> TreeVertex:
+    """The coset H itself: the root of every ball and every ray."""
+    return TreeVertex(H_TYPE, ())
 
 
 def builtin(name: str) -> Amalgam:
@@ -381,7 +386,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
         if all(act_on_vertex(am, h, v) == v for v in moved):
             found.append(multiply(am, multiply(am, t_inv, h), t))
     found.sort(key=ReducedWord.sort_key)
-    return SegmentStabilizer(segment, tuple(found))
+    return SegmentStabilizer(tuple(found))
 
 
 def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
@@ -397,6 +402,28 @@ def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
                 order = stabilizer_of_segment(am, path).order
                 hist[order] = hist.get(order, 0) + 1
     return sum(hist.values()), tuple(sorted(hist.items()))
+
+
+def first_move(am: Amalgam, side: int, elem: int,
+               vertices: Sequence[TreeVertex]) -> Optional[int]:
+    """The least k such that elem, an element of one side's factor, moves
+    vertices[k], each vertex tried with act_on_vertex; None when it fixes
+    them all."""
+    h = word_of_subgroup_element(am, side, elem)
+    return next((k for k, v in enumerate(vertices)
+                 if act_on_vertex(am, h, v) != v), None)
+
+
+def walk_first_moves(am: Amalgam, side: int, vertices: Sequence[TreeVertex],
+                     survivors, deaths) -> tuple[list, list]:
+    """(reported, found) for a fixing walk along vertices: each element of
+    the factor with the position the walk reports it dying at (None for a
+    survivor), and each with its first move along vertices."""
+    reported = sorted([(e, None) for _, e in survivors]
+                      + [(e, k) for k, e in deaths], key=lambda pair: pair[0])
+    found = [(e, first_move(am, side, e, vertices))
+             for e in am.side_group(side).elements()]
+    return reported, found
 
 
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:

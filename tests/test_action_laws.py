@@ -24,8 +24,8 @@ from arbor.codes import BoundaryCode
 from arbor.groups import (A_SIDE, B_SIDE, Letter, ReducedWord, invert,
                           multiply)
 from arbor.tree import (TreeVertex, act_on_boundary, act_on_vertex,
-                        check_theorem_A, is_adjacent, ray_stabilizer,
-                        validate_vertex)
+                        check_theorem_A, code_truncate, is_adjacent, lockstep,
+                        ray_stabilizer, validate_vertex)
 
 import bruteforce
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min, tagged_of_reduced,
@@ -179,5 +179,24 @@ def test_stabilizer_walk_matches_every_element_applied(name):
                 assert (cert.sigma_length, cert.elements, cert.elements) == \
                     (n, stab.elements, brute_ray)
                 assert cert.order == len(ray)
+
+    law()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MODELS))
+def test_ray_walk_deaths_are_first_moves(name):
+    am = WALK_MODELS[name]
+
+    @LAWS
+    @given(ends(am))
+    def law(x):
+        # along the steps the walk took, each element it drops first moves
+        # the ray at exactly the position it reports, and each survivor
+        # moves none of them
+        out, survivors, deaths = lockstep(am, x, False)
+        reported, found = bruteforce.walk_first_moves(
+            am, A_SIDE, code_truncate(x, len(out)).vertices, survivors,
+            deaths)
+        assert reported == found
 
     law()

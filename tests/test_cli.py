@@ -16,6 +16,7 @@ from arbor.cli import ConfigError, load_config, main
 from arbor.groups import B_SIDE, Amalgam, Letter, ReducedWord
 from arbor.lp import LpSolution
 from arbor.reiter import monotone_tensor
+from arbor.tree import GeodesicPath
 
 from bruteforce import swap_intercalate, tensor_to_json
 
@@ -306,45 +307,124 @@ def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
 
 
 S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
+S4_S3_S4 = str(ROOT / "tests" / "models" / "s4_s3_s4.json")
 SIGMA_3 = "prefix=e;cycle=t1,s1"  # on S4: sigma_length 3, ray order 1
+ORDER_3 = "prefix=e;cycle=t1,s18"  # on S4: sigma_length 1, ray order 3
+
+
+def plant_walk(monkeypatch, plant):
+    """Every fixing walk hands its re-checks plant(am, letters, survivors,
+    deaths) in place of what it found; survivors are (carry, element) and
+    deaths (position, element)."""
+    walk = tree.lockstep
+    monkeypatch.setattr("arbor.tree.lockstep", lambda am, path, least: plant(
+        am, *walk(am, path, least)))
+
+
+def _first_mover(deaths):
+    """An element that moves the walk's first edge."""
+    return next(e for k, e in deaths if k == 1)
+
+
+def conjugated(am, out, fix, deaths):
+    """The walk's elements conjugated by one that moves the first edge: the
+    stabilizer of another edge at the same vertex."""
+    grp = am.side_group(out[0].side)
+    g = _first_mover(deaths)
+
+    def c(e):
+        return grp.mul(grp.mul(g, e), grp.inv(g))
+
+    return out, [(k, c(e)) for k, e in fix], [(k, c(e)) for k, e in deaths]
+
+
+def dead_survives(am, out, fix, deaths):
+    """The element that dies last reported as a survivor too."""
+    return out, fix + [(0, deaths[-1][1])], deaths
+
+
+def no_death(am, out, fix, deaths):
+    return out, fix, []
+
+
+def swapped_survivor(am, out, fix, deaths):
+    """The last survivor swapped for an element that moves the first edge."""
+    return out, fix[:-1] + [(fix[-1][0], _first_mover(deaths))], deaths
+
+
+def swapped_death(am, out, fix, deaths):
+    """The last death swapped for an element that moves the first edge."""
+    return out, fix, deaths[:-1] + [(deaths[-1][0], _first_mover(deaths))]
+
+
+def death_early(am, out, fix, deaths):
+    """The last death reported one position early."""
+    k, e = deaths[-1]
+    return out, fix, deaths[:-1] + [(k - 1, e)]
+
+
+def death_late(am, out, fix, deaths):
+    """The last death reported one position late."""
+    k, e = deaths[-1]
+    return out, fix, deaths[:-1] + [(k + 1, e)]
+
+
+def dropped(am, out, fix, deaths):
+    """The last survivor lost, unless it is the only one."""
+    return out, fix[:-1] if len(fix) > 1 else fix, deaths
+
+
+DEATHS_OFF_PATH = "the walk reports no death, or one past its path"
+LEFT_OUT_AT_2 = ("an element left out of the stabilizer fixes the path's "
+                 "vertex at distance 2")
+MOVES_FIRST_EDGE = ("an element the walk keeps past the first letter moves "
+                    "the first edge")
+
+
+def edge_stabilizer_size(size):
+    return (f"the walk's first-edge stabilizer is not |G|/|G:C| = {size} "
+            f"distinct elements")
 
 
 @pytest.mark.parametrize("what,plant,message", [
-    # the element that dies at sigma reported as fixing the end
-    ("stabilizers",
-     lambda out, fix, n, dead: (out, fix + [(0, dead)], n, dead),
+    ("stabilizers", dead_survives,
      "ray stabilizer element fails to fix the end"),
-    ("theorem-a",
-     lambda out, fix, n, dead: (out, fix + [(0, dead)], n, dead),
+    ("theorem-a", dead_survives,
      "segment stabilizer element fails to fix the segment"),
-    # ... and as fixing the end one step earlier, where it fixes the segment
-    ("theorem-a",
-     lambda out, fix, n, dead: (out, fix + [(0, dead)], n - 1, dead),
+    # ... and every death at sigma one step earlier, where the element
+    # reported as a survivor fixes the segment
+    ("theorem-a", lambda am, out, fix, deaths: (
+        out, fix + [(0, deaths[-1][1])],
+        [(k - (k == deaths[-1][0]), e) for k, e in deaths]),
      "ray stabilizer element fails to fix the end"),
-    # the identity as the element that dies at sigma
-    ("theorem-a", lambda out, fix, n, dead: (out, fix, n, 0),
+    # the identity as every element that dies at sigma
+    ("theorem-a", lambda am, out, fix, deaths: (
+        out, fix, [(k, 0 if k == deaths[-1][0] else e) for k, e in deaths]),
      "no element fixes 2 steps of the ray but not 3"),
-    # no death at all, so the identity alone must be all of H
-    ("theorem-a", lambda out, fix, n, dead: (out, fix, 0, None),
-     "an element left out of the stabilizer fixes the ray's vertex at "
-     "distance 0"),
-], ids=["ray", "segment", "ray-after-segment", "sigma", "sigma-zero"])
+    ("theorem-a", no_death, DEATHS_OFF_PATH),
+    ("stabilizers", no_death, DEATHS_OFF_PATH),
+    ("stabilizers", swapped_survivor,
+     "ray stabilizer element fails to fix the end"),
+    ("theorem-a", swapped_survivor,
+     "segment stabilizer element fails to fix the segment"),
+    ("stabilizers", swapped_death, MOVES_FIRST_EDGE),
+    ("theorem-a", swapped_death, MOVES_FIRST_EDGE),
+    ("stabilizers", death_early, LEFT_OUT_AT_2),
+    ("theorem-a", death_early, LEFT_OUT_AT_2),
+], ids=["ray", "segment", "ray-after-segment", "sigma", "sigma-zero",
+        "no-death-stabilizers", "swapped-survivor-stabilizers",
+        "swapped-survivor-theorem-a", "swapped-death-stabilizers",
+        "swapped-death-theorem-a", "death-early-stabilizers",
+        "death-early-theorem-a"])
 def test_failed_stabilizer_recheck_exits_3(monkeypatch, capsys, what, plant,
                                            message):
     rc, out, _ = run(capsys, ["check", "--what", "theorem-a", "--config", S4,
                               "--codes", SIGMA_3])
     assert rc == 0 and json.loads(out)["rows"][0]["sigma_length"] == 3
-    # plant maps the walk's (letters, survivors, sigma, dying element) to
-    # what the re-checks see
-    walk = tree.lockstep
-    monkeypatch.setattr("arbor.tree.lockstep",
-                        lambda am, x, least: plant(*walk(am, x, least)))
+    plant_walk(monkeypatch, plant)
     rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
                                 "--codes", SIGMA_3])
     assert (rc, out, err) == (3, "", f"internal error: {message}\n")
-
-
-ORDER_3 = "prefix=e;cycle=t1,s18"  # on S4: sigma_length 1, ray order 3
 
 
 @pytest.mark.parametrize("what", ["stabilizers", "theorem-a"])
@@ -355,18 +435,11 @@ def test_dropped_stabilizer_element_exits_3(monkeypatch, capsys, what):
     assert rc == 0 and (row["sigma_length"], row["order"]) == (1, 3)
     # a walk that loses its last survivor reports a subgroup too small; each
     # element it reports still fixes the segment and the end
-    walk = tree.lockstep
-
-    def dropping(am, x, least):
-        out, fix, n, dead = walk(am, x, least)
-        return out, fix[:-1] if len(fix) > 1 else fix, n, dead
-
-    monkeypatch.setattr("arbor.tree.lockstep", dropping)
+    plant_walk(monkeypatch, dropped)
     rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
                                 "--codes", ORDER_3])
-    assert (rc, out, err) == (3, "", "internal error: an element left out of "
-                              "the stabilizer fixes the ray's vertex at "
-                              "distance 1\n")
+    assert (rc, out, err) == (3, "", "internal error: "
+                              f"{edge_stabilizer_size(3)}\n")
 
 
 def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):
@@ -374,8 +447,8 @@ def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):
     walk = cber.lockstep
 
     def misread(am, x, least):
-        out, fix, n, dead = walk(am, x, least)
-        return (Letter(out[0].side, out[0].rep + 1),) + out[1:], fix, n, dead
+        out, fix, deaths = walk(am, x, least)
+        return (Letter(out[0].side, out[0].rep + 1),) + out[1:], fix, deaths
 
     monkeypatch.setattr("arbor.cber.lockstep", misread)
     rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
@@ -422,25 +495,52 @@ def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
     assert err == "internal error: conjugated stabilizer element fails to fix\n"
 
 
-@pytest.mark.parametrize("plant,message", [
-    # conjugated the wrong way round: r^-1 C r is not the edge's stabilizer
-    (lambda conjugates, am, side, r: conjugates(
-        am, side, am.side_group(side).inv(r)),
-     "a conjugate of C fails to fix the segment's first edge"),
-    # one conjugate dropped: each one left still fixes the edge
-    (lambda conjugates, am, side, r: conjugates(am, side, r)[:-1],
-     "the first edge's stabilizer candidates are not |G|/|G:C| = 6 distinct "
-     "elements"),
-], ids=["inverse-representative", "dropped-candidate"])
-def test_wrong_edge_stabilizer_exits_3(monkeypatch, capsys, plant, message):
-    model = str(ROOT / "tests" / "models" / "s4_s3_s4.json")
-    argv = ["check", "--what", "acylindrical", "--config", model,
-            "--seg-length", "1"]
-    rc, out, _ = run(capsys, argv)
-    assert rc == 0 and json.loads(out)["orders"] == [[6, 52]]
-    conjugates = tree.edge_conjugates
-    monkeypatch.setattr("arbor.tree.edge_conjugates",
-                        lambda *args: plant(conjugates, *args))
+def test_survey_segment_faults_exit_3(monkeypatch, capsys):
+    # the survey builds its segments itself, so a path that backtracks, or a
+    # translation that leaves a segment's start where it is, is a defect
+    argv = ["check", "--what", "acylindrical", "--seg-length", "1"]
+    path = tree.geodesic
+    monkeypatch.setattr("arbor.tree.geodesic", lambda ball, i, j: GeodesicPath(
+        path(ball, i, j).vertices + path(ball, i, j).vertices[-2:-1]))
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (3, "", "internal error: survey segment is not "
+                              "a geodesic: path backtracks\n")
+    monkeypatch.setattr("arbor.tree.geodesic", path)
+    monkeypatch.setattr("arbor.tree.word_element",
+                        lambda am, letters: am.identity_word())
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (3, "", "internal error: failed to translate the "
+                              "segment start to a base coset\n")
+
+
+SEGMENTS_1 = ["acylindrical", "--config", S4_S3_S4, "--seg-length", "1"]
+SEGMENTS_3 = ["acylindrical", "--config", S4_S3_S4, "--seg-length", "3"]
+
+
+@pytest.mark.parametrize("argv,plant,message", [
+    # the stabilizer of another edge at the same vertex
+    (SEGMENTS_1, conjugated, MOVES_FIRST_EDGE),
+    (SEGMENTS_1, dropped, edge_stabilizer_size(6)),
+    (["stabilizers", "--config", S4, "--codes", SIGMA_3], conjugated,
+     MOVES_FIRST_EDGE),
+    (SEGMENTS_3, dead_survives, edge_stabilizer_size(6)),
+    (SEGMENTS_3, no_death, DEATHS_OFF_PATH),
+    (SEGMENTS_3, swapped_survivor, MOVES_FIRST_EDGE),
+    (SEGMENTS_3, swapped_death, MOVES_FIRST_EDGE),
+    (SEGMENTS_3, death_early, LEFT_OUT_AT_2),
+    (SEGMENTS_3, death_late, DEATHS_OFF_PATH),
+], ids=["inverse-representative", "dropped-candidate",
+        "inverse-representative-ray", "dead-survives-segment",
+        "no-death-segment", "swapped-survivor-segment",
+        "swapped-death-segment", "death-early-segment",
+        "death-late-segment"])
+def test_wrong_edge_stabilizer_exits_3(monkeypatch, capsys, argv, plant,
+                                       message):
+    # walks whose first-edge stabilizer or deaths are wrong, on segments
+    # and on a ray
+    argv = ["check", "--what"] + argv
+    assert run(capsys, argv)[0] == 0
+    plant_walk(monkeypatch, plant)
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (3, "", f"internal error: {message}\n")
 

@@ -14,16 +14,16 @@ from arbor.groups import (
 )
 from arbor.tree import (
     GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
-    act_on_vertex, ball_bits, ball_size, base_vertex, build_tree,
+    act_on_vertex, ball_bits, ball_size, build_tree,
     check_acylindricity, check_theorem_A, code_truncate, geodesic,
-    is_adjacent, over_cap,
+    is_adjacent, lockstep, over_cap,
     ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
     validate_vertex, vertex_from_letters, word_element,
 )
 
 import bruteforce
-from bruteforce import (BUILTIN_NAMES, acylindricity_survey, builtin,
-                        enumerate_reduced_words, geodesic_to_code,
+from bruteforce import (BUILTIN_NAMES, acylindricity_survey, base_vertex,
+                        builtin, enumerate_reduced_words, geodesic_to_code,
                         word_geodesic, word_tree, word_tree_dot)
 
 HERE = Path(__file__).resolve().parent
@@ -32,7 +32,8 @@ ORACLE_MODELS = BUILTIN_NAMES + tuple(
     str(p) for p in sorted(FIXTURES.glob("*.json"))) + (
     str(HERE / "models" / "s4_s3_s4.json"),)
 # the models whose C is neither central nor trivial: only there do the
-# conjugates r C r^-1 differ from C, so only there can a wrong one show
+# edges at one vertex have different stabilizers r C r^-1, so only there
+# can a walk that finds the wrong edge's stabilizer show
 S4_MODELS = (str(FIXTURES / "s4_c3_s3.json"), str(HERE / "models" / "s4_s3_s4.json"))
 
 aL = Letter(A_SIDE, 1)
@@ -500,6 +501,32 @@ def test_segment_stabilizer_matches_every_factor_element(name, length):
     assert starts == {H_TYPE, K_TYPE}
 
 
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("name", S4_MODELS, ids=lambda name: Path(name).stem)
+def test_segment_walk_deaths_are_first_moves(monkeypatch, name, length):
+    # each element the walk drops first moves the translated segment at
+    # exactly the position it reports, and each survivor moves none of it
+    am, _ = load_config(name)
+    walks = []
+    walk = lockstep
+
+    def recorded(am, path, least):
+        walks.append(walk(am, path, least))
+        return walks[-1]
+
+    monkeypatch.setattr("arbor.tree.lockstep", recorded)
+    for path in segments(am, length):
+        stabilizer_of_segment(am, path)
+        _, survivors, deaths = walks.pop()
+        v0 = path.vertices[0]
+        t = invert(am, word_element(am, v0.word))
+        moved = [act_on_vertex(am, t, v) for v in path.vertices]
+        side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
+        reported, found = bruteforce.walk_first_moves(am, side, moved,
+                                                      survivors, deaths)
+        assert reported == found
+
+
 @pytest.mark.parametrize("seg_length", [1, 2, 3])
 @pytest.mark.parametrize("name", S4_MODELS, ids=lambda name: Path(name).stem)
 def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
@@ -509,14 +536,20 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
         acylindricity_survey(am, seg_length, seg_length + 1)
 
 
-@pytest.mark.parametrize("config,seg_length,calls", [
-    (str(FIXTURES / "c12_c3_c15.json"), "3", 78_000),
-    (S4_MODELS[1], "2", 6_678),
-], ids=["c12-length-3", "s4_s3_s4-length-2"])
-def test_survey_vertex_actions(monkeypatch, capsys, config, seg_length, calls):
-    # each segment: one translation per vertex, |C| conjugates tried on
-    # the rest, and each survivor re-applied to every vertex (applying
-    # every element of the factor took 147,264 and 20,034)
+@pytest.mark.parametrize("argv,calls", [
+    (["acylindrical", "--seg-length", "3", "--config",
+      str(FIXTURES / "c12_c3_c15.json")], 59_280),
+    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 6_042),
+    (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
+      S4_MODELS[0]], 4_408),
+], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a"])
+def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
+    # a segment: one translation per vertex, the first edge's |C|
+    # stabilizer elements each applied to the second vertex, one action per
+    # later death, and each survivor re-applied to every vertex.  A ray's
+    # theorem-A certificate: each survivor re-applied to every segment
+    # vertex, two actions for the element that dies last, and the first
+    # edge and later deaths as for a segment
     count = [0]
 
     def counted(*args):
@@ -524,8 +557,7 @@ def test_survey_vertex_actions(monkeypatch, capsys, config, seg_length, calls):
         return act_on_vertex(*args)
 
     monkeypatch.setattr("arbor.tree.act_on_vertex", counted)
-    assert main(["check", "--what", "acylindrical", "--config", config,
-                 "--seg-length", seg_length]) == 0
+    assert main(["check", "--what"] + argv) == 0
     capsys.readouterr()
     assert count[0] == calls
 
