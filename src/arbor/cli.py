@@ -272,7 +272,7 @@ def _reiter_window(args):
         radius = args.radius if args.radius is not None \
             else args.support_size + 2
         steps = (1, -1)
-        if args.generators:
+        if args.generators is not None:
             try:
                 steps = tuple(int(s) for s in args.generators.split(","))
             except ValueError:
@@ -288,9 +288,6 @@ def _reiter_window(args):
                 f"{len(window.vertices)} vertices")
         return window, list(range(args.support_size))
     if args.window == "free":
-        if args.generators:
-            raise ConfigError("generators: the free window always uses all "
-                              "letters and inverses")
         # the smallest window that holds every image of the support
         radius = args.radius if args.radius is not None \
             else args.support_radius + 1
@@ -303,7 +300,7 @@ def _reiter_window(args):
 
 
 def _group_gens(group, spec: Optional[str]) -> list:
-    if not spec:
+    if spec is None:
         return [g for g in group.elements() if g != 0]
     out = []
     for part in spec.split(","):
@@ -327,6 +324,7 @@ _MODE_FLAGS = {
         "--rank": (2, (("window", ("free",)),)),
         "--support-radius": (2, (("window", ("free",)),)),
         "--side": ("k", (("window", ("group",)),)),
+        "--generators": (None, (("window", ("z", "group")),)),
         "--denominator": (20, (("window", ("z", "free")),
                                ("grid_check", (True,)))),
     },

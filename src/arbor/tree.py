@@ -380,8 +380,8 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
     at the first letter.  By orbit-stabilizer the elements alive after it
     are the whole stabilizer of the first edge (Serre, Trees, I.4) when
     they are |G|/|G:C| distinct elements that each fix path[1]; every other
-    element moves path[1].  Each later death (k, e) is shown to move
-    path[k].
+    element moves path[1].  Each later death (k, e) is shown to fix
+    path[k - 1] and move path[k], so e dies where the walk says it does.
     """
     if not deaths or max(deaths)[0] >= len(path):
         raise VerificationError("the walk reports no death, or one past its path")
@@ -400,9 +400,11 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
         raise VerificationError("an element the walk keeps past the first "
                                 "letter moves the first edge")
     for k, e in later:
-        if not moves(k, e):
-            raise VerificationError(f"an element left out of the stabilizer "
-                                    f"fixes the path's vertex at distance {k}")
+        if moves(k - 1, e) or not moves(k, e):
+            raise VerificationError(f"an element the walk reports dying at "
+                                    f"distance {k} does not fix the path's "
+                                    f"vertex at {k - 1} and move the one at "
+                                    f"{k}")
 
 
 class SegmentStabilizer(NamedTuple):
@@ -470,28 +472,11 @@ class TheoremStyleCertificate(NamedTuple):
         return len(self.elements)
 
 
-def _words(am: Amalgam, survivors: list[tuple[int, int]]
-           ) -> tuple[ReducedWord, ...]:
-    return tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
-                         for _, e in survivors), key=ReducedWord.sort_key))
-
-
-def _check_end(am: Amalgam, x: BoundaryCode,
-               words: tuple[ReducedWord, ...]) -> None:
-    if any(act_on_boundary(am, h, x) != x for h in words):
-        raise VerificationError("ray stabilizer element fails to fix the end")
-
-
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
-    """Elements of the base vertex group fixing the end x, each re-applied,
-    and shown to be all of them."""
-    _, survivors, deaths = lockstep(am, x, False)
-    words = _words(am, survivors)
-    _check_end(am, x, words)
-    sigma = max(deaths, default=(0, None))[0]
-    _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices, survivors,
-                    deaths)
-    return words
+    """Elements of the base vertex group fixing the end x: those of its
+    theorem-A certificate with the segment length capped at lockstep's
+    bound, which no death lies past, so the certificate always exists."""
+    return check_theorem_A(am, x, lockstep_bound(am, x)).elements
 
 
 def check_theorem_A(am: Amalgam, x: BoundaryCode,
@@ -502,35 +487,27 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     walk gives n as the position of its last death.  Returns None when n is
     over max_len; segment stabilizers only shrink, so equality at n
     persists for every longer segment.  Each stabilizer element is
-    re-applied to every vertex of the segment and to the end, an element
-    that dies at n is shown to fix the segment of n - 1 steps but move the
-    vertex at n, and _check_complete shows that every other element of H
-    moves the segment.
+    re-applied to the end; it lies in H, so it fixes the base vertex, and
+    a tree has one geodesic between two points, so it fixes every step of
+    the ray (Serre, Trees, I.4).  _check_complete shows that every other
+    element of H moves the first n steps, and that the element that dies
+    at n fixes n - 1 steps but not n (for n = 1, that the first edge has a
+    stabilizer smaller than H).
     """
     if max_len is None:
         max_len = x.horizon() + 2
     elif max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
     _, survivors, deaths = lockstep(am, x, False)
-    sigma, dead = max(deaths, default=(0, None))
+    sigma = max(deaths, default=(0, None))[0]
     if sigma > max_len:
         return None
-    segment = code_truncate(x, sigma)
-    words = _words(am, survivors)
-    if any(act_on_vertex(am, h, v) != v
-           for h in words for v in segment.vertices):
-        raise VerificationError(
-            "segment stabilizer element fails to fix the segment")
-    _check_end(am, x, words)
-    if sigma:
-        g = word_of_subgroup_element(am, A_SIDE, dead)
-        near, far = segment.vertices[-2:]
-        if act_on_vertex(am, g, near) != near \
-                or act_on_vertex(am, g, far) == far:
-            raise VerificationError(
-                f"no element fixes {sigma - 1} steps of the ray but not "
-                f"{sigma}")
-    _check_complete(am, A_SIDE, segment.vertices, survivors, deaths)
+    words = tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
+                          for _, e in survivors), key=ReducedWord.sort_key))
+    if any(act_on_boundary(am, h, x) != x for h in words):
+        raise VerificationError("ray stabilizer element fails to fix the end")
+    _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices, survivors,
+                    deaths)
     return TheoremStyleCertificate(sigma, words)
 
 

@@ -310,6 +310,7 @@ S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
 S4_S3_S4 = str(ROOT / "tests" / "models" / "s4_s3_s4.json")
 SIGMA_3 = "prefix=e;cycle=t1,s1"  # on S4: sigma_length 3, ray order 1
 ORDER_3 = "prefix=e;cycle=t1,s18"  # on S4: sigma_length 1, ray order 3
+DEATHS_2_3 = "prefix=e;cycle=g2,g2"  # on s4_s3_s4: deaths at 2 and 3
 
 
 def plant_walk(monkeypatch, plant):
@@ -369,16 +370,32 @@ def death_late(am, out, fix, deaths):
     return out, fix, deaths[:-1] + [(k + 1, e)]
 
 
+def later_death_late(am, out, fix, deaths):
+    """The first death at 2 <= k < sigma, the last death's position,
+    reported one position late: the element still moves the vertex at k + 1,
+    but no longer fixes the one at k."""
+    sigma = max(deaths)[0]
+    i = next((i for i, (k, _) in enumerate(deaths) if 1 < k < sigma), None)
+    if i is None:
+        return out, fix, deaths
+    k, e = deaths[i]
+    return out, fix, deaths[:i] + [(k + 1, e)] + deaths[i + 1:]
+
+
 def dropped(am, out, fix, deaths):
     """The last survivor lost, unless it is the only one."""
     return out, fix[:-1] if len(fix) > 1 else fix, deaths
 
 
 DEATHS_OFF_PATH = "the walk reports no death, or one past its path"
-LEFT_OUT_AT_2 = ("an element left out of the stabilizer fixes the path's "
-                 "vertex at distance 2")
+FAILS_END = "ray stabilizer element fails to fix the end"
 MOVES_FIRST_EDGE = ("an element the walk keeps past the first letter moves "
                     "the first edge")
+
+
+def death_position(k):
+    return (f"an element the walk reports dying at distance {k} does not fix "
+            f"the path's vertex at {k - 1} and move the one at {k}")
 
 
 def edge_stabilizer_size(size):
@@ -387,35 +404,32 @@ def edge_stabilizer_size(size):
 
 
 @pytest.mark.parametrize("what,plant,message", [
-    ("stabilizers", dead_survives,
-     "ray stabilizer element fails to fix the end"),
-    ("theorem-a", dead_survives,
-     "segment stabilizer element fails to fix the segment"),
+    ("stabilizers", dead_survives, FAILS_END),
+    ("theorem-a", dead_survives, FAILS_END),
     # ... and every death at sigma one step earlier, where the element
     # reported as a survivor fixes the segment
     ("theorem-a", lambda am, out, fix, deaths: (
         out, fix + [(0, deaths[-1][1])],
-        [(k - (k == deaths[-1][0]), e) for k, e in deaths]),
-     "ray stabilizer element fails to fix the end"),
-    # the identity as every element that dies at sigma
+        [(k - (k == deaths[-1][0]), e) for k, e in deaths]), FAILS_END),
+    # the identity, the ray's one survivor, as every element that dies at
+    # sigma
     ("theorem-a", lambda am, out, fix, deaths: (
         out, fix, [(k, 0 if k == deaths[-1][0] else e) for k, e in deaths]),
-     "no element fixes 2 steps of the ray but not 3"),
+     edge_stabilizer_size(3)),
     ("theorem-a", no_death, DEATHS_OFF_PATH),
     ("stabilizers", no_death, DEATHS_OFF_PATH),
-    ("stabilizers", swapped_survivor,
-     "ray stabilizer element fails to fix the end"),
-    ("theorem-a", swapped_survivor,
-     "segment stabilizer element fails to fix the segment"),
+    ("stabilizers", swapped_survivor, FAILS_END),
+    ("theorem-a", swapped_survivor, FAILS_END),
     ("stabilizers", swapped_death, MOVES_FIRST_EDGE),
     ("theorem-a", swapped_death, MOVES_FIRST_EDGE),
-    ("stabilizers", death_early, LEFT_OUT_AT_2),
-    ("theorem-a", death_early, LEFT_OUT_AT_2),
+    ("stabilizers", death_early, death_position(2)),
+    ("theorem-a", death_early, death_position(2)),
+    ("stabilizers", death_late, death_position(4)),
 ], ids=["ray", "segment", "ray-after-segment", "sigma", "sigma-zero",
         "no-death-stabilizers", "swapped-survivor-stabilizers",
         "swapped-survivor-theorem-a", "swapped-death-stabilizers",
         "swapped-death-theorem-a", "death-early-stabilizers",
-        "death-early-theorem-a"])
+        "death-early-theorem-a", "death-late-stabilizers"])
 def test_failed_stabilizer_recheck_exits_3(monkeypatch, capsys, what, plant,
                                            message):
     rc, out, _ = run(capsys, ["check", "--what", "theorem-a", "--config", S4,
@@ -527,13 +541,17 @@ SEGMENTS_3 = ["acylindrical", "--config", S4_S3_S4, "--seg-length", "3"]
     (SEGMENTS_3, no_death, DEATHS_OFF_PATH),
     (SEGMENTS_3, swapped_survivor, MOVES_FIRST_EDGE),
     (SEGMENTS_3, swapped_death, MOVES_FIRST_EDGE),
-    (SEGMENTS_3, death_early, LEFT_OUT_AT_2),
+    (SEGMENTS_3, death_early, death_position(2)),
     (SEGMENTS_3, death_late, DEATHS_OFF_PATH),
+    (["stabilizers", "--config", S4_S3_S4, "--codes", DEATHS_2_3],
+     later_death_late, death_position(3)),
+    (SEGMENTS_3, later_death_late, death_position(3)),
 ], ids=["inverse-representative", "dropped-candidate",
         "inverse-representative-ray", "dead-survives-segment",
         "no-death-segment", "swapped-survivor-segment",
         "swapped-death-segment", "death-early-segment",
-        "death-late-segment"])
+        "death-late-segment", "later-death-late-ray",
+        "later-death-late-segment"])
 def test_wrong_edge_stabilizer_exits_3(monkeypatch, capsys, argv, plant,
                                        message):
     # walks whose first-edge stabilizer or deaths are wrong, on segments
@@ -701,6 +719,14 @@ def test_reiter_generators_flag(capsys):
     assert rc == 2
     assert "generators" in err
 
+    # an empty list is given, not absent: it is refused, never replaced by
+    # the window's default generators
+    for window, message in (("z", "generators: need integers, got ''"),
+                            ("group", "unknown element name ''")):
+        rc, out, err = run(capsys, ["reiter", "--window", window,
+                                    "--generators", ""])
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize("argv,message", [
     (["--window", "group", "--support-size", "-5", "--rank", "0",
@@ -720,6 +746,9 @@ def test_reiter_generators_flag(capsys):
     (["--window", "z", "--denominator", "-5"],
      "--denominator: a run without --grid-check does not use this flag; only "
      "--grid-check does"),
+    (["--window", "free", "--generators", ""],
+     "--generators: the free window does not use this flag; only --window z "
+     "or group does"),
 ])
 def test_flag_the_window_does_not_use_is_refused(monkeypatch, capsys, argv,
                                                   message):
@@ -850,6 +879,9 @@ EDGE_CASES = [
     (["reiter", "--window", "z", "--support-size", "3", "--grid-check",
       "--denominator", "0"], {}, 2),
     (["reiter", "--window", "group", "--generators", "zz"], {}, 2),
+    (["reiter", "--window", "z", "--generators", ""], {}, 2),
+    (["reiter", "--window", "group", "--generators", ""], {}, 2),
+    (["reiter", "--window", "free", "--generators", ""], {}, 2),
     (["reiter", "--window", "group", "--grid-check", "--denominator", "0"],
      {}, 2),
     (["cfw", "--tensor", "{tmp}/missing.json"], {}, 2),
