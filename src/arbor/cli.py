@@ -500,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary code (repeatable); default is the sample space")
     _add_sample_caps(p, parsed=False)
     p.add_argument("--max-len", type=int,
-                   help="segment length cap for theorem-a")
+                   help="segment length cap for theorem-a (default: none; "
+                        "the walk stops after len(prefix) + "
+                        "3*len(cycle)*|C| letters)")
     p.add_argument("--seg-length", type=int,
                    help="segment length for acylindrical "
                         + _mode_default("check", "--seg-length"))
@@ -584,9 +586,6 @@ def main(argv: Optional[list] = None) -> int:
     except (VerificationError, LpError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
-    except RuntimeError as err:
-        print(f"failed: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

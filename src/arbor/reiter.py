@@ -476,12 +476,14 @@ class DeviationTensor(NamedTuple):
 
 def check_tensor(t: DeviationTensor) -> DeviationTensor:
     """t itself, once mu is shown to be a probability vector on the points
-    and every plane, block and row to have its full size, with deviations
-    in [0, 2]; raises ValueError otherwise."""
+    and every plane, block and row to have its full size, with at least one
+    column j and deviations in [0, 2]; raises ValueError otherwise."""
     if len(t.mu) != len(t.point_labels):
         raise ValueError("mu must weight exactly the sample points")
     if sum(t.mu, Fraction(0)) != 1 or any(q < 0 for q in t.mu):
         raise ValueError("mu must be a probability vector")
+    if t.values and not t.values[0]:
+        raise ValueError("empty j dimension")
     for i, plane in enumerate(t.values):
         if len(plane) != len(t.values[0]):
             raise ValueError("ragged j dimension")
@@ -591,22 +593,21 @@ def cfw_extract(t: DeviationTensor, m_max: Optional[int] = None
                     if jmin < t.j_count:
                         hist[jmin] += t.mu[x] * weight
         bound = Fraction(1, 2 ** i)
-        found = False
-        for f in range(t.j_count):
-            late = sum(hist[f + 1:], Fraction(0))
-            if late < bound:
-                rows.append(CfwRow(i, f, late, bound))
-                found = True
-                break
-        if not found:
-            raise RuntimeError(f"no threshold at stage {i}")
+        # check_tensor keeps a column, and the last one's late mass is an
+        # empty sum, so some f qualifies
+        rows.append(next(CfwRow(i, f, late, bound) for f in range(t.j_count)
+                         if (late := sum(hist[f + 1:], Fraction(0))) < bound))
     return CfwExtraction(t, m_max, tuple(rows))
 
 
 def verify_cfw(extraction: CfwExtraction) -> None:
-    """Recompute every late mass from the raw definition; raises on mismatch."""
+    """Recompute every late mass from the raw definition and check it below
+    the stage's bound 2^-i; raises VerificationError otherwise."""
     t = extraction.tensor
     for row in extraction.rows:
+        if row.bound != Fraction(1, 2 ** row.i):
+            raise VerificationError(
+                f"stage {row.i} has bound {row.bound}, not 1/2**{row.i}")
         total = Fraction(0)
         for n, _ in enumerate(t.group_labels, start=1):
             for m in range(1, extraction.m_max + 1):
@@ -625,4 +626,4 @@ def verify_cfw(extraction: CfwExtraction) -> None:
                 f"late mass at stage {row.i} recomputes to {total}, "
                 f"stored {row.bad_mass}")
         if not row.ok:
-            raise RuntimeError(f"stage {row.i} exceeds its bound")
+            raise VerificationError(f"stage {row.i} exceeds its bound")

@@ -381,7 +381,12 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
     are the whole stabilizer of the first edge (Serre, Trees, I.4) when
     they are |G|/|G:C| distinct elements that each fix path[1]; every other
     element moves path[1].  Each later death (k, e) is shown to fix
-    path[k - 1] and move path[k], so e dies where the walk says it does.
+    path[k - 1] and move path[k], so e dies where the walk says it does:
+    e fixes path[0], so it maps the geodesic from path[0] to path[k] onto
+    the one to u = e path[k], and e fixes path[k - 1] exactly when u's
+    neighbour toward path[0] is path[k - 1].  As k >= 2 and path[0] is the
+    base vertex or its neighbour K, that neighbour is u's word less its
+    last letter.
     """
     if not deaths or max(deaths)[0] >= len(path):
         raise VerificationError("the walk reports no death, or one past its path")
@@ -391,16 +396,13 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
     if len(alive) != size or len(set(alive)) != size:
         raise VerificationError(f"the walk's first-edge stabilizer is not "
                                 f"|G|/|G:C| = {size} distinct elements")
-
-    def moves(k: int, e: int) -> bool:
-        v = path[k]
-        return act_on_vertex(am, word_of_subgroup_element(am, side, e), v) != v
-
-    if any(moves(1, e) for e in alive):
+    words = {e: word_of_subgroup_element(am, side, e) for e in alive}
+    if any(act_on_vertex(am, words[e], path[1]) != path[1] for e in alive):
         raise VerificationError("an element the walk keeps past the first "
                                 "letter moves the first edge")
     for k, e in later:
-        if moves(k - 1, e) or not moves(k, e):
+        u = act_on_vertex(am, words[e], path[k])
+        if u == path[k] or u.word[:-1] != path[k - 1].word:
             raise VerificationError(f"an element the walk reports dying at "
                                     f"distance {k} does not fix the path's "
                                     f"vertex at {k - 1} and move the one at "
@@ -474,9 +476,8 @@ class TheoremStyleCertificate(NamedTuple):
 
 def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
     """Elements of the base vertex group fixing the end x: those of its
-    theorem-A certificate with the segment length capped at lockstep's
-    bound, which no death lies past, so the certificate always exists."""
-    return check_theorem_A(am, x, lockstep_bound(am, x)).elements
+    theorem-A certificate."""
+    return check_theorem_A(am, x).elements
 
 
 def check_theorem_A(am: Amalgam, x: BoundaryCode,
@@ -484,30 +485,30 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     """Least n with Stab(first n steps of the ray) equal to Stab(the end).
 
     Base-rooted rays only: both stabilizers lie inside H, and one lockstep
-    walk gives n as the position of its last death.  Returns None when n is
-    over max_len; segment stabilizers only shrink, so equality at n
-    persists for every longer segment.  Each stabilizer element is
-    re-applied to the end; it lies in H, so it fixes the base vertex, and
-    a tree has one geodesic between two points, so it fixes every step of
-    the ray (Serre, Trees, I.4).  _check_complete shows that every other
-    element of H moves the first n steps, and that the element that dies
-    at n fixes n - 1 steps but not n (for n = 1, that the first edge has a
-    stabilizer smaller than H).
+    walk gives n as the position of its last death.  No death lies past
+    the walk's own bound, so the certificate always exists; with a max_len,
+    None when n is over it, after the same re-checks, so that a missing
+    certificate rests on a checked n too.  Segment stabilizers only shrink,
+    so equality at n persists for every longer segment.  Each stabilizer
+    element is re-applied to the end; it lies in H, so it fixes the base
+    vertex, and a tree has one geodesic between two points, so it fixes
+    every step of the ray (Serre, Trees, I.4).  _check_complete shows that
+    every other element of H moves the first n steps, and that the element
+    that dies at n fixes n - 1 steps but not n (for n = 1, that the first
+    edge has a stabilizer smaller than H).
     """
-    if max_len is None:
-        max_len = x.horizon() + 2
-    elif max_len < 0:
+    if max_len is not None and max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
     _, survivors, deaths = lockstep(am, x, False)
     sigma = max(deaths, default=(0, None))[0]
-    if sigma > max_len:
-        return None
     words = tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
                           for _, e in survivors), key=ReducedWord.sort_key))
     if any(act_on_boundary(am, h, x) != x for h in words):
         raise VerificationError("ray stabilizer element fails to fix the end")
     _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices, survivors,
                     deaths)
+    if max_len is not None and sigma > max_len:
+        return None
     return TheoremStyleCertificate(sigma, words)
 
 

@@ -438,13 +438,10 @@ def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
     return tuple(out)
 
 
-def check_theorem_A(am: Amalgam, x: BoundaryCode,
-                    max_len: Optional[int] = None):
+def check_theorem_A(am: Amalgam, x: BoundaryCode, max_len: int):
     """(n, segment stabilizer, ray stabilizer) for the least n whose segment
     stabilizer, searched afresh for every n, equals the ray stabilizer; None
-    when no n up to max_len (default: horizon + 2) works."""
-    if max_len is None:
-        max_len = x.horizon() + 2
+    when no n up to max_len works."""
     ray = ray_stabilizer(am, x)
     for n in range(max_len + 1):
         stab = stabilizer_of_segment(am, code_truncate(x, n))

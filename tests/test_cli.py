@@ -34,11 +34,20 @@ UNREADABLE_NAMES = {"comma": "a,b", "space": " s", "empty": "",
                     "backslash": "s\\"}
 
 
-def psl2z_named(h_name: str) -> dict:
-    return {"model": {"h": {"cyclic": 2, "names": ["e", h_name]},
+# H specs whose names do not name each element exactly once
+MISNAMED_H = {"duplicate": {"cyclic": 2, "names": ["e", "e"]},
+              "short": {"cyclic": 2, "names": ["e"]}}
+
+
+def psl2z_with_h(h: dict) -> dict:
+    return {"model": {"h": h,
                       "k": {"cyclic": 3, "names": ["e", "t", "t2"]},
                       "c": {"cyclic": 1, "names": ["e"]},
                       "embed_h": [0], "embed_k": [0]}}
+
+
+def psl2z_named(h_name: str) -> dict:
+    return psl2z_with_h({"cyclic": 2, "names": ["e", h_name]})
 
 
 def run(capsys, argv):
@@ -156,7 +165,10 @@ def test_config_errors(tmp_path, capsys):
          "model.h: table is not associative"),
     ] + [({"cyclic": 4, "names": ["e", name, "a2", "a3"]},
           f"model.h: names: {name!r} cannot be read back from a report")
-         for name in UNREADABLE_NAMES.values()]
+         for name in UNREADABLE_NAMES.values()
+    ] + [({"cyclic": 4, "names": names},
+          "model.h: names must be distinct and cover every element\n")
+         for names in (["e", "a", "a", "a3"], ["e", "a"])]
     cases = [({"model": dict(model, h=spec)}, msg) for spec, msg in broken_h]
     cases += [
         ({"model": dict(model, embed_h=[0, True])}, "model.embed_h"),
@@ -308,6 +320,10 @@ def test_failed_witness_recheck_exits_3(monkeypatch, capsys):
 
 S4 = str(ROOT / "perfbench" / "fixtures" / "s4_c3_s3.json")
 S4_S3_S4 = str(ROOT / "tests" / "models" / "s4_s3_s4.json")
+# Z2 wr Z4 *_(Z2^3) Z2^4: carries live for two cycle passes and die in the
+# third, so ray certificates reach far past the horizon
+Z2WR4 = str(ROOT / "tests" / "models" / "z2wr4_z2e4.json")
+PAST_HORIZON = "prefix=;cycle=g3,g4"  # on Z2WR4: horizon 2, sigma_length 7
 SIGMA_3 = "prefix=e;cycle=t1,s1"  # on S4: sigma_length 3, ray order 1
 ORDER_3 = "prefix=e;cycle=t1,s18"  # on S4: sigma_length 1, ray order 3
 DEATHS_2_3 = "prefix=e;cycle=g2,g2"  # on s4_s3_s4: deaths at 2 and 3
@@ -439,6 +455,15 @@ def test_failed_stabilizer_recheck_exits_3(monkeypatch, capsys, what, plant,
     rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
                                 "--codes", SIGMA_3])
     assert (rc, out, err) == (3, "", f"internal error: {message}\n")
+
+
+def test_capped_theorem_a_verdict_is_rechecked(monkeypatch, capsys):
+    # a walk that reports its last death one position late puts sigma past
+    # the cap; the missing certificate is re-checked like a found one
+    plant_walk(monkeypatch, death_late)
+    rc, out, err = run(capsys, ["check", "--what", "theorem-a", "--config",
+                                S4, "--codes", SIGMA_3, "--max-len", "3"])
+    assert (rc, out, err) == (3, "", f"internal error: {death_position(4)}\n")
 
 
 @pytest.mark.parametrize("what", ["stabilizers", "theorem-a"])
@@ -586,6 +611,26 @@ def test_reiter_value_mismatch_exits_3(monkeypatch, capsys):
     assert (rc, out) == (3, "")
     assert err == ("internal error: verification mismatch: simplex reported "
                    "5/3 but the vertex deviates by 2/3\n")
+
+
+@pytest.mark.parametrize("plant,message", [
+    # stage 1's threshold moved to column 0, with that column's true late
+    # mass, 4095/4096, which is over the stage's bound of 1/2
+    (dict(f=0, bad_mass=Fraction(4095, 4096)),
+     "stage 1 exceeds its bound"),
+    (dict(bound=Fraction(1)), "stage 1 has bound 1, not 1/2**1"),
+], ids=["late-mass-over-bound", "wrong-bound"])
+def test_cfw_threshold_recheck_exits_3(monkeypatch, capsys, plant, message):
+    extract = reiter.cfw_extract
+
+    def corrupted(tensor, m_max=None):
+        ext = extract(tensor, m_max)
+        rows = list(ext.rows)
+        rows[1] = rows[1]._replace(**plant)
+        return ext._replace(rows=tuple(rows))
+
+    monkeypatch.setattr("arbor.cli.cfw_extract", corrupted)
+    assert run(capsys, ["cfw"]) == (3, "", f"internal error: {message}\n")
 
 
 def test_cfw_late_mass_recheck_exits_3(monkeypatch, capsys):
@@ -849,6 +894,8 @@ BAD_TENSORS = {
                      "ragged group dimension"),
     "ragged_point": (_bad_tensor(lambda d: d["values"][0][0][0].pop()),
                      "ragged point dimension"),
+    "empty_j": (_bad_tensor(lambda d: d.update(values=[[], []])),
+                "empty j dimension"),
 }
 
 
@@ -948,8 +995,15 @@ EDGE_CASES = [
       "1"], {}, 1),
     (["check", "--what", "theorem-a", "--codes", "prefix=;cycle=a,b",
       "--max-len", "0"], {}, 1),
+    # certificates past the horizon: every one found uncapped, and one
+    # missing under --max-len
+    (["witness", "--config", "{root}/tests/models/z2wr4_z2e4.json",
+      "--no-witnesses"], {}, 0),
+    (["check", "--what", "theorem-a", "--config",
+      "{root}/tests/models/z2wr4_z2e4.json", "--codes", PAST_HORIZON,
+      "--max-len", "1"], {}, 1),
 ] + [(["witness", "--config", f"{{tmp}}/names_{label}.json"], {}, 2)
-     for label in UNREADABLE_NAMES
+     for label in [*UNREADABLE_NAMES, *MISNAMED_H]
 ] + [(["cfw", "--tensor", f"{{tmp}}/tensor_{label}.json"], {}, 2)
      for label in BAD_TENSORS]
 
@@ -962,6 +1016,9 @@ def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
     for label, name in UNREADABLE_NAMES.items():
         (tmp_path / f"names_{label}.json").write_text(
             json.dumps(psl2z_named(name)))
+    for label, spec in MISNAMED_H.items():
+        (tmp_path / f"names_{label}.json").write_text(
+            json.dumps(psl2z_with_h(spec)))
     for label, (doc, _) in BAD_TENSORS.items():
         (tmp_path / f"tensor_{label}.json").write_text(json.dumps(doc))
     full_env = dict(os.environ, **env)
@@ -1165,6 +1222,30 @@ def test_count_too_large_or_too_long_to_print_is_refused_fast(
     rc, out, err = run(capsys, argv)
     assert time.perf_counter() - started < 1
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_witness_certifies_rays_past_the_horizon(capsys):
+    rc, out, err = run(capsys, ["witness", "--config", Z2WR4,
+                                "--no-witnesses"])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["points"]) == 392
+    assert max(c["sigma_length"] for c in doc["certificates"]) == 13
+
+
+def test_theorem_a_caps_only_at_max_len(capsys):
+    argv = ["check", "--what", "theorem-a", "--config", Z2WR4, "--codes",
+            PAST_HORIZON]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["rows"] == [{
+        "code": PAST_HORIZON, "certified": True, "sigma_length": 7,
+        "order": 1, "ray_order": 1}]
+    rc, out, err = run(capsys, argv + ["--max-len", "1"])
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["rows"] == [{"code": PAST_HORIZON, "certified": False}]
 
 
 def test_witness_below_stabilization_names_n_max(capsys):

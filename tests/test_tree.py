@@ -539,21 +539,22 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 @pytest.mark.parametrize("argv,calls", [
     (["acylindrical", "--seg-length", "3", "--config",
       str(FIXTURES / "c12_c3_c15.json")], 59_280),
-    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 7_314),
+    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 6_042),
     (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
-      S4_MODELS[0]], 2_712),
+      S4_MODELS[0]], 1_944),
     (["stabilizers", "--p-max", "2", "--q-max", "4", "--config",
-      S4_MODELS[0]], 2_712),
+      S4_MODELS[0]], 1_944),
 ], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a",
         "s4-stabilizers"])
 def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
     # a segment: one translation per vertex, the first edge's |C|
-    # stabilizer elements each applied to the second vertex, two actions per
-    # later death (the vertex before its position and the one at it), and
-    # each survivor re-applied to every vertex.  A ray: the first edge and
-    # later deaths as for a segment, and nothing more, since its survivors
-    # are re-applied to the end by act_on_boundary; theorem-A certificates
-    # and ray stabilizers are one certificate, so they cost the same
+    # stabilizer elements each applied to the second vertex, one action per
+    # later death (on the vertex at its position, whose image's parent must
+    # be the vertex before it), and each survivor re-applied to every
+    # vertex.  A ray: the first edge and later deaths as for a segment, and
+    # nothing more, since its survivors are re-applied to the end by
+    # act_on_boundary; theorem-A certificates and ray stabilizers are one
+    # certificate, so they cost the same
     count = [0]
 
     def counted(*args):
