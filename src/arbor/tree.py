@@ -216,9 +216,10 @@ def validate_geodesic(am: Amalgam, path: GeodesicPath) -> None:
             raise TreeError("path backtracks")
 
 
-def geodesic(tree: TruncatedTree, i: int, j: int) -> GeodesicPath:
-    """The unique shortest path between tree vertices i and j."""
-    v, w = tree.vertex(i), tree.vertex(j)
+def _path_between(v: TreeVertex, w: TreeVertex) -> GeodesicPath:
+    """The unique shortest path between two vertices, through their words'
+    longest common prefix: each vertex's parent is its word less the last
+    letter."""
     lcp = 0
     while lcp < min(len(v.word), len(w.word)) and v.word[lcp] == w.word[lcp]:
         lcp += 1
@@ -226,6 +227,11 @@ def geodesic(tree: TruncatedTree, i: int, j: int) -> GeodesicPath:
     up = [w.word[:k] for k in range(lcp + 1, len(w.word) + 1)]
     verts = [TreeVertex(len(word) % 2, word) for word in down + up]
     return GeodesicPath(tuple(verts))
+
+
+def geodesic(tree: TruncatedTree, i: int, j: int) -> GeodesicPath:
+    """The unique shortest path between tree vertices i and j."""
+    return _path_between(tree.vertex(i), tree.vertex(j))
 
 
 def code_truncate(x: BoundaryCode, n: int) -> GeodesicPath:
@@ -426,25 +432,39 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
     """All g fixing every vertex of the segment, via translation to the base.
 
     Translating the segment by t to start at a base coset reduces the search
-    to the factor G at that coset, and G fixes its own vertex.  The lockstep
-    walk of G along the translated letters keeps the elements that fix the
-    rest, _check_complete shows that it left out none, and each one is
-    conjugated back and re-applied to every vertex of the segment.  The
-    survey builds its own segments, so an invalid one, or a translation
-    that misses the base coset, is a defect and not an input error.
+    to the factor G at that coset, and G fixes its own vertex.  Only the two
+    ends are translated: an automorphism maps the geodesic between two
+    vertices onto the geodesic between their images, and a tree has one
+    geodesic between two vertices (Serre, Trees, I.4), so the translated
+    segment is the path between the images, which must have the segment's
+    length.  The lockstep walk of G along the translated letters keeps the
+    elements that fix the rest, _check_complete shows that it left out
+    none, and each one is conjugated back and re-applied to the segment's
+    two ends: by the same uniqueness, an element that fixes both ends fixes
+    every vertex between them.  A reversal swaps the ends, so it fixes
+    neither unless the segment is one vertex.  The survey builds its own
+    segments, so an invalid one, a translation that misses the base coset
+    or a translated path of the wrong length is a defect and not an input
+    error.
     """
     try:
         validate_geodesic(am, segment)
     except TreeError as exc:
         raise VerificationError(f"survey segment is not a geodesic: {exc}") \
             from None
-    v0 = segment.vertices[0]
+    ends = segment.vertices[0], segment.vertices[-1]
+    v0 = ends[0]
     back = word_element(am, v0.word)  # takes the base coset to v0
     t = invert(am, back)
-    moved = [act_on_vertex(am, t, v) for v in segment.vertices]
-    if moved[0] != vertex_from_letters([], v0.vtype):
+    start, end = (act_on_vertex(am, t, v) for v in ends)
+    if start != vertex_from_letters([], v0.vtype):
         raise VerificationError(
             "failed to translate the segment start to a base coset")
+    moved = _path_between(start, end).vertices
+    if len(moved) != len(segment.vertices):
+        raise VerificationError(
+            f"the translated segment has length {len(moved) - 1}, not "
+            f"{segment.length}")
     side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
     fixing = am.side_group(side).elements()
     if len(moved) > 1:
@@ -457,8 +477,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
     words = [word_of_subgroup_element(am, side, e) for e in fixing]
     found = sorted((multiply(am, multiply(am, back, h), t) for h in words),
                    key=ReducedWord.sort_key)
-    if any(act_on_vertex(am, g, v) != v
-           for g in found for v in segment.vertices):
+    if any(act_on_vertex(am, g, v) != v for g in found for v in ends):
         raise VerificationError("conjugated stabilizer element fails to fix")
     return SegmentStabilizer(tuple(found))
 

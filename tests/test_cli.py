@@ -13,7 +13,8 @@ import pytest
 
 from arbor import cber, reiter, tree
 from arbor.cli import ConfigError, load_config, main
-from arbor.groups import B_SIDE, Amalgam, Letter, ReducedWord
+from arbor.groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
+                          VerificationError)
 from arbor.lp import LpSolution
 from arbor.reiter import monotone_tensor
 from arbor.tree import GeodesicPath
@@ -532,6 +533,52 @@ def test_failed_segment_stabilizer_recheck_exits_3(monkeypatch, capsys):
                                 "--seg-length", "1"])
     assert (rc, out) == (3, "")
     assert err == "internal error: conjugated stabilizer element fails to fix\n"
+
+
+def test_segment_stabilizer_recheck_reaches_the_far_end(monkeypatch,
+                                                       capsys):
+    # every conjugated element comes out as one nontrivial H letter, which
+    # fixes the base vertex that the survey's first segment starts at but
+    # moves its far end, the base's K neighbour
+    monkeypatch.setattr("arbor.tree.multiply",
+                        lambda am, u, v: ReducedWord((Letter(A_SIDE, 1),), 0))
+    rc, out, err = run(capsys, ["check", "--what", "acylindrical",
+                                "--seg-length", "1"])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: conjugated stabilizer element fails to fix\n"
+    # later segments start elsewhere, where the letter moves the start too;
+    # the first one is refused at its far end alone
+    am, _ = load_config("sl2z")
+    first = tree.geodesic(tree.build_tree(am, 1), 0, 1)
+    with pytest.raises(VerificationError, match="^conjugated stabilizer "
+                                                "element fails to fix$"):
+        tree.stabilizer_of_segment(am, first)
+
+
+def one_step_further(v: tree.TreeVertex) -> tree.TreeVertex:
+    """A child of v, one step further from the base vertex."""
+    step = Letter(len(v.word) % 2, 1)
+    return tree.TreeVertex(1 - v.vtype, v.word + (step,))
+
+
+@pytest.mark.parametrize("plant,length", [
+    (lambda path, v, w: tree.GeodesicPath(path(v, w).vertices[:-1]), 1),
+    (lambda path, v, w: path(v, one_step_further(w)), 3),
+], ids=["shortened", "lengthened"])
+def test_translated_segment_of_wrong_length_exits_3(monkeypatch, capsys,
+                                                    plant, length):
+    # the translated segment is the path between its translated ends; one
+    # that loses or gains a vertex is a defect, while the survey's own
+    # segments keep their length
+    path = tree._path_between
+    monkeypatch.setattr("arbor.tree.geodesic", lambda ball, i, j: path(
+        ball.vertex(i), ball.vertex(j)))
+    monkeypatch.setattr("arbor.tree._path_between",
+                        lambda v, w: plant(path, v, w))
+    rc, out, err = run(capsys, ["check", "--what", "acylindrical",
+                                "--seg-length", "2"])
+    assert (rc, out, err) == (3, "", "internal error: the translated segment "
+                              f"has length {length}, not 2\n")
 
 
 def test_survey_segment_faults_exit_3(monkeypatch, capsys):

@@ -439,6 +439,17 @@ def test_word_string_roundtrip():
         word_from_str(am, "a*q")
 
 
+def test_word_from_str_refuses_a_name_of_two_factors():
+    # "x" names a generator of H and one of K, two different elements
+    h = cyclic_group(4, ["e", "x", "a2", "a3"])
+    k = cyclic_group(6, ["e", "x", "b2", "b3", "b4", "b5"])
+    am = make_amalgam(h, k, cyclic_group(2, ["e", "z"]), [0, 2], [0, 3])
+    assert word_from_str(am, "a2*b2") == normal_form(am, [("H", 2), ("K", 2)])
+    for s in ("x", "a2*x"):
+        with pytest.raises(GroupError, match="^ambiguous element name 'x'$"):
+            word_from_str(am, s)
+
+
 def test_validate_reduced_word_rejects_bad_words():
     am = builtin("sl2z")
     with pytest.raises(GroupError, match="alternate"):

@@ -133,6 +133,22 @@ def test_corrupted_dual_is_rejected():
                                   sol.y))
 
 
+@pytest.mark.parametrize("a_ub,b_ub,a_eq,b_eq,kind", [
+    ([[1, 1, 1]], [1], [], [], "inequality"),
+    ([], [], [[1]], [1], "equality"),
+], ids=["inequality", "equality"])
+def test_row_of_wrong_width_is_refused(a_ub, b_ub, a_eq, b_eq, kind):
+    # the solver and the certificate check each read every row's width
+    # against the cost vector's
+    data = [1, 1], a_ub, b_ub, a_eq, b_eq
+    message = f"^{kind} row has wrong width$"
+    with pytest.raises(LpError, match=message):
+        solve_lp(*data)
+    zero = LpSolution(Fraction(0), (Fraction(0),) * 2, (Fraction(0),))
+    with pytest.raises(LpError, match=message):
+        verify_optimal(*data, zero)
+
+
 def test_redundant_equality_rows_are_dropped():
     # the second row is twice the first: phase 1 leaves a row with no real
     # entry, which must go without disturbing the optimum or its dual

@@ -82,6 +82,18 @@ def test_validate_vertex():
         validate_vertex(am, TreeVertex(K_TYPE, (Letter(A_SIDE, 7),)))
 
 
+def test_validate_geodesic_refuses_trivial_letter_past_the_start():
+    # only a word's first letter may be trivial, where it names the base's
+    # K neighbour; the path is adjacent and does not backtrack, so the
+    # vertex check is what refuses it
+    am = builtin("sl2z")
+    path = GeodesicPath((base_vertex(), TreeVertex(K_TYPE, (eL,)),
+                         TreeVertex(H_TYPE, (eL, Letter(B_SIDE, 0)))))
+    with pytest.raises(TreeError, match=r"^trivial letter beyond position 0 "
+                                        r"\(position 1\)$"):
+        validate_geodesic(am, path)
+
+
 def expected_level_counts(index_a, index_b, radius):
     counts = [1]
     for depth in range(1, radius + 1):
@@ -538,8 +550,8 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 
 @pytest.mark.parametrize("argv,calls", [
     (["acylindrical", "--seg-length", "3", "--config",
-      str(FIXTURES / "c12_c3_c15.json")], 59_280),
-    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 6_042),
+      str(FIXTURES / "c12_c3_c15.json")], 34_320),
+    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 5_088),
     (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
       S4_MODELS[0]], 1_944),
     (["stabilizers", "--p-max", "2", "--q-max", "4", "--config",
@@ -547,11 +559,11 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 ], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a",
         "s4-stabilizers"])
 def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
-    # a segment: one translation per vertex, the first edge's |C|
+    # a segment: two translations (its two ends), the first edge's |C|
     # stabilizer elements each applied to the second vertex, one action per
     # later death (on the vertex at its position, whose image's parent must
-    # be the vertex before it), and each survivor re-applied to every
-    # vertex.  A ray: the first edge and later deaths as for a segment, and
+    # be the vertex before it), and each survivor re-applied to the two
+    # ends.  A ray: the first edge and later deaths as for a segment, and
     # nothing more, since its survivors are re-applied to the end by
     # act_on_boundary; theorem-A certificates and ray stabilizers are one
     # certificate, so they cost the same
