@@ -287,29 +287,21 @@ def _reiter_window(args):
                 f"fit in the window of radius {radius}, which has "
                 f"{len(window.vertices)} vertices")
         return window, list(range(args.support_size))
-    if args.window == "free":
-        # the smallest window that holds every image of the support
-        radius = args.radius if args.radius is not None \
-            else args.support_radius + 1
-        check_window_size(args.rank, radius, args.vertex_cap)
-        if args.support_radius > radius:
-            raise ConfigError("ball exceeds the window radius")
-        return (free_tree_window(args.rank, radius),
-                free_ball(args.rank, args.support_radius))
-    raise ConfigError(f"window: unknown kind {args.window!r}")
+    # the free window, the only other kind argparse admits; the smallest
+    # that holds every image of the support
+    radius = args.radius if args.radius is not None \
+        else args.support_radius + 1
+    check_window_size(args.rank, radius, args.vertex_cap)
+    if args.support_radius > radius:
+        raise ConfigError("ball exceeds the window radius")
+    return (free_tree_window(args.rank, radius),
+            free_ball(args.rank, args.support_radius))
 
 
 def _group_gens(group, spec: Optional[str]) -> list:
     if spec is None:
         return [g for g in group.elements() if g != 0]
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if part.isdigit():
-            out.append(int(part))
-        else:
-            out.append(group.index_of_name(part))
-    return out
+    return [group.index_of_name(part.strip()) for part in spec.split(",")]
 
 
 # flags that only some modes of a subcommand read, with their defaults and

@@ -19,7 +19,7 @@ class CodeError(ValueError):
 
 def _minimal_period(cycle: tuple[Letter, ...]) -> tuple[Letter, ...]:
     n = len(cycle)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and cycle == cycle[:d] * (n // d):
             return cycle[:d]
     return cycle
@@ -79,8 +79,6 @@ class PeriodicWord:
 
 def compare_words(u: PeriodicWord, v: PeriodicWord) -> int:
     """Lexicographic order on the underlying sequences; 0 only for equal words."""
-    if u == v:
-        return 0
     bound = max(len(u.prefix), len(v.prefix)) + len(u.cycle) * len(v.cycle) + 1
     for i in range(bound):
         a, b = u.letter_at(i), v.letter_at(i)

@@ -28,8 +28,6 @@ class WindowEscape(ValueError):
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(str(text))
 
 
@@ -75,9 +73,6 @@ class ProbVector:
     def __eq__(self, other) -> bool:
         return isinstance(other, ProbVector) and dict(self._w) == dict(other._w)
 
-    def __hash__(self):
-        return hash(frozenset(self._w.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v}" for k, v in self._w.items())
         return f"ProbVector({{{inner}}})"
@@ -116,15 +111,13 @@ def reiter_deviation(p: ProbVector, gens: Sequence, apply: Callable, x
     """max over s in gens of the l1 gap between p pushed at x and at s·x.
 
     apply(g, y) is the action: window.image for a table, or
-    partial(act_on_boundary, am) on ends.  None means y left the window.
+    partial(act_on_boundary, am) on ends.  None means y left the window;
+    pushforward then raises WindowEscape, also when s·x itself left it.
     """
     px = p.pushforward(lambda g: apply(g, x))
     worst = Fraction(0)
     for s in gens:
         sx = apply(s, x)
-        if sx is None:
-            raise WindowEscape(f"generator {s!r} pushes the base point {x!r} "
-                               "out of the window")
         psx = p.pushforward(lambda g: apply(g, sx))
         worst = max(worst, l1_distance(px, psx))
     return worst

@@ -820,6 +820,21 @@ def test_reiter_generators_flag(capsys):
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_group_generators_are_element_names(tmp_path, capsys):
+    # H = C4 with its element 3 named "1": a digit names an element, it is
+    # never read as an index
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(psl2z_with_h(
+        {"cyclic": 4, "names": ["e", "3", "2", "1"]})))
+    argv = ["reiter", "--window", "group", "--side", "h", "--config",
+            str(path), "--generators"]
+    rc, out, _ = run(capsys, argv + ["1"])
+    assert rc == 0
+    assert json.loads(out)["per_gen"] == [["1", "0"]]
+    rc, out, err = run(capsys, argv + ["9"])
+    assert (rc, out, err) == (2, "", "error: unknown element name '9'\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--window", "group", "--support-size", "-5", "--rank", "0",
       "--radius", "-3"],
@@ -943,6 +958,12 @@ BAD_TENSORS = {
                      "ragged point dimension"),
     "empty_j": (_bad_tensor(lambda d: d.update(values=[[], []])),
                 "empty j dimension"),
+    # JSON booleans are not numbers, though Python reads them as 1 and 0
+    "mu_true": (_bad_tensor(lambda d: d.update(mu=[True])),
+                "Invalid literal for Fraction: 'True'"),
+    "deviation_false": (_bad_tensor(
+        lambda d: d["values"][0][0][0].__setitem__(0, False)),
+        "Invalid literal for Fraction: 'False'"),
 }
 
 
@@ -954,6 +975,41 @@ def test_tensor_refusals_name_their_defect(tmp_path, capsys, label):
     rc, out, err = run(capsys, ["cfw", "--tensor", str(path)])
     assert (rc, out, err) == (2, "", f"error: tensor: {message}\n")
 
+
+# config documents load_config refuses, each written to
+# {tmp}/config_<label>.json
+BAD_CONFIGS = {
+    "list": [],
+    "model_int": {"model": 3},
+    "no_k": {"model": {"h": 2}},
+    "empty_table": psl2z_with_h({"mul_table": []}),
+    "no_permutations": psl2z_with_h({"permutations": []}),
+    "not_permutation": psl2z_with_h({"permutations": [[0, 0]]}),
+}
+
+# the exact error line of EDGE_CASES rows whose refusal no in-process test
+# reaches; {tmp}/x.json is a directory
+EDGE_ERRORS = {
+    ("witness", "--q-max", "1"): "need p_max >= 0 and q_max >= 2",
+    ("witness", "--n-max", "-1"): "n_max must be nonnegative",
+    ("tree", "--radius", "-1"): "radius must be nonnegative",
+    ("check", "--what", "acylindrical", "--seg-length", "0"):
+        "segment length must be positive",
+    ("tree", "--config", "{tmp}/x.json"):
+        "cannot read {tmp}/x.json: [Errno 21] Is a directory: '{tmp}/x.json'",
+    ("tree", "--config", "{tmp}/config_list.json"):
+        "{tmp}/config_list.json: top level must be an object",
+    ("tree", "--config", "{tmp}/config_model_int.json"):
+        "model: missing or not an object",
+    ("tree", "--config", "{tmp}/config_no_k.json"):
+        "model.k: missing group spec",
+    ("tree", "--config", "{tmp}/config_empty_table.json"):
+        "model.h: empty multiplication table",
+    ("tree", "--config", "{tmp}/config_no_permutations.json"):
+        "model.h: need at least one generator permutation",
+    ("tree", "--config", "{tmp}/config_not_permutation.json"):
+        "model.h: not a permutation of 0..1: [0, 0]",
+}
 
 # (argv, extra environment, exit code): bad or edge input on the reiter,
 # cfw, witness, sample-space and cap paths must end in a verdict or one error
@@ -1052,12 +1108,14 @@ EDGE_CASES = [
 ] + [(["witness", "--config", f"{{tmp}}/names_{label}.json"], {}, 2)
      for label in [*UNREADABLE_NAMES, *MISNAMED_H]
 ] + [(["cfw", "--tensor", f"{{tmp}}/tensor_{label}.json"], {}, 2)
-     for label in BAD_TENSORS]
+     for label in BAD_TENSORS
+] + [(list(argv), {}, 2) for argv in EDGE_ERRORS]
 
 
 @pytest.mark.parametrize("argv,env,code", EDGE_CASES,
                          ids=[" ".join(a) for a, _, _ in EDGE_CASES])
 def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
+    message = EDGE_ERRORS.get(tuple(argv))
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{root}", str(ROOT))
             for a in argv]
     for label, name in UNREADABLE_NAMES.items():
@@ -1068,6 +1126,9 @@ def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
             json.dumps(psl2z_with_h(spec)))
     for label, (doc, _) in BAD_TENSORS.items():
         (tmp_path / f"tensor_{label}.json").write_text(json.dumps(doc))
+    for label, doc in BAD_CONFIGS.items():
+        (tmp_path / f"config_{label}.json").write_text(json.dumps(doc))
+    (tmp_path / "x.json").mkdir()
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
@@ -1080,6 +1141,9 @@ def test_edge_arguments_exit_without_traceback(tmp_path, argv, env, code):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        if message is not None:
+            assert proc.stderr == f"error: {message}\n".replace(
+                "{tmp}", str(tmp_path))
     else:
         json.loads(proc.stdout)
 

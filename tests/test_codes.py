@@ -48,6 +48,8 @@ def test_shift_matches_sequence_drop():
     for k in range(8):
         shifted = w.shift(k)
         assert shifted.letters(6) == w.letters(6 + k)[k:]
+    with pytest.raises(CodeError, match="^negative shift$"):
+        w.shift(-1)
 
 
 def test_shift_equalities():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arbor.cli import ConfigError, load_config
 from arbor.groups import (
-    A_SIDE, B_SIDE, GROUP_ORDER_CAP, GroupError, Letter, ReducedWord,
+    A_SIDE, B_SIDE, GROUP_ORDER_CAP, Amalgam, GroupError, Letter, ReducedWord,
     cyclic_group, group_from_table, group_from_permutations, make_group,
     make_amalgam, normal_form, multiply, invert, word_to_str, word_from_str,
 )
@@ -290,6 +290,15 @@ def test_amalgam_rejects_index_one():
         make_amalgam(c4, cyclic_group(8), c4, [0, 1, 2, 3], [0, 2, 4, 6])
 
 
+def test_amalgam_refuses_images_that_are_not_a_subgroup():
+    # make_amalgam checks the embedding first; built directly, the coset
+    # walk is what refuses {0, 1, 2} in C4: 3 + 1 lands in the first coset
+    c4 = cyclic_group(4)
+    with pytest.raises(GroupError,
+                       match="^coset factorization is not unique$"):
+        Amalgam(c4, c4, cyclic_group(3), (0, 1, 2), (0, 1, 2))
+
+
 def test_amalgam_rejects_non_injective_embedding():
     c2 = cyclic_group(2)
     with pytest.raises(GroupError):
@@ -339,6 +348,8 @@ def test_normal_form_validates_inputs():
         normal_form(am, [("H", 9)])
     with pytest.raises(GroupError):
         normal_form(am, [("H", "nope")])
+    with pytest.raises(GroupError, match="^C element 99 out of range$"):
+        normal_form(am, [("C", 99)])
 
 
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])

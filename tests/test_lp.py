@@ -133,6 +133,23 @@ def test_corrupted_dual_is_rejected():
                                   sol.y))
 
 
+def test_corrupted_primal_is_rejected():
+    c, a_ub, b_ub = [-1, -1], [[1, 1]], [1]
+    sol = solve_lp(c, a_ub, b_ub, [], [])
+    negative = LpSolution(sol.value, (Fraction(-1), Fraction(2)), sol.y)
+    with pytest.raises(LpError, match="x is not a nonnegative vector"):
+        verify_optimal(c, a_ub, b_ub, [], [], negative)
+    off = LpSolution(sol.value + 1, sol.x, sol.y)
+    with pytest.raises(LpError, match="c.x differs from the reported value"):
+        verify_optimal(c, a_ub, b_ub, [], [], off)
+
+
+def test_pivot_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    with pytest.raises(LpError, match="^pivot budget 0 exhausted$"):
+        solve_lp([-1, -1], [[1, 1]], [1], [], [])
+
+
 @pytest.mark.parametrize("a_ub,b_ub,a_eq,b_eq,kind", [
     ([[1, 1, 1]], [1], [], [], "inequality"),
     ([], [], [[1]], [1], "equality"),

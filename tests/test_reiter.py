@@ -51,6 +51,8 @@ def test_prob_vector_basics():
     assert q.support == (0, 1)
     with pytest.raises(ValueError):
         ProbVector([(0, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="^cannot spread mass over nothing$"):
+        ProbVector.uniform([])
     with pytest.raises(ValueError):
         ProbVector([(0, Fraction(3, 2)), (1, Fraction(-1, 2))])
     # duplicate labels accumulate
@@ -120,6 +122,8 @@ def test_lp_support_escape():
     w = integer_window(3)
     with pytest.raises(WindowEscape):
         reiter_lp(w, support=[2, 3])
+    with pytest.raises(WindowEscape, match="^empty support"):
+        reiter_lp(w, support=[])
 
 
 def test_oversized_lp_is_refused_before_building():
@@ -389,3 +393,5 @@ def test_grid_size_is_counted_first():
 def test_grid_support_escape():
     with pytest.raises(WindowEscape, match="escapes"):
         grid_search_min_deviation(integer_window(3), [2, 3], 4)
+    with pytest.raises(WindowEscape, match="^empty grid$"):
+        grid_search_min_deviation(integer_window(3), [0, 1], 0)

@@ -68,6 +68,8 @@ def test_vertex_from_letters_normalization():
     assert vertex_from_letters([bL], K_TYPE) == TreeVertex(K_TYPE, (eL,))
     assert vertex_from_letters([bL], H_TYPE) == TreeVertex(H_TYPE, (eL, bL))
     assert vertex_from_letters([aL, bL], K_TYPE) == TreeVertex(K_TYPE, (aL,))
+    with pytest.raises(TreeError, match="does not reach a vertex"):
+        vertex_from_letters([aL, aL], H_TYPE)
 
 
 def test_validate_vertex():
@@ -92,6 +94,18 @@ def test_validate_geodesic_refuses_trivial_letter_past_the_start():
     with pytest.raises(TreeError, match=r"^trivial letter beyond position 0 "
                                         r"\(position 1\)$"):
         validate_geodesic(am, path)
+
+
+def test_validate_geodesic_refuses_empty_and_broken_paths():
+    am = builtin("sl2z")
+    with pytest.raises(TreeError, match="^empty path$"):
+        validate_geodesic(am, GeodesicPath(()))
+    # two H-type vertices at distance 2: not adjacent
+    far = TreeVertex(H_TYPE, (eL, bL))
+    assert not is_adjacent(base_vertex(), far)
+    with pytest.raises(TreeError, match="^consecutive path vertices are "
+                                        "not adjacent$"):
+        validate_geodesic(am, GeodesicPath((base_vertex(), far)))
 
 
 def expected_level_counts(index_a, index_b, radius):
@@ -322,6 +336,8 @@ def test_code_truncate_and_inverse():
         assert path.length == n
         assert path.vertices[0] == base_vertex()
         assert geodesic_to_code(path) == x
+    with pytest.raises(TreeError, match="must be nonnegative"):
+        code_truncate(sample_codes(am)[0], -1)
 
 
 def test_geodesic_to_code_errors():
@@ -465,6 +481,9 @@ def test_acylindricity_orders(name, expected_orders):
     assert report.max_order <= am.C.order
     total = sum(count for _, count in report.orders_histogram)
     assert total == report.segments
+    with pytest.raises(TreeError, match="^tree radius must be at least the "
+                                        "segment length$"):
+        check_acylindricity(am, seg_length=2, tree_radius=1)
 
 
 @pytest.mark.parametrize("seg_length", [1, 2, 3])
