@@ -19,7 +19,7 @@ from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, invert, multiply,
                      word_of_subgroup_element, word_to_str, word_from_str)
 from .tree import (act_on_boundary, ball_bits, ball_size, check_theorem_A,
-                   geometric, lockstep, lockstep_bound, over_cap,
+                   geometric, lockstep, lockstep_bound, refuse_over,
                    TheoremStyleCertificate, word_element)
 
 
@@ -162,12 +162,11 @@ def orbit_equivalent(am: Amalgam, x: BoundaryCode,
     a witness from the shift prefixes and minimizing base elements.  The
     walks are counted first and refused over EQUIV_STEP_CAP.
     """
-    steps = shift_walk_steps(am, x) + shift_walk_steps(am, y)
-    if steps > EQUIV_STEP_CAP:
-        raise RelationError(
-            f"the orbit walks of two codes of {len(x.prefix) + len(x.cycle)} "
-            f"and {len(y.prefix) + len(y.cycle)} letters would take {steps} "
-            f"steps, over the cap of {EQUIV_STEP_CAP}; shorten the codes")
+    refuse_over(EQUIV_STEP_CAP, 0,
+                lambda: shift_walk_steps(am, x) + shift_walk_steps(am, y),
+                f"the orbit walks of two codes of {len(x.prefix) + len(x.cycle)} "
+                f"and {len(y.prefix) + len(y.cycle)} letters would take "
+                "{count} steps, over the cap of {cap}; shorten the codes")
     mins: dict = {}
     found = _shift_witness(am, x, _even_shift_codes(am, x, mins),
                            y, _even_shift_codes(am, y, mins))
@@ -219,22 +218,17 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
     # r**(q_max // 2) longest cycles alone over 2**(q_max // 2 - 1)
     growing = (a - 1) * (b - 1) > 1
     bits = max(ball_bits(a, b, p_max), q_max // 2 - 1 if growing else 0)
-    count = over_cap(SAMPLE_SPACE_CAP, bits,
-                     lambda: sample_space_size(am, p_max, q_max))
-    if count:
-        raise RelationError(
-            f"a sample space with prefixes up to {p_max} and cycles up to "
-            f"{q_max} letters would enumerate {count} candidate codes, over "
-            f"the cap of {SAMPLE_SPACE_CAP}; lower the prefix or cycle cap")
+    space = (f"a sample space with prefixes up to {p_max} and cycles up to "
+             f"{q_max} letters would")
+    refuse_over(SAMPLE_SPACE_CAP, bits,
+                lambda: sample_space_size(am, p_max, q_max),
+                space + " enumerate {count} candidate codes, over the cap of "
+                "{cap}; lower the prefix or cycle cap")
     # each candidate spells at most p_max + q_max letters
-    letters = over_cap(SAMPLE_LETTER_CAP, 0, lambda: sample_space_size(
-        am, p_max, q_max) * (p_max + q_max))
-    if letters:
-        raise RelationError(
-            f"a sample space with prefixes up to {p_max} and cycles up to "
-            f"{q_max} letters would spell up to {letters} letters in its "
-            f"candidate codes, over the cap of {SAMPLE_LETTER_CAP}; lower the "
-            f"prefix or cycle cap")
+    refuse_over(SAMPLE_LETTER_CAP, 0,
+                lambda: sample_space_size(am, p_max, q_max) * (p_max + q_max),
+                space + " spell up to {count} letters in its candidate codes, "
+                "over the cap of {cap}; lower the prefix or cycle cap")
     pools = {A_SIDE: [Letter(A_SIDE, r) for r in range(1, am.A.index)],
              B_SIDE: [Letter(B_SIDE, r) for r in range(1, am.B.index)]}
     found = set()
@@ -290,12 +284,10 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
     """
     if n_max < 0:
         raise RelationError("n_max must be nonnegative")
-    entries = (n_max + 1) * len(sample.points)
-    if entries > CHAIN_ENTRY_CAP:
-        raise RelationError(
-            f"a witness chain of {n_max + 1} relations over "
-            f"{len(sample.points)} points has {entries} entries, over the cap "
-            f"of {CHAIN_ENTRY_CAP}; lower n_max")
+    refuse_over(CHAIN_ENTRY_CAP, 0, lambda: (n_max + 1) * len(sample.points),
+                f"a witness chain of {n_max + 1} relations over "
+                f"{len(sample.points)} points has {{count}} entries, over the "
+                "cap of {cap}; lower n_max")
     mins: dict = {}
     shift_codes = tuple(_even_shift_codes(am, x, mins) for x in sample.points)
     occurrences: dict[BoundaryCode, list[tuple[int, int]]] = {}

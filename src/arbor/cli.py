@@ -66,7 +66,7 @@ def _config_text(source: str) -> str:
         try:
             return path.read_text()
         except OSError as err:
-            raise ConfigError(f"cannot read {source}: {err}")
+            raise ConfigError(f"cannot read {source}: {err.strerror}")
     try:
         return resources.files("arbor.configs").joinpath(
             f"{source}.json").read_text()
@@ -415,7 +415,8 @@ def cmd_cfw(am: Optional[Amalgam], args) -> int:
         try:
             text = Path(args.tensor).read_text()
         except OSError as err:
-            raise ConfigError(f"tensor: cannot read {args.tensor}: {err}")
+            raise ConfigError(
+                f"tensor: cannot read {args.tensor}: {err.strerror}")
         try:
             tensor = tensor_from_json(json.loads(text))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:

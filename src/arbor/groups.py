@@ -139,15 +139,12 @@ def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
 
 
 def group_from_permutations(generators: Sequence[Sequence[int]],
-                            names: Optional[Sequence[str]] = None,
-                            cap: int = 256) -> FiniteGroup:
+                            names: Optional[Sequence[str]] = None
+                            ) -> FiniteGroup:
     """Close a set of permutations under composition, breadth-first, identity first.
 
-    The closure stops at cap elements, which may not exceed GROUP_ORDER_CAP.
+    The closure stops past GROUP_ORDER_CAP elements.
     """
-    if cap > GROUP_ORDER_CAP:
-        raise GroupError(f"closure cap of {cap} elements is over the cap of "
-                         f"{GROUP_ORDER_CAP} elements")
     if not generators:
         raise GroupError("need at least one generator permutation")
     degree = len(generators[0])
@@ -173,8 +170,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
         for gi, g in enumerate(gens):
             nxt = compose(cur, g)
             if nxt not in seen:
-                if len(elements) >= cap:
-                    raise GroupError(f"closure exceeds cap of {cap} elements")
+                if len(elements) >= GROUP_ORDER_CAP:
+                    raise GroupError(f"closure exceeds the cap of "
+                                     f"{GROUP_ORDER_CAP} elements")
                 seen[nxt] = len(elements)
                 elements.append(nxt)
                 parent.append(k)
@@ -192,7 +190,7 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
 
 GroupSpec = Union[int, dict]
 # every key a spec dict may hold; make_group reads no other
-SPEC_KEYS = ("cyclic", "mul_table", "permutations", "names", "cap")
+SPEC_KEYS = ("cyclic", "mul_table", "permutations", "names")
 # characters a report puts between element names (, ; *) or that would end
 # or escape a quoted dot label (" \); names must avoid them to read back
 NAME_SEPARATORS = ',;*"\\'
@@ -219,8 +217,8 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build a group from an int (cyclic order) or a spec dict.
 
     Dict forms: {"cyclic": n}, {"mul_table": [[...]]}, {"permutations": [[...]]},
-    each optionally with "names" (a list of strings); only permutations may
-    carry a closure "cap".  Values of the wrong JSON type raise GroupError.
+    each optionally with "names" (a list of strings).  Values of the wrong
+    JSON type raise GroupError.
     """
     if type(spec) is int:
         return cyclic_group(spec)
@@ -241,15 +239,12 @@ def make_group(spec: GroupSpec) -> FiniteGroup:
     if len(kinds) != 1:
         raise GroupError("group spec needs exactly one of cyclic/mul_table/permutations")
     kind = kinds[0]
-    if "cap" in spec and kind != "permutations":
-        raise GroupError("cap: only a permutations spec has a closure to cap")
     if kind == "cyclic":
         return cyclic_group(_spec_int(spec["cyclic"], kind), names)
     if kind == "mul_table":
         return group_from_table(_spec_rows(spec["mul_table"], kind), names)
-    cap = _spec_int(spec.get("cap", 256), "cap")
     return group_from_permutations(_spec_rows(spec["permutations"], kind),
-                                   names, cap=cap)
+                                   names)
 
 
 class Transversal(NamedTuple):

@@ -15,12 +15,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .groups import Amalgam, VerificationError
 from .lp import solve_lp
-from .tree import ball_bits, ball_size, over_cap
-
-
-class OverBudget(ValueError):
-    """Raised, before anything is built, when a window, a program, a grid or
-    a threshold extraction would exceed its cap."""
+from .tree import OverBudget, ball_bits, ball_size, refuse_over
 
 
 class WindowEscape(ValueError):
@@ -205,12 +200,10 @@ def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
     _free_gens(rank)
     _check_radius(radius)
     degree = 2 * rank
-    count = over_cap(vertex_cap, ball_bits(degree, degree, radius),
-                     lambda: ball_size(degree, degree, radius))
-    if count:
-        raise OverBudget(
-            f"the window of radius {radius} has {count} vertices, over the "
-            f"vertex cap of {vertex_cap}; lower the radius or the support")
+    refuse_over(vertex_cap, ball_bits(degree, degree, radius),
+                lambda: ball_size(degree, degree, radius),
+                f"the window of radius {radius} has {{count}} vertices, over "
+                "the vertex cap of {cap}; lower the radius or the support")
 
 
 class ReiterCertificate(NamedTuple):
@@ -279,12 +272,11 @@ def reiter_lp(window: SchreierWindow, support: Sequence,
     t_var = pos
     nvars = pos + 1
     # two rows per domain vertex, one t row per generator, one equality row
-    entries = (2 * (pos - nsup) + len(doms) + 1) * nvars
-    if entries > LP_ENTRY_CAP:
-        raise OverBudget(
-            f"the program over {nsup} support vertices and "
-            f"{len(window.gens)} generators has {entries} entries, over the "
-            f"cap of {LP_ENTRY_CAP}; shrink the support")
+    refuse_over(LP_ENTRY_CAP, 0,
+                lambda: (2 * (pos - nsup) + len(doms) + 1) * nvars,
+                f"the program over {nsup} support vertices and "
+                f"{len(window.gens)} generators has {{count}} entries, over "
+                "the cap of {cap}; shrink the support")
 
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
@@ -340,14 +332,12 @@ def grid_vector_count(support_size: int, max_denominator: int) -> int:
 def check_grid_size(support_size: int, max_denominator: int) -> None:
     """Refuse a grid search that would visit more than GRID_VECTOR_CAP vectors."""
     # C(D+k, k) >= 2**min(D, k), so the count is over 2**(min(D, k) - 1)
-    count = over_cap(GRID_VECTOR_CAP, min(support_size, max_denominator) - 1,
-                     lambda: grid_vector_count(support_size, max_denominator))
-    if count:
-        raise OverBudget(
-            f"grid check over {support_size} support vertices with "
-            f"denominators up to {max_denominator} would visit {count} "
-            f"vectors, over the cap of {GRID_VECTOR_CAP}; lower the "
-            f"denominator or shrink the support")
+    refuse_over(GRID_VECTOR_CAP, min(support_size, max_denominator) - 1,
+                lambda: grid_vector_count(support_size, max_denominator),
+                f"grid check over {support_size} support vertices with "
+                f"denominators up to {max_denominator} would visit {{count}} "
+                "vectors, over the cap of {cap}; lower the denominator or "
+                "shrink the support")
 
 
 def _numerators(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -568,11 +558,9 @@ def cfw_extract(t: DeviationTensor, m_max: Optional[int] = None
         m_max = t.j_count - 1
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    slices = len(t.group_labels) * m_max
-    if slices > CFW_SLICE_CAP:
-        raise OverBudget(
-            f"the extraction weighs {slices} (group element, band) slices, "
-            f"over the cap of {CFW_SLICE_CAP}; lower m_max")
+    refuse_over(CFW_SLICE_CAP, 0, lambda: len(t.group_labels) * m_max,
+                "the extraction weighs {count} (group element, band) slices, "
+                "over the cap of {cap}; lower m_max")
     rows = []
     for i in range(t.i_count):
         # mass histogram over entry columns; rows that never enter the band

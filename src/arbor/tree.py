@@ -28,7 +28,12 @@ DOT_LETTER_CAP = 10_000_000
 
 
 class TreeError(ValueError):
-    """Raised for invalid vertices, paths, or exceeded caps."""
+    """Raised for invalid vertices and paths."""
+
+
+class OverBudget(ValueError):
+    """Raised, before the work starts, when a run would exceed one of its
+    caps; refuse_over is the one place that raises it."""
 
 
 class TreeVertex(NamedTuple):
@@ -133,23 +138,27 @@ def ball_bits(a: int, b: int, radius: int) -> int:
     return radius if min(a, b) > 2 else (radius + 1) // 2
 
 
-def over_cap(cap: int, bits: int, count: Callable[[], int]) -> Optional[str]:
-    """None when count() is within cap; otherwise the count as a refusal
-    prints it.
+def refuse_over(cap: int, bits: int, count: Callable[[], int],
+                message: str) -> None:
+    """Raise OverBudget when count() is over cap, with the count and the cap
+    filled in for message's {count} and {cap}; its other text holds no
+    braces, since it is a str.format template.
 
     The one rule for every budget: a count known to be over 2**bits is not
     computed once 2**bits is past the cap, and reads "more than 2**bits";
     a count too long to print reads the same way with its own bit length.
     """
     if bits > cap.bit_length():
-        return f"more than 2**{bits}"
-    n = count()
-    if n <= cap:
-        return None
-    try:
-        return str(n)
-    except ValueError:  # past the interpreter's digit limit for int to str
-        return f"more than 2**{(n - 1).bit_length() - 1}"
+        shown = f"more than 2**{bits}"
+    else:
+        n = count()
+        if n <= cap:
+            return
+        try:
+            shown = str(n)
+        except ValueError:  # past the interpreter's digit limit for int to str
+            shown = f"more than 2**{(n - 1).bit_length() - 1}"
+    raise OverBudget(message.format(count=shown, cap=cap))
 
 
 def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> TruncatedTree:
@@ -158,11 +167,10 @@ def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> Trunca
     if radius < 0:
         raise TreeError("radius must be nonnegative")
     a, b = am.A.index, am.B.index
-    count = over_cap(vertex_cap, ball_bits(a, b, radius),
-                     lambda: ball_size(a, b, radius))
-    if count:
-        raise TreeError(f"the tree ball of radius {radius} has {count} "
-                        f"vertices, over the vertex cap of {vertex_cap}")
+    refuse_over(vertex_cap, ball_bits(a, b, radius),
+                lambda: ball_size(a, b, radius),
+                f"the tree ball of radius {radius} has {{count}} vertices, "
+                "over the vertex cap of {cap}")
     alphabet = [[Letter(side, rep) for rep in range(am.transversal(side).index)]
                 for side in (A_SIDE, B_SIDE)]
     parent, letter, depths = [-1], [None], [0]
@@ -583,11 +591,9 @@ def to_dot(am: Amalgam, tree: TruncatedTree) -> str:
     """Graphviz source: H-type vertices as circles, K-type as boxes, each
     labelled with its word.  The labels hold sum(depths) letter names, which
     is counted first and refused over DOT_LETTER_CAP."""
-    letters = sum(tree.depths)
-    if letters > DOT_LETTER_CAP:
-        raise TreeError(f"the dot labels of a ball of radius {tree.radius} "
-                        f"hold {letters} letters, over the cap of "
-                        f"{DOT_LETTER_CAP}")
+    refuse_over(DOT_LETTER_CAP, 0, lambda: sum(tree.depths),
+                f"the dot labels of a ball of radius {tree.radius} hold "
+                "{count} letters, over the cap of {cap}")
     lines = ["graph bass_serre {"]
     labels = [""]
     for i, depth in enumerate(tree.depths):

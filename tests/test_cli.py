@@ -153,13 +153,13 @@ def test_config_errors(tmp_path, capsys):
         ({"mul_table": bad_entry}, "model.h: mul_table"),
         ({"mul_table": table, "names": [1, 2, 3, 4]}, "model.h: names"),
         ({"mul_table": table, "names": "abcd"}, "model.h: names"),
-        ({"permutations": [[1, 2, 3, 0]], "cap": "x"}, "model.h: cap"),
-        ({"permutations": [[1, 2, 3, 0]], "cap": True}, "model.h: cap"),
+        ({"permutations": [[1, 2, 3, 0]], "cap": "x"},
+         "model.h.cap: unknown key\n"),
+        ({"permutations": [[1, 2, 3, 0]], "cap": True},
+         "model.h.cap: unknown key\n"),
         ({"permutations": [5]}, "model.h: permutations"),
-        ({"cyclic": 4, "cap": 2},
-         "model.h: cap: only a permutations spec has a closure to cap\n"),
-        ({"mul_table": table, "cap": 2},
-         "model.h: cap: only a permutations spec has a closure to cap\n"),
+        ({"cyclic": 4, "cap": 2}, "model.h.cap: unknown key\n"),
+        ({"mul_table": table, "cap": 2}, "model.h.cap: unknown key\n"),
         ({"cyclic": 4, "nmes": ["e", "a", "a2", "a3"]},
          "model.h.nmes: unknown key\n"),
         ({"mul_table": swap_intercalate(c300, (1, 151, 1, 151))},
@@ -189,16 +189,14 @@ def test_config_errors(tmp_path, capsys):
     assert run(capsys, ["tree", "--config", str(path)])[0] == 0
 
     # a transposition and an 8-cycle generate S8, with 40,320 elements: the
-    # cap is refused before the closure starts
+    # closure stops at the group-size cap
     s8 = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
-    path.write_text(json.dumps({"model": dict(
-        model, h={"permutations": s8, "cap": 40320})}))
+    path.write_text(json.dumps({"model": dict(model, h={"permutations": s8})}))
     started = time.perf_counter()
     rc, out, err = run(capsys, ["tree", "--config", str(path)])
     assert time.perf_counter() - started < 1
     assert (rc, out) == (2, "")
-    assert err == ("error: model.h: closure cap of 40320 elements is over the "
-                   "cap of 1024 elements\n")
+    assert err == "error: model.h: closure exceeds the cap of 1024 elements\n"
 
 
 def test_config_key_paths(tmp_path, capsys):
@@ -996,7 +994,9 @@ EDGE_ERRORS = {
     ("check", "--what", "acylindrical", "--seg-length", "0"):
         "segment length must be positive",
     ("tree", "--config", "{tmp}/x.json"):
-        "cannot read {tmp}/x.json: [Errno 21] Is a directory: '{tmp}/x.json'",
+        "cannot read {tmp}/x.json: Is a directory",
+    ("cfw", "--tensor", "{tmp}/x.json"):
+        "tensor: cannot read {tmp}/x.json: Is a directory",
     ("tree", "--config", "{tmp}/config_list.json"):
         "{tmp}/config_list.json: top level must be an object",
     ("tree", "--config", "{tmp}/config_model_int.json"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arbor.cli import ConfigError, load_config
 from arbor.groups import (
-    A_SIDE, B_SIDE, GROUP_ORDER_CAP, Amalgam, GroupError, Letter, ReducedWord,
+    A_SIDE, B_SIDE, Amalgam, GroupError, Letter, ReducedWord,
     cyclic_group, group_from_table, group_from_permutations, make_group,
     make_amalgam, normal_form, multiply, invert, word_to_str, word_from_str,
 )
@@ -172,8 +172,12 @@ def test_permutation_closure_symmetric_group():
 
 
 def test_permutation_closure_cap():
-    with pytest.raises(GroupError, match="cap"):
-        group_from_permutations([(1, 2, 3, 0)], cap=3)
+    # a transposition and a 7-cycle generate S7, with 5,040 elements; the
+    # closure stops at GROUP_ORDER_CAP, the cap of a cyclic group too
+    s7 = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+    with pytest.raises(GroupError, match="^closure exceeds the cap of 1024 "
+                                         "elements$"):
+        group_from_permutations(s7)
 
 
 @pytest.mark.parametrize("gens", [
@@ -188,10 +192,10 @@ def test_permutation_table_matches_direct_composition(gens):
 
 
 def test_largest_permutation_closure_is_fast():
-    # a 1024-cycle: composing every pair directly takes over a minute
+    # a 1024-cycle, the largest closure the cap admits: composing every
+    # pair directly takes over a minute
     started = time.perf_counter()
-    g = group_from_permutations([tuple((i + 1) % 1024 for i in range(1024))],
-                                cap=GROUP_ORDER_CAP)
+    g = group_from_permutations([tuple((i + 1) % 1024 for i in range(1024))])
     assert time.perf_counter() - started < 10
     assert g.order == 1024 and element_order(g, 1) == 1024
 

@@ -1,10 +1,13 @@
-"""What `import arbor.cli` loads, and the tuple behaviour of value records.
+"""What `import arbor.cli` loads, the tuple behaviour of value records, and
+the functions and parameters perfbench/tracing.py reads by name.
 
 Every report comes from a fresh process, so the import is paid per run.
 Value records are NamedTuples: importing `dataclasses` would also pull in
 `inspect`, `ast`, `dis` and `tokenize`.
 """
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +15,21 @@ from pathlib import Path
 from arbor.groups import Letter
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACING = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+
+
+def _tracing_value(name: str) -> ast.expr:
+    """The expression perfbench/tracing.py assigns to a module-level name."""
+    for node in TRACING.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and getattr(node.targets[0], "id", None) == name:
+            return node.value
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
 
 
 def _traced_modules() -> list:
     """The arbor modules perfbench/tracing.py reads from sys.modules."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and getattr(node.targets[0], "id", None) == "MODULES":
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py defines no MODULES")
+    return ast.literal_eval(_tracing_value("MODULES"))
 
 
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():
@@ -43,3 +51,33 @@ def test_letter_is_a_tuple_in_repr_hash_and_order():
     assert repr(Letter(0, 1)) == "Letter(side=0, rep=1)"
     assert hash(Letter(0, 1)) == hash((0, 1))
     assert Letter(0, 2) < Letter(1, 0) < Letter(1, 1)
+
+
+def _traced(label: str):
+    module, name = label.split(".")
+    return getattr(importlib.import_module(f"arbor.{module}"), name, None)
+
+
+def test_every_traced_function_and_hooked_argument_exists():
+    # the tracer wraps functions by name and its hooks read arguments by
+    # position, so a renamed function or parameter breaks a traced run
+    wrapped = [f"{module}.{name}" for module, name in
+               ast.literal_eval(_tracing_value("SPANNED"))
+               + ast.literal_eval(_tracing_value("COUNTED"))]
+    for label in wrapped:
+        assert callable(_traced(label)), label
+    hooks = _tracing_value("_HOOKS")
+    labels = {fn.id: ast.literal_eval(key)
+              for key, fn in zip(hooks.keys, hooks.values)}
+    assert set(labels.values()) <= set(wrapped)
+    read = 0
+    for node in TRACING.body:
+        if isinstance(node, ast.FunctionDef) and node.name in labels:
+            label = labels[node.name]
+            params = list(inspect.signature(_traced(label)).parameters)
+            for call in ast.walk(node):
+                if getattr(getattr(call, "func", None), "id", None) == "_arg":
+                    i, name = map(ast.literal_eval, call.args[2:])
+                    assert params[i] == name, (label, i, name)
+                    read += 1
+    assert read == 7

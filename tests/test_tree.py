@@ -13,12 +13,11 @@ from arbor.groups import (
     normal_form, word_of_subgroup_element,
 )
 from arbor.tree import (
-    GeodesicPath, H_TYPE, K_TYPE, TreeError, TreeVertex, act_on_boundary,
-    act_on_vertex, ball_bits, ball_size, build_tree,
+    GeodesicPath, H_TYPE, K_TYPE, OverBudget, TreeError, TreeVertex,
+    act_on_boundary, act_on_vertex, ball_bits, ball_size, build_tree,
     check_acylindricity, check_theorem_A, code_truncate, geodesic,
-    is_adjacent, lockstep, over_cap,
-    ray_stabilizer, stabilizer_of_segment, to_dot, validate_geodesic,
-    validate_vertex, vertex_from_letters, word_element,
+    is_adjacent, lockstep, ray_stabilizer, refuse_over, stabilizer_of_segment,
+    to_dot, validate_geodesic, validate_vertex, vertex_from_letters, word_element,
 )
 
 import bruteforce
@@ -146,10 +145,10 @@ def test_build_tree_radius_six_profile():
 
 
 def test_build_tree_vertex_cap():
-    with pytest.raises(TreeError, match="cap"):
+    with pytest.raises(OverBudget, match="cap"):
         build_tree(builtin("sl2z"), 6, vertex_cap=10)
-    with pytest.raises(TreeError, match="radius 6 has 43 vertices, over the "
-                                        "vertex cap of 42"):
+    with pytest.raises(OverBudget, match="radius 6 has 43 vertices, over "
+                                         "the vertex cap of 42"):
         build_tree(builtin("sl2z"), 6, vertex_cap=42)
     assert len(build_tree(builtin("sl2z"), 6, vertex_cap=43).vertices) == 43
 
@@ -176,16 +175,21 @@ def test_ball_bits_bound_every_ball():
     assert ball_bits(2, 3, 60) == 30
 
 
-def test_over_cap_counts_only_what_it_can():
+def test_refuse_over_counts_only_what_it_can():
     def never():
         raise AssertionError("counted a size already known to be too large")
 
-    assert over_cap(100, 8, never) == "more than 2**8"
-    assert over_cap(100, 7, lambda: 100) is None
-    assert over_cap(100, 7, lambda: 101) == "101"
+    def refusal(bits, count):
+        with pytest.raises(OverBudget) as exc:
+            refuse_over(100, bits, count, "{count} over {cap}")
+        return str(exc.value)
+
+    assert refusal(8, never) == "more than 2**8 over 100"
+    assert refuse_over(100, 7, lambda: 100, "unused") is None
+    assert refusal(7, lambda: 101) == "101 over 100"
     # a count too long to print reads as a power of two below it
-    assert over_cap(100, 0, lambda: 10 ** 5000) == "more than 2**16609"
-    assert over_cap(100, 0, lambda: 2 ** 20000) == "more than 2**19999"
+    assert refusal(0, lambda: 10 ** 5000) == "more than 2**16609 over 100"
+    assert refusal(0, lambda: 2 ** 20000) == "more than 2**19999 over 100"
     assert 2 ** 16609 < 10 ** 5000
 
 
