@@ -143,13 +143,19 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
                             ) -> FiniteGroup:
     """Close a set of permutations under composition, breadth-first, identity first.
 
-    The closure stops past GROUP_ORDER_CAP elements.
+    The closure stops past GROUP_ORDER_CAP elements.  A generator on more
+    than GROUP_ORDER_CAP points is refused before any composition: every
+    group the cap admits acts faithfully on its own elements (Cayley), so
+    on at most GROUP_ORDER_CAP points.
     """
     if not generators:
         raise GroupError("need at least one generator permutation")
     degree = len(generators[0])
     gens = []
     for g in generators:
+        if len(g) > GROUP_ORDER_CAP:
+            raise GroupError(f"a permutation of degree {len(g)} is over the "
+                             f"cap of {GROUP_ORDER_CAP} points")
         p = tuple(g)
         if sorted(p) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")

@@ -436,7 +436,26 @@ class SegmentStabilizer(NamedTuple):
         return len(self.elements)
 
 
-def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabilizer:
+def _base_stabilizer(am: Amalgam, moved: tuple[TreeVertex, ...]
+                     ) -> tuple[ReducedWord, ...]:
+    """Words of the elements of the factor G at moved[0], a base coset, that
+    fix every vertex of the geodesic moved: all of G for one vertex,
+    otherwise the survivors of one lockstep walk along its letters, which
+    _check_complete shows to be complete."""
+    side = A_SIDE if moved[0].vtype == H_TYPE else B_SIDE
+    fixing = am.side_group(side).elements()
+    if len(moved) > 1:
+        # each step appends its letter, except K's step to the base vertex
+        letters = [w.word[-1] if len(w.word) > len(v.word)
+                   else Letter(B_SIDE, 0) for v, w in zip(moved, moved[1:])]
+        _, survivors, deaths = lockstep(am, letters, False)
+        _check_complete(am, side, moved, survivors, deaths)
+        fixing = [e for _, e in survivors]
+    return tuple(word_of_subgroup_element(am, side, e) for e in fixing)
+
+
+def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
+                          memo: Optional[dict] = None) -> SegmentStabilizer:
     """All g fixing every vertex of the segment, via translation to the base.
 
     Translating the segment by t to start at a base coset reduces the search
@@ -454,6 +473,13 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
     segments, so an invalid one, a translation that misses the base coset
     or a translated path of the wrong length is a defect and not an input
     error.
+
+    The walk, its check and the words of its survivors depend only on the
+    translated segment, so a memo dict keyed on it, kept for one amalgam,
+    holds them for every segment of the same type: the segment's stabilizer is the conjugate of
+    its translate's by back (Serre, Trees, I.4).  Everything else, the
+    conjugation and the re-check at the segment's own two ends included, is
+    done for each segment.  Without a memo nothing is kept.
     """
     try:
         validate_geodesic(am, segment)
@@ -473,18 +499,11 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath) -> SegmentStabiliz
         raise VerificationError(
             f"the translated segment has length {len(moved) - 1}, not "
             f"{segment.length}")
-    side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
-    fixing = am.side_group(side).elements()
-    if len(moved) > 1:
-        # each step appends its letter, except K's step to the base vertex
-        letters = [w.word[-1] if len(w.word) > len(v.word)
-                   else Letter(B_SIDE, 0) for v, w in zip(moved, moved[1:])]
-        _, survivors, deaths = lockstep(am, letters, False)
-        _check_complete(am, side, moved, survivors, deaths)
-        fixing = [e for _, e in survivors]
-    words = [word_of_subgroup_element(am, side, e) for e in fixing]
-    found = sorted((multiply(am, multiply(am, back, h), t) for h in words),
-                   key=ReducedWord.sort_key)
+    memo = {} if memo is None else memo
+    if moved not in memo:
+        memo[moved] = _base_stabilizer(am, moved)
+    found = sorted((multiply(am, multiply(am, back, h), t)
+                    for h in memo[moved]), key=ReducedWord.sort_key)
     if any(act_on_vertex(am, g, v) != v for g in found for v in ends):
         raise VerificationError("conjugated stabilizer element fails to fix")
     return SegmentStabilizer(tuple(found))
@@ -560,6 +579,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     In a tree a non-backtracking walk is the geodesic between its ends, so
     walking seg_length steps from every vertex reaches exactly the vertices
     at that distance.  Each segment is taken once, from its lower-index end.
+    One memo serves the call, so each translated segment is searched once.
     """
     if seg_length < 1:
         raise TreeError("segment length must be positive")
@@ -572,6 +592,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     for child in tree.vertices[1:]:
         neighbors[tree.parent[child]].append(child)
     hist: dict[int, int] = {}
+    memo: dict = {}
     count = 0
     for i in tree.vertices:
         walk = [(i, -1)]  # (vertex, the vertex it was reached from)
@@ -580,7 +601,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
                     if w != prev]
         for j in sorted(u for u, _ in walk if u > i):
             path = geodesic(tree, i, j)
-            stab = stabilizer_of_segment(am, path)
+            stab = stabilizer_of_segment(am, path, memo)
             hist[stab.order] = hist.get(stab.order, 0) + 1
             count += 1
     return AcylindricityReport(seg_length, tree_radius, count,

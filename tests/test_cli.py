@@ -983,6 +983,10 @@ BAD_CONFIGS = {
     "empty_table": psl2z_with_h({"mul_table": []}),
     "no_permutations": psl2z_with_h({"permutations": []}),
     "not_permutation": psl2z_with_h({"permutations": [[0, 0]]}),
+    # a transposition of 20,000 points: refused on its degree before the
+    # closure composes anything
+    "degree_over_cap": psl2z_with_h(
+        {"permutations": [[1, 0, *range(2, 20_000)]]}),
 }
 
 # the exact error line of EDGE_CASES rows whose refusal no in-process test
@@ -1009,6 +1013,9 @@ EDGE_ERRORS = {
         "model.h: need at least one generator permutation",
     ("tree", "--config", "{tmp}/config_not_permutation.json"):
         "model.h: not a permutation of 0..1: [0, 0]",
+    ("tree", "--config", "{tmp}/config_degree_over_cap.json"):
+        "model.h: a permutation of degree 20000 is over the cap of 1024 "
+        "points",
 }
 
 # (argv, extra environment, exit code): bad or edge input on the reiter,

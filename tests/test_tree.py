@@ -9,7 +9,7 @@ import pytest
 from arbor.cli import load_config, main
 from arbor.codes import BoundaryCode
 from arbor.groups import (
-    A_SIDE, B_SIDE, Letter, invert, multiply,
+    A_SIDE, B_SIDE, Letter, ReducedWord, invert, multiply,
     normal_form, word_of_subgroup_element,
 )
 from arbor.tree import (
@@ -573,8 +573,8 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 
 @pytest.mark.parametrize("argv,calls", [
     (["acylindrical", "--seg-length", "3", "--config",
-      str(FIXTURES / "c12_c3_c15.json")], 34_320),
-    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 5_088),
+      str(FIXTURES / "c12_c3_c15.json")], 25_284),
+    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 2_148),
     (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
       S4_MODELS[0]], 1_944),
     (["stabilizers", "--p-max", "2", "--q-max", "4", "--config",
@@ -582,14 +582,15 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 ], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a",
         "s4-stabilizers"])
 def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
-    # a segment: two translations (its two ends), the first edge's |C|
-    # stabilizer elements each applied to the second vertex, one action per
-    # later death (on the vertex at its position, whose image's parent must
-    # be the vertex before it), and each survivor re-applied to the two
-    # ends.  A ray: the first edge and later deaths as for a segment, and
-    # nothing more, since its survivors are re-applied to the end by
-    # act_on_boundary; theorem-A certificates and ray stabilizers are one
-    # certificate, so they cost the same
+    # a segment: two translations (its two ends) and each survivor
+    # re-applied to the two ends.  A segment type, once per survey: the
+    # first edge's |C| stabilizer elements each applied to the second
+    # vertex, and one action per later death (on the vertex at its
+    # position, whose image's parent must be the vertex before it).  A ray:
+    # the first edge and later deaths as for a type, and nothing more, since
+    # its survivors are re-applied to the end by act_on_boundary; theorem-A
+    # certificates and ray stabilizers are one certificate, so they cost the
+    # same
     count = [0]
 
     def counted(*args):
@@ -600,6 +601,84 @@ def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
     assert main(["check", "--what"] + argv) == 0
     capsys.readouterr()
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("name,length,segments,walks", [
+    (str(FIXTURES / "c12_c3_c15.json"), 3, 3_120, 108),
+    (S4_MODELS[1], 2, 318, 24),
+], ids=["c12-length-3", "s4_s3_s4-length-2"])
+def test_survey_walks_once_per_segment_type(monkeypatch, name, length,
+                                            segments, walks):
+    # one lockstep walk per translated segment, however many segments of
+    # the ball translate onto it
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return lockstep(*args)
+
+    monkeypatch.setattr("arbor.tree.lockstep", counted)
+    am, _ = load_config(name)
+    assert check_acylindricity(am, length).segments == segments
+    assert count[0] == walks
+
+
+def test_memoized_survey_stabilizers_match_fresh_ones(monkeypatch):
+    # each stabilizer the survey builds from a searched type is the one a
+    # call without a memo finds for the same segment
+    am, _ = load_config(S4_MODELS[1])
+    found = []
+
+    def recorded(am, path, memo):
+        found.append((path, stabilizer_of_segment(am, path, memo)))
+        return found[-1][1]
+
+    monkeypatch.setattr("arbor.tree.stabilizer_of_segment", recorded)
+    assert check_acylindricity(am, 3).segments == len(found) == 1_440
+    for path, stab in found:
+        assert stabilizer_of_segment(am, path).elements == stab.elements
+
+
+def test_reused_segment_type_is_still_rechecked(monkeypatch, capsys):
+    # a conjugation that comes out as a hyperbolic element, which fixes no
+    # vertex, on every segment whose type was searched before it: the memo
+    # spares the search and not the re-check at the segment's two ends
+    searched = [False]
+
+    def walked(*args):
+        searched[0] = True
+        return lockstep(*args)
+
+    def stabilized(*args):
+        searched[0] = False
+        return stabilizer_of_segment(*args)
+
+    def conjugated(am, u, v):
+        return multiply(am, u, v) if searched[0] else \
+            ReducedWord((aL, bL), 0)
+
+    monkeypatch.setattr("arbor.tree.lockstep", walked)
+    monkeypatch.setattr("arbor.tree.stabilizer_of_segment", stabilized)
+    monkeypatch.setattr("arbor.tree.multiply", conjugated)
+    assert main(["check", "--what", "acylindrical", "--seg-length", "2",
+                 "--config", S4_MODELS[1]]) == 3
+    assert capsys.readouterr() == (
+        "", "internal error: conjugated stabilizer element fails to fix\n")
+
+
+@pytest.mark.parametrize("model,length,segments,histogram", [
+    ("s4_s3_s4", 3, 1_440, ((1, 960), (2, 480))),
+    ("s4_s3_s4", 4, 8_694, ((1, 7_728), (2, 966))),
+    ("z2wr4_z2e4", 3, 896, ((4, 768), (8, 128))),
+    ("z2wr4_z2e4", 4, 4_956, ((2, 1_536), (4, 3_096), (8, 324))),
+])
+def test_survey_histograms_of_models_with_several_orders(model, length,
+                                                         segments, histogram):
+    # literals from a search of every segment: a memo that merged two
+    # types with different orders would move a count between them
+    am, _ = load_config(str(HERE / "models" / f"{model}.json"))
+    report = check_acylindricity(am, length)
+    assert (report.segments, report.orders_histogram) == (segments, histogram)
 
 
 def test_to_dot_is_deterministic_and_wellformed():
