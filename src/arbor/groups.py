@@ -1,8 +1,13 @@
 """Exact finite-group arithmetic, coset transversals, and amalgam normal forms.
 
 Groups are multiplication tables over element indices 0..n-1 with 0 the
-identity.  An amalgam H *_C K stores one coset transversal per factor and a
-pair of O(1) decomposition tables, so normal-form reduction never searches.
+identity.  An amalgam H *_C K stores one coset transversal per factor, a
+pair of O(1) decomposition tables and a step table built from them, all
+checked against group multiplication when the amalgam is made, so
+normal-form reduction never searches.  Every product of normal forms feeds
+transversal letters one at a time through feed: after a letter of the other
+side, or into an empty word, that is one step-table lookup; only a
+same-side junction multiplies, through absorb.
 """
 from __future__ import annotations
 
@@ -287,9 +292,13 @@ class Amalgam:
     Every element of H factors uniquely as rep * embed_h(c); the tables
     _rep_idx and _carry hold that factorization for both sides, which makes
     appending a single raw letter to a normal form an O(1) operation.  The
-    step table _step, built from them, moves a pending carry past one
-    transversal letter, which is all a base-group element does to a ray
-    after its first letter.  make_amalgam checks the embeddings first.
+    step table steps, built from them, moves a pending carry past one
+    transversal letter: it is the one letter feed of every normal-form
+    product (see feed), and all a base-group element does to a ray after
+    its first letter.  alphabet holds one shared Letter per side and rep.
+    make_amalgam checks the embeddings first; the constructor checks the
+    derived tables against group multiplication alone, so that no run-time
+    re-check rests on an unchecked table.
     """
 
     def __init__(self, H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,
@@ -303,12 +312,38 @@ class Amalgam:
         self.A, self.B = self._transversals
         if self.A.index < 2 or self.B.index < 2:
             raise GroupError("both amalgam indices must be at least 2")
-        # embed(c) * reps[r] = reps[r'] * embed(c'): _step[side][c][r] = (r', c')
-        self._step = tuple(
+        self.alphabet = tuple(tuple(Letter(side, rep) for rep in range(t.index))
+                              for side, t in enumerate(self._transversals))
+        # embed(c) * reps[r] = reps[r'] * embed(c'): steps[side][c][r] = (r', c')
+        self.steps = tuple(
             tuple(tuple(self.decompose(side, self._groups[side].mul(img, r))
                         for r in self._transversals[side].reps)
                   for img in self._embed[side])
             for side in (A_SIDE, B_SIDE))
+        self._check_tables()
+
+    def _check_tables(self) -> None:
+        """Check the derived tables by group multiplication alone, never
+        through decompose: |reps|·|C| = |G| and every
+        u = reps[rep_idx[u]]·embed(carry[u]), so each u factors uniquely;
+        and every step entry has embed(c)·reps[r] = reps[r']·embed(c').
+        That is |H| + |K| + |C|·([H:C] + [K:C]) checked products per load.
+        A failure is a defect in arbor, not in the model."""
+        for side, name in ((A_SIDE, "H"), (B_SIDE, "K")):
+            mul = self._groups[side].mul_table
+            embed, reps = self._embed[side], self._transversals[side].reps
+            if len(reps) * len(embed) != len(mul) or any(
+                    mul[reps[r]][embed[c]] != u for u, (r, c) in
+                    enumerate(zip(self._rep_idx[side], self._carry[side]))):
+                raise VerificationError(f"the {name} coset tables do not "
+                                        f"factor {name} uniquely")
+            for c, row in enumerate(self.steps[side]):
+                left = mul[embed[c]]
+                for r, (rep, carry) in enumerate(row):
+                    if left[reps[r]] != mul[reps[rep]][embed[carry]]:
+                        raise VerificationError(
+                            f"the {name} step table disagrees with group "
+                            f"multiplication at carry {c}, rep {r}")
 
     def side_group(self, side: int) -> FiniteGroup:
         return self._groups[side]
@@ -325,11 +360,6 @@ class Amalgam:
     def decompose(self, side: int, elem: int) -> tuple[int, int]:
         """Factor elem = rep * embed(c); returns (rep index, c index)."""
         return self._rep_idx[side][elem], self._carry[side][elem]
-
-    def step(self, side: int, carry: int, rep_index: int) -> tuple[int, int]:
-        """Move a carry past one letter: embed(carry) * rep = rep' * embed(c');
-        returns (rep' index, c' index), read from a table built once."""
-        return self._step[side][carry][rep_index]
 
     def letter_element(self, letter: Letter) -> int:
         return self.rep_element(letter.side, letter.rep)
@@ -397,17 +427,38 @@ def absorb(am: Amalgam, letters: list[Letter], carry: int,
     """Absorb one raw side element into (letters, carry); returns the new carry.
 
     Mutates letters in place.  The pending carry commutes past nothing: it is
-    folded into the incoming element through the side embedding first.
+    folded into the incoming element through the side embedding first, and
+    a last letter on the same side is multiplied in; the product is read
+    off the decomposition tables.
     """
-    grp = am.side_group(side)
-    x = grp.mul(am.embed_to_side(side, carry), elem)
+    mul = am._groups[side].mul_table
+    x = mul[am._embed[side][carry]][elem]
     if letters and letters[-1].side == side:
-        prev = letters.pop()
-        x = grp.mul(am.letter_element(prev), x)
-    rep_idx, new_carry = am.decompose(side, x)
-    if rep_idx != 0:
-        letters.append(Letter(side, rep_idx))
-    return new_carry
+        x = mul[am._transversals[side].reps[letters.pop().rep]][x]
+    rep = am._rep_idx[side][x]
+    if rep:
+        letters.append(am.alphabet[side][rep])
+    return am._carry[side][x]
+
+
+def feed(am: Amalgam, letters: list[Letter], carry: int,
+         letter: Letter) -> int:
+    """Feed one transversal letter into (letters, carry); returns the new
+    carry.
+
+    Mutates letters in place.  Into an empty word or after a letter of the
+    other side it is one step-table lookup, embed(carry)·rep = rep'·embed(c'),
+    and rep' is appended unless trivial, as a shared letter of am.alphabet.
+    Only a same-side junction merges through absorb.
+    """
+    side = letter.side
+    if letters and letters[-1].side == side:
+        return absorb(am, letters, carry, side,
+                      am.rep_element(side, letter.rep))
+    rep, carry = am.steps[side][carry][letter.rep]
+    if rep:
+        letters.append(am.alphabet[side][rep])
+    return carry
 
 
 RawSyllable = tuple[str, Union[int, str]]
@@ -447,7 +498,7 @@ def multiply(am: Amalgam, u: ReducedWord, v: ReducedWord) -> ReducedWord:
     letters = list(u.letters)
     carry = u.carry
     for letter in v.letters:
-        carry = absorb(am, letters, carry, letter.side, am.letter_element(letter))
+        carry = feed(am, letters, carry, letter)
     carry = am.C.mul(carry, v.carry)
     return ReducedWord(tuple(letters), carry)
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codes import BoundaryCode
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
-                     VerificationError, absorb, invert, multiply,
+                     VerificationError, feed, invert, multiply,
                      word_of_subgroup_element)
 
 H_TYPE = 0
@@ -171,13 +171,11 @@ def build_tree(am: Amalgam, radius: int, vertex_cap: int = VERTEX_CAP) -> Trunca
                 lambda: ball_size(a, b, radius),
                 f"the tree ball of radius {radius} has {{count}} vertices, "
                 "over the vertex cap of {cap}")
-    alphabet = [[Letter(side, rep) for rep in range(am.transversal(side).index)]
-                for side in (A_SIDE, B_SIDE)]
     parent, letter, depths = [-1], [None], [0]
     level = range(1)  # the vertices one depth up
     for depth in range(1, radius + 1):
         # only the base's children may begin with the trivial letter
-        letters = alphabet[(depth - 1) % 2][depth > 1:]
+        letters = am.alphabet[(depth - 1) % 2][depth > 1:]
         parent += [vi for vi in level for _ in letters]
         letter += letters * len(level)
         level = range(level.stop, len(parent))
@@ -190,7 +188,7 @@ def word_element(am: Amalgam, letters: Sequence[Letter]) -> ReducedWord:
     out: list[Letter] = []
     carry = 0
     for letter in letters:
-        carry = absorb(am, out, carry, letter.side, am.letter_element(letter))
+        carry = feed(am, out, carry, letter)
     return ReducedWord(tuple(out), carry)
 
 
@@ -199,7 +197,7 @@ def act_on_vertex(am: Amalgam, g: ReducedWord, v: TreeVertex) -> TreeVertex:
     letters = list(g.letters)
     carry = g.carry
     for letter in v.word:
-        carry = absorb(am, letters, carry, letter.side, am.letter_element(letter))
+        carry = feed(am, letters, carry, letter)
     return vertex_from_letters(letters, v.vtype)
 
 
@@ -268,18 +266,16 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     while True:
         if i > len(g.letters) + len(x.prefix) + 2 * len(x.cycle) + 4:
             raise VerificationError("junction phase failed to stabilize")
-        letter = x.letter_at(i)
-        before = len(letters)
-        saved_letters = list(letters)
-        saved_carry = carry
-        carry = absorb(am, letters, carry, letter.side, am.letter_element(letter))
-        if len(letters) > before:
-            letters = saved_letters
-            carry = saved_carry
+        before, saved = len(letters), carry
+        carry = feed(am, letters, carry, x.letter_at(i))
+        if len(letters) > before:  # a step appended one letter: take it back
+            letters.pop()
+            carry = saved
             break
         i += 1
     stable = letters
 
+    steps, alphabet = am.steps, am.alphabet
     emitted: list[Letter] = []
     seen: dict[tuple[int, int], int] = {}
     cycle_letters: Optional[tuple[Letter, ...]] = None
@@ -294,8 +290,8 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
         if len(emitted) > len(x.prefix) + len(x.cycle) * am.C.order + 4:
             raise VerificationError("carry phase failed to cycle")
         letter = x.letter_at(j)
-        rep_idx, carry = am.step(letter.side, carry, letter.rep)
-        emitted.append(Letter(letter.side, rep_idx))
+        rep_idx, carry = steps[letter.side][carry][letter.rep]
+        emitted.append(alphabet[letter.side][rep_idx])
         j += 1
 
     cut = len(emitted) - len(cycle_letters)
@@ -378,8 +374,8 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
                 break
             seen.add(state)
         letter = letter_at(j)
-        moved = [(am.step(letter.side, c, letter.rep), e)
-                 for c, e in survivors]
+        rows, rep = am.steps[letter.side], letter.rep
+        moved = [(rows[c][rep], e) for c, e in survivors]
     return tuple(emitted), survivors, deaths
 
 

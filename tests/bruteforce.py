@@ -13,7 +13,9 @@ composed, associativity by the triple loop, and coset partitions rebuilt
 element by element.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
 equivalence), codes read back off their rays, and a bounded word search for
-orbit witnesses over every normal form up to a length.  Deviation tensors built
+orbit witnesses over every normal form up to a length.  Products and vertex
+and boundary actions that feed every letter through absorb as a raw side
+element, never through the step table.  Deviation tensors built
 from a model's boundary action, as inputs for `cfw`.  The built-in models
 themselves come from the packaged configs, through the loader the command
 line uses.  The two-phase simplex with every tableau entry a Fraction, which
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Optional, Sequence
 
 from arbor import lp
@@ -31,7 +33,7 @@ from arbor.cber import classes
 from arbor.cli import load_config
 from arbor.codes import BoundaryCode, PeriodicWord, compare_words, format_code
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
-                          Letter, ReducedWord, invert, multiply,
+                          Letter, ReducedWord, absorb, invert, multiply,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           check_tensor, format_fraction, l1_distance)
@@ -223,6 +225,58 @@ def tagged_of_reduced(am: Amalgam, w: ReducedWord):
     if w.carry != 0:
         out.append((A_SIDE, am.embed_to_side(A_SIDE, w.carry)))
     return tuple(out)
+
+
+# --- products with every letter absorbed -----------------------------------
+
+def absorb_letter(am: Amalgam, letters: list, carry: int, letter: Letter
+                  ) -> int:
+    """One letter fed through absorb as a raw side element, with no
+    step-table lookup; returns the new carry."""
+    return absorb(am, letters, carry, letter.side, am.letter_element(letter))
+
+
+def absorb_multiply(am: Amalgam, u: ReducedWord, v: ReducedWord
+                    ) -> ReducedWord:
+    out, carry = list(u.letters), u.carry
+    for letter in v.letters:
+        carry = absorb_letter(am, out, carry, letter)
+    return ReducedWord(tuple(out), am.C.mul(carry, v.carry))
+
+
+def absorb_act_on_vertex(am: Amalgam, g: ReducedWord, v: TreeVertex
+                         ) -> TreeVertex:
+    out, carry = list(g.letters), g.carry
+    for letter in v.word:
+        carry = absorb_letter(am, out, carry, letter)
+    return vertex_from_letters(out, v.vtype)
+
+
+def absorb_act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode
+                           ) -> BoundaryCode:
+    """g·x with every letter of x absorbed into g's word in turn.  Letters
+    cancel into g until the first one stays; from then on each letter
+    appends one, and the stream cycles once (cycle position, carry)
+    repeats past x's prefix."""
+    out, carry = list(g.letters), g.carry
+    for i in count():
+        trial = list(out)
+        after = absorb_letter(am, trial, carry, x.letter_at(i))
+        if len(trial) > len(out):
+            break
+        out, carry = trial, after
+    seen: dict = {}
+    for j in count(i):
+        state = ((j - len(x.prefix)) % len(x.cycle), carry)
+        if j >= len(x.prefix):
+            if state in seen:
+                break
+            seen[state] = len(out)
+        carry = absorb_letter(am, out, carry, x.letter_at(j))
+    prefix, cycle = out[:seen[state]], out[seen[state]:]
+    if (prefix or cycle)[0].side == B_SIDE:
+        prefix = [Letter(A_SIDE, 0)] + prefix
+    return BoundaryCode(prefix, cycle)
 
 
 # --- matrix / affine representations ---------------------------------------

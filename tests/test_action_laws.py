@@ -5,14 +5,17 @@ computes them: the identity acts trivially, acting by h then g is acting
 by gh, g^-1 undoes g, and edges go to edges.  Products are checked against
 the rewriting closure, which never touches the normal-form tables, and the
 lockstep walks behind canonical orbit codes, ray stabilizers and theorem-A
-certificates against applying every base element.  Runs on the three
-built-in models and the benchmark's two fixtures; the walks also run on
-every model in tests/models, the ones here with a non-cyclic C.  With a
-cyclic C a carry and its image under the step table generate the same
-subgroup, so a stabilizer walk that forgets to move its survivors' carries
-still finds every stabilizer, and only those models catch it.  On
-Z2 wr Z4 *_(Z2^3) Z2^4 a carry lives for two cycle passes and dies in the
-third, so ray certificates run far past the horizon.
+certificates against applying every base element.  The letter feed behind
+every product is checked against absorb for each side, carry and rep, and
+products and actions against an oracle that absorbs every letter.  Runs on
+the three built-in models and the benchmark's two fixtures; the feed, the
+absorb oracle and the walks also run on every model in tests/models, the
+ones here with a non-cyclic C.  With a cyclic C a carry and its image under
+the step table generate the same subgroup, so a stabilizer walk that
+forgets to move its survivors' carries still finds every stabilizer, and
+only those models catch it.  On Z2 wr Z4 *_(Z2^3) Z2^4 a carry lives for
+two cycle passes and dies in the third, so ray certificates run far past
+the horizon.
 """
 from pathlib import Path
 
@@ -22,15 +25,16 @@ from hypothesis import strategies as st
 
 from arbor.cber import _orbit_min
 from arbor.codes import BoundaryCode
-from arbor.groups import (A_SIDE, B_SIDE, Letter, ReducedWord, invert,
-                          multiply)
+from arbor.groups import (A_SIDE, B_SIDE, Letter, ReducedWord, absorb, feed,
+                          invert, multiply)
 from arbor.tree import (TreeVertex, act_on_boundary, act_on_vertex,
                         check_theorem_A, code_truncate, is_adjacent, lockstep,
                         lockstep_bound, ray_stabilizer, validate_vertex)
 
 import bruteforce
-from bruteforce import (BUILTIN_NAMES, builtin, orbit_min, tagged_of_reduced,
-                        words_equal)
+from bruteforce import (BUILTIN_NAMES, absorb_act_on_boundary,
+                        absorb_act_on_vertex, absorb_multiply, builtin,
+                        orbit_min, tagged_of_reduced, words_equal)
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "perfbench" / "fixtures"
@@ -142,7 +146,39 @@ def test_step_table_is_exact(name):
             for rep in range(am.transversal(side).index):
                 u = grp.mul(am.embed_to_side(side, c),
                             am.rep_element(side, rep))
-                assert am.step(side, c, rep) == am.decompose(side, u)
+                assert am.steps[side][c][rep] == am.decompose(side, u)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MODELS))
+def test_feed_matches_absorb(name):
+    # every side, carry and rep fed into an empty word, after each letter
+    # of the other side (one step-table lookup) and after each letter of
+    # the same side (the junction absorb merges)
+    am = WALK_MODELS[name]
+    for side in (A_SIDE, B_SIDE):
+        befores = [()] + [(Letter(s, r),) for s in (1 - side, side)
+                          for r in range(1, am.transversal(s).index)]
+        for c in am.C.elements():
+            for rep in range(am.transversal(side).index):
+                for before in befores:
+                    fed, absorbed = list(before), list(before)
+                    assert feed(am, fed, c, Letter(side, rep)) == absorb(
+                        am, absorbed, c, side, am.rep_element(side, rep))
+                    assert fed == absorbed
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MODELS))
+def test_products_match_the_absorb_oracle(name):
+    am = WALK_MODELS[name]
+
+    @LAWS
+    @given(words(am), words(am), vertices(am), ends(am))
+    def law(u, v, w, x):
+        assert multiply(am, u, v) == absorb_multiply(am, u, v)
+        assert act_on_vertex(am, u, w) == absorb_act_on_vertex(am, u, w)
+        assert act_on_boundary(am, u, x) == absorb_act_on_boundary(am, u, x)
+
+    law()
 
 
 @pytest.mark.parametrize("name", sorted(WALK_MODELS))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import cber, reiter, tree
+from arbor import cber, groups, reiter, tree
 from arbor.cli import ConfigError, load_config, main
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                           VerificationError)
@@ -496,22 +496,76 @@ def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):
 
 
 def test_unstable_junction_exits_3(monkeypatch, capsys):
-    # an absorb that never appends: feeding ray letters never stops cancelling
-    monkeypatch.setattr("arbor.tree.absorb",
-                        lambda am, letters, carry, side, elem: carry)
+    # a letter feed that never appends: feeding ray letters never stops
+    # cancelling
+    monkeypatch.setattr("arbor.tree.feed",
+                        lambda am, letters, carry, letter: carry)
     rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
     assert (rc, out) == (3, "")
     assert err == "internal error: junction phase failed to stabilize\n"
 
 
+class CountingUp(dict):
+    """A step table for one side that counts carries up instead of keeping
+    them in C: row c, for every c, sends each rep r to (r, c + 1); 16 reps
+    are more than either side of the default model has."""
+
+    def __missing__(self, carry):
+        return [(rep, carry + 1) for rep in range(16)]
+
+
 def test_acyclic_carry_phase_exits_3(monkeypatch, capsys):
-    # a step that counts carries up instead of keeping them in C: no
-    # (cycle position, carry) state repeats
-    monkeypatch.setattr(Amalgam, "step",
-                        lambda am, side, carry, rep: (rep, carry + 1))
+    # the loaded model's step table, swapped after its load-time check for
+    # one that counts carries up: no (cycle position, carry) state repeats
+    load = load_config
+
+    def counting_up(source):
+        am, cap = load(source)
+        am.steps = (CountingUp(), CountingUp())
+        return am, cap
+
+    monkeypatch.setattr("arbor.cli.load_config", counting_up)
     rc, out, err = run(capsys, ["equiv", "--x", EQUIV_X, "--y", EQUIV_Y])
     assert (rc, out) == (3, "")
     assert err == "internal error: carry phase failed to cycle\n"
+
+
+def test_wrong_step_entry_exits_3_at_load(monkeypatch, capsys):
+    # decompose gives a wrong carry for embed(1)·rep[1] on the K side, and
+    # only the step table is built with it: the model's load refuses it
+    # before any work
+    decompose = Amalgam.decompose
+
+    def wrong_carry(am, side, elem):
+        rep, carry = decompose(am, side, elem)
+        if side == B_SIDE and elem == am.K.mul(am.embed_to_side(B_SIDE, 1),
+                                               am.rep_element(B_SIDE, 1)):
+            carry = am.C.mul(carry, 1)
+        return rep, carry
+
+    monkeypatch.setattr(Amalgam, "decompose", wrong_carry)
+    rc, out, err = run(capsys, ["witness", "--config",
+                                str(ROOT / "perfbench/fixtures/s4_c3_s3.json")])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: the K step table disagrees with group "
+                   "multiplication at carry 1, rep 1\n")
+
+
+def test_wrong_coset_table_exits_3_at_load(monkeypatch, capsys):
+    # element 1 of H gets another carry in C, so its coset tables no longer
+    # multiply back to it
+    factor = groups._factor
+
+    def wrong_carry(group, images):
+        transversal, rep_idx, carry = factor(group, images)
+        carry = carry[:1] + ((carry[1] + 1) % len(images),) + carry[2:]
+        return transversal, rep_idx, carry
+
+    monkeypatch.setattr("arbor.groups._factor", wrong_carry)
+    rc, out, err = run(capsys, ["tree", "--radius", "1"])
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: the H coset tables do not factor H "
+                   "uniquely\n")
 
 
 def test_missing_orbit_witness_exits_3(monkeypatch, capsys):
