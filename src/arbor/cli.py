@@ -9,6 +9,7 @@ status 0 means the computation succeeded and any requested verdict holds,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,10 +81,36 @@ def load_config(source: str) -> tuple[Amalgam, int]:
 
     A config holds only its model; run parameters are flags.  The vertex cap
     is VERTEX_CAP unless the ARBOR_VERTEX_CAP environment variable sets it.
-    Errors carry the dotted path of the offending key.
+    Errors carry the dotted path of the offending key.  The config text and
+    ARBOR_VERTEX_CAP are read on every call; the model is built and checked
+    once per exact text in a process (see _model), so later loads of the
+    same text return that same model, which nothing mutates.
+    """
+    am = _model(source, _config_text(source))
+    cap = os.environ.get("ARBOR_VERTEX_CAP")
+    if cap is None:
+        return am, VERTEX_CAP
+    try:
+        vertex_cap = int(cap)
+    except ValueError:
+        raise ConfigError(f"ARBOR_VERTEX_CAP: not an integer: {cap!r}")
+    if vertex_cap < 0:
+        raise ConfigError(
+            f"ARBOR_VERTEX_CAP: need a nonnegative integer, got {cap!r}")
+    return am, vertex_cap
+
+
+@functools.lru_cache(maxsize=4)
+def _model(source: str, text: str) -> Amalgam:
+    """Parse, validate and build the model of one config text.
+
+    Keyed on the exact text (and the source its errors name), so a file
+    rewritten between calls is built again.  A refusal raises and is not
+    cached: a bad config is refused on every call.  Four entries hold every
+    model one benchmark workload loads.
     """
     try:
-        doc = json.loads(_config_text(source))
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{source}: invalid JSON: {err}")
     if not isinstance(doc, dict):
@@ -114,21 +141,10 @@ def load_config(source: str) -> tuple[Amalgam, int]:
                 or not all(type(v) is int for v in images):
             raise ConfigError(f"model.{key}: need a list of element indices")
     try:
-        am = make_amalgam(groups["h"], groups["k"], groups["c"],
-                          model["embed_h"], model["embed_k"])
+        return make_amalgam(groups["h"], groups["k"], groups["c"],
+                            model["embed_h"], model["embed_k"])
     except GroupError as err:
         raise ConfigError(f"model: {err}")
-    cap = os.environ.get("ARBOR_VERTEX_CAP")
-    if cap is None:
-        return am, VERTEX_CAP
-    try:
-        vertex_cap = int(cap)
-    except ValueError:
-        raise ConfigError(f"ARBOR_VERTEX_CAP: not an integer: {cap!r}")
-    if vertex_cap < 0:
-        raise ConfigError(
-            f"ARBOR_VERTEX_CAP: need a nonnegative integer, got {cap!r}")
-    return am, vertex_cap
 
 
 def _write(path: str, text: str) -> None:

@@ -298,7 +298,9 @@ class Amalgam:
     its first letter.  alphabet holds one shared Letter per side and rep.
     make_amalgam checks the embeddings first; the constructor checks the
     derived tables against group multiplication alone, so that no run-time
-    re-check rests on an unchecked table.
+    re-check rests on an unchecked table.  Nothing changes an amalgam after
+    its constructor runs: cli.load_config hands one to every request that
+    loads the same config text.
     """
 
     def __init__(self, H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,

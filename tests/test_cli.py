@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import cber, groups, reiter, tree
+from arbor import cber, cli, groups, reiter, tree
 from arbor.cli import ConfigError, load_config, main
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                           VerificationError)
@@ -230,14 +231,78 @@ def test_config_key_paths(tmp_path, capsys):
 
 
 def test_vertex_cap_env(monkeypatch, capsys):
+    # read on every load, also of a model built by an earlier one
+    assert run(capsys, ["tree", "--radius", "4"])[0] == 0
+    hits = cli._model.cache_info().hits
     monkeypatch.setenv("ARBOR_VERTEX_CAP", "5")
-    rc, _, err = run(capsys, ["tree", "--radius", "4"])
-    assert rc == 2
-    assert "cap" in err
+    rc, out, err = run(capsys, ["tree", "--radius", "4"])
+    assert (rc, out) == (2, "")
+    assert "cap of 5" in err
     monkeypatch.setenv("ARBOR_VERTEX_CAP", "abc")
-    rc, _, err = run(capsys, ["tree", "--radius", "2"])
-    assert rc == 2
-    assert "ARBOR_VERTEX_CAP" in err
+    assert run(capsys, ["tree", "--radius", "2"]) == (
+        2, "", "error: ARBOR_VERTEX_CAP: not an integer: 'abc'\n")
+    monkeypatch.delenv("ARBOR_VERTEX_CAP")
+    assert run(capsys, ["tree", "--radius", "4"])[0] == 0
+    assert cli._model.cache_info().hits == hits + 3  # every load was cached
+
+
+# the models a process builds are kept by config text: what each load must
+# still read, refuse and rebuild
+
+LINE = {"model": {"h": {"cyclic": 2}, "k": {"cyclic": 2},
+                  "c": {"cyclic": 1}, "embed_h": [0], "embed_k": [0]}}
+
+
+def test_rewritten_config_loads_the_new_model(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(LINE))
+    argv = ["tree", "--config", str(path), "--radius", "3"]
+    rc, out, _ = run(capsys, argv)
+    assert (rc, json.loads(out)["counts_by_distance"]) == (0, [1, 2, 2, 2])
+    line, _ = load_config(str(path))
+    assert load_config(str(path))[0] is line  # the same text: the same model
+
+    path.write_text(json.dumps(psl2z_named("s")))  # same path, new text
+    rc, out, _ = run(capsys, argv)
+    assert (rc, json.loads(out)["counts_by_distance"]) == (0, [1, 2, 4, 4])
+    assert load_config(str(path))[0].K.order == 3
+
+
+def test_bad_config_is_refused_on_every_call(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    argv = ["tree", "--config", str(path), "--radius", "1"]
+    path.write_text(json.dumps(LINE))
+    assert run(capsys, argv)[0] == 0
+    path.write_text("{nope")
+    refusals = [run(capsys, argv) for _ in range(2)]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][:2] == (2, "")
+    assert refusals[0][2].startswith(f"error: {path}: invalid JSON: ")
+    # a model refused at its build is refused again, with the same line
+    path.write_text(json.dumps(psl2z_with_h({"cyclic": 2, "names": ["e"]})))
+    refusals = [run(capsys, argv) for _ in range(2)]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][:2] == (2, "")
+    assert refusals[0][2].startswith("error: model.h: ")
+    path.write_text(json.dumps(LINE))
+    assert run(capsys, argv)[0] == 0
+
+
+def test_model_cache_stays_within_its_bound(tmp_path):
+    bound = cli._model.cache_info().maxsize
+    paths = []
+    for n in range(2, bound + 5):
+        doc = copy.deepcopy(LINE)
+        doc["model"]["h"] = {"cyclic": n}
+        paths.append(tmp_path / f"c{n}.json")
+        paths[-1].write_text(json.dumps(doc))
+        assert load_config(str(paths[-1]))[0].H.order == n
+        assert cli._model.cache_info().currsize <= bound
+    # the first model was dropped from the cache, and is built again
+    misses = cli._model.cache_info().misses
+    assert load_config(str(paths[0]))[0].H.order == 2
+    assert cli._model.cache_info().misses == misses + 1
+    assert cli._model.cache_info().currsize == bound
 
 
 def test_check_theorem_a(capsys):
@@ -516,11 +581,13 @@ class CountingUp(dict):
 
 def test_acyclic_carry_phase_exits_3(monkeypatch, capsys):
     # the loaded model's step table, swapped after its load-time check for
-    # one that counts carries up: no (cycle position, carry) state repeats
+    # one that counts carries up: no (cycle position, carry) state repeats.
+    # The swap is made on a copy, so the model later loads share is unharmed
     load = load_config
 
     def counting_up(source):
         am, cap = load(source)
+        am = copy.copy(am)
         am.steps = (CountingUp(), CountingUp())
         return am, cap
 
@@ -544,6 +611,7 @@ def test_wrong_step_entry_exits_3_at_load(monkeypatch, capsys):
         return rep, carry
 
     monkeypatch.setattr(Amalgam, "decompose", wrong_carry)
+    cli._model.cache_clear()  # the plant reaches a fresh build
     rc, out, err = run(capsys, ["witness", "--config",
                                 str(ROOT / "perfbench/fixtures/s4_c3_s3.json")])
     assert (rc, out) == (3, "")
@@ -562,6 +630,7 @@ def test_wrong_coset_table_exits_3_at_load(monkeypatch, capsys):
         return transversal, rep_idx, carry
 
     monkeypatch.setattr("arbor.groups._factor", wrong_carry)
+    cli._model.cache_clear()  # the plant reaches a fresh build
     rc, out, err = run(capsys, ["tree", "--radius", "1"])
     assert (rc, out) == (3, "")
     assert err == ("internal error: the H coset tables do not factor H "
