@@ -1,7 +1,8 @@
 """The Bass-Serre tree of an amalgam, its boundary action, and stabilizers.
 
-Vertices are cosets gH and gK encoded by words: alternating transversal
-letters with the trailing same-side letter absorbed into the coset.  H-type
+Vertices are cosets gH and gK, and a vertex is its word: alternating
+transversal letters with the trailing same-side letter absorbed into the
+coset.  Its type is the word's length mod 2 (Serre, Trees, I.4): H-type
 words have even length and K-type words odd length; a K-type word may start
 with the trivial H-side letter, which encodes the coset K itself.  Rays from
 the base vertex are exactly the letter streams of boundary codes.
@@ -36,12 +37,10 @@ class OverBudget(ValueError):
     caps; refuse_over is the one place that raises it."""
 
 
-class TreeVertex(NamedTuple):
-    vtype: int
-    word: tuple[Letter, ...]
+Vertex = tuple[Letter, ...]  # a coset's word; its type is len(word) % 2
 
 
-def vertex_from_letters(letters: Sequence[Letter], vtype: int) -> TreeVertex:
+def vertex_from_letters(letters: Sequence[Letter], vtype: int) -> Vertex:
     """Normalize a letter word to the canonical vertex word of the given type."""
     out = list(letters)
     tail_side = A_SIDE if vtype == H_TYPE else B_SIDE
@@ -54,13 +53,11 @@ def vertex_from_letters(letters: Sequence[Letter], vtype: int) -> TreeVertex:
         out.insert(0, Letter(A_SIDE, 0))
     if len(out) % 2 != vtype:
         raise TreeError("letter word does not reach a vertex of the requested type")
-    return TreeVertex(vtype, tuple(out))
+    return tuple(out)
 
 
-def validate_vertex(am: Amalgam, v: TreeVertex) -> None:
-    if v.vtype not in (H_TYPE, K_TYPE) or len(v.word) % 2 != v.vtype:
-        raise TreeError(f"vertex type {v.vtype} does not match word length")
-    for i, letter in enumerate(v.word):
+def validate_vertex(am: Amalgam, v: Vertex) -> None:
+    for i, letter in enumerate(v):
         if letter.side != i % 2:
             raise TreeError(f"vertex word letter {i} on wrong side")
         if not (0 <= letter.rep < am.transversal(letter.side).index):
@@ -69,11 +66,9 @@ def validate_vertex(am: Amalgam, v: TreeVertex) -> None:
             raise TreeError(f"trivial letter beyond position 0 (position {i})")
 
 
-def is_adjacent(v: TreeVertex, w: TreeVertex) -> bool:
-    if v.vtype == w.vtype:
-        return False
-    a, b = (v, w) if len(v.word) < len(w.word) else (w, v)
-    return len(b.word) == len(a.word) + 1 and b.word[:len(a.word)] == a.word
+def is_adjacent(v: Vertex, w: Vertex) -> bool:
+    a, b = (v, w) if len(v) < len(w) else (w, v)
+    return len(b) == len(a) + 1 and b[:len(a)] == a
 
 
 class TruncatedTree(NamedTuple):
@@ -95,7 +90,7 @@ class TruncatedTree(NamedTuple):
             counts[d] += 1
         return counts
 
-    def vertex(self, i: int) -> TreeVertex:
+    def vertex(self, i: int) -> Vertex:
         """Vertex i spelled as a word, by climbing its parents."""
         if not 0 <= i < len(self.depths):
             raise TreeError(f"vertex {i} is not inside the truncated tree")
@@ -103,7 +98,7 @@ class TruncatedTree(NamedTuple):
         while i > 0:
             word.append(self.letter[i])
             i = self.parent[i]
-        return TreeVertex(len(word) % 2, tuple(reversed(word)))
+        return tuple(reversed(word))
 
 
 def geometric(r: int, n: int) -> int:
@@ -192,17 +187,17 @@ def word_element(am: Amalgam, letters: Sequence[Letter]) -> ReducedWord:
     return ReducedWord(tuple(out), carry)
 
 
-def act_on_vertex(am: Amalgam, g: ReducedWord, v: TreeVertex) -> TreeVertex:
+def act_on_vertex(am: Amalgam, g: ReducedWord, v: Vertex) -> Vertex:
     """Left translation of a coset vertex; preserves type and adjacency."""
     letters = list(g.letters)
     carry = g.carry
-    for letter in v.word:
+    for letter in v:
         carry = feed(am, letters, carry, letter)
-    return vertex_from_letters(letters, v.vtype)
+    return vertex_from_letters(letters, len(v) % 2)
 
 
 class GeodesicPath(NamedTuple):
-    vertices: tuple[TreeVertex, ...]
+    vertices: tuple[Vertex, ...]
 
     @property
     def length(self) -> int:
@@ -222,17 +217,16 @@ def validate_geodesic(am: Amalgam, path: GeodesicPath) -> None:
             raise TreeError("path backtracks")
 
 
-def _path_between(v: TreeVertex, w: TreeVertex) -> GeodesicPath:
+def _path_between(v: Vertex, w: Vertex) -> GeodesicPath:
     """The unique shortest path between two vertices, through their words'
     longest common prefix: each vertex's parent is its word less the last
     letter."""
     lcp = 0
-    while lcp < min(len(v.word), len(w.word)) and v.word[lcp] == w.word[lcp]:
+    while lcp < min(len(v), len(w)) and v[lcp] == w[lcp]:
         lcp += 1
-    down = [v.word[:k] for k in range(len(v.word), lcp - 1, -1)]
-    up = [w.word[:k] for k in range(lcp + 1, len(w.word) + 1)]
-    verts = [TreeVertex(len(word) % 2, word) for word in down + up]
-    return GeodesicPath(tuple(verts))
+    down = [v[:k] for k in range(len(v), lcp - 1, -1)]
+    up = [w[:k] for k in range(lcp + 1, len(w) + 1)]
+    return GeodesicPath(tuple(down + up))
 
 
 def geodesic(tree: TruncatedTree, i: int, j: int) -> GeodesicPath:
@@ -244,8 +238,7 @@ def code_truncate(x: BoundaryCode, n: int) -> GeodesicPath:
     """The first n steps of the ray from the base vertex toward the end x."""
     if n < 0:
         raise TreeError("truncation length must be nonnegative")
-    verts = [TreeVertex(k % 2, x.letters(k)) for k in range(n + 1)]
-    return GeodesicPath(tuple(verts))
+    return GeodesicPath(tuple(x.letters(k) for k in range(n + 1)))
 
 
 def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCode:
@@ -379,7 +372,7 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
     return tuple(emitted), survivors, deaths
 
 
-def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
+def _check_complete(am: Amalgam, side: int, path: Sequence[Vertex],
                     survivors: list[tuple[int, int]],
                     deaths: list[tuple[int, int]]) -> None:
     """Nothing a fixing walk left out fixes its path, path[k] the vertex k
@@ -412,38 +405,25 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[TreeVertex],
                                 "letter moves the first edge")
     for k, e in later:
         u = act_on_vertex(am, words[e], path[k])
-        if u == path[k] or u.word[:-1] != path[k - 1].word:
+        if u == path[k] or u[:-1] != path[k - 1]:
             raise VerificationError(f"an element the walk reports dying at "
                                     f"distance {k} does not fix the path's "
                                     f"vertex at {k - 1} and move the one at "
                                     f"{k}")
 
 
-class SegmentStabilizer(NamedTuple):
-    """The exact pointwise stabilizer of a finite segment, as normal forms.
-
-    Each element fixes every vertex; one that maps the segment onto itself
-    by reversing it about its midpoint is not in it."""
-
-    elements: tuple[ReducedWord, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _base_stabilizer(am: Amalgam, moved: tuple[TreeVertex, ...]
+def _base_stabilizer(am: Amalgam, moved: tuple[Vertex, ...]
                      ) -> tuple[ReducedWord, ...]:
     """Words of the elements of the factor G at moved[0], a base coset, that
     fix every vertex of the geodesic moved: all of G for one vertex,
     otherwise the survivors of one lockstep walk along its letters, which
     _check_complete shows to be complete."""
-    side = A_SIDE if moved[0].vtype == H_TYPE else B_SIDE
+    side = A_SIDE if len(moved[0]) % 2 == H_TYPE else B_SIDE
     fixing = am.side_group(side).elements()
     if len(moved) > 1:
         # each step appends its letter, except K's step to the base vertex
-        letters = [w.word[-1] if len(w.word) > len(v.word)
-                   else Letter(B_SIDE, 0) for v, w in zip(moved, moved[1:])]
+        letters = [w[-1] if len(w) > len(v) else Letter(B_SIDE, 0)
+                   for v, w in zip(moved, moved[1:])]
         _, survivors, deaths = lockstep(am, letters, False)
         _check_complete(am, side, moved, survivors, deaths)
         fixing = [e for _, e in survivors]
@@ -451,8 +431,11 @@ def _base_stabilizer(am: Amalgam, moved: tuple[TreeVertex, ...]
 
 
 def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
-                          memo: Optional[dict] = None) -> SegmentStabilizer:
-    """All g fixing every vertex of the segment, via translation to the base.
+                          memo: Optional[dict] = None
+                          ) -> tuple[ReducedWord, ...]:
+    """All g fixing every vertex of the segment, via translation to the base:
+    the exact pointwise stabilizer as normal forms in ReducedWord.sort_key
+    order, so its order is the tuple's length.
 
     Translating the segment by t to start at a base coset reduces the search
     to the factor G at that coset, and G fixes its own vertex.  Only the two
@@ -471,11 +454,12 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
     error.
 
     The walk, its check and the words of its survivors depend only on the
-    translated segment, so a memo dict keyed on it, kept for one amalgam,
-    holds them for every segment of the same type: the segment's stabilizer is the conjugate of
-    its translate's by back (Serre, Trees, I.4).  Everything else, the
-    conjugation and the re-check at the segment's own two ends included, is
-    done for each segment.  Without a memo nothing is kept.
+    translated segment, so a memo dict keyed on its tuple of vertex words,
+    kept for one amalgam, holds them for every segment of the same type:
+    the segment's stabilizer is the conjugate of its translate's by back
+    (Serre, Trees, I.4).  Everything else, the conjugation and the re-check
+    at the segment's own two ends included, is done for each segment.
+    Without a memo nothing is kept.
     """
     try:
         validate_geodesic(am, segment)
@@ -484,10 +468,10 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
             from None
     ends = segment.vertices[0], segment.vertices[-1]
     v0 = ends[0]
-    back = word_element(am, v0.word)  # takes the base coset to v0
+    back = word_element(am, v0)  # takes the base coset to v0
     t = invert(am, back)
     start, end = (act_on_vertex(am, t, v) for v in ends)
-    if start != vertex_from_letters([], v0.vtype):
+    if start != vertex_from_letters([], len(v0) % 2):
         raise VerificationError(
             "failed to translate the segment start to a base coset")
     moved = _path_between(start, end).vertices
@@ -502,7 +486,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
                     for h in memo[moved]), key=ReducedWord.sort_key)
     if any(act_on_vertex(am, g, v) != v for g in found for v in ends):
         raise VerificationError("conjugated stabilizer element fails to fix")
-    return SegmentStabilizer(tuple(found))
+    return tuple(found)
 
 
 class TheoremStyleCertificate(NamedTuple):
@@ -570,7 +554,8 @@ class AcylindricityReport(NamedTuple):
 def check_acylindricity(am: Amalgam, seg_length: int = 2,
                         tree_radius: Optional[int] = None,
                         vertex_cap: int = VERTEX_CAP) -> AcylindricityReport:
-    """Exhaust all segments of one length in a ball and tabulate stabilizer orders.
+    """Exhaust all segments of one length in a ball and tabulate stabilizer
+    orders, each the length of the segment's stabilizer tuple.
 
     In a tree a non-backtracking walk is the geodesic between its ends, so
     walking seg_length steps from every vertex reaches exactly the vertices
@@ -588,7 +573,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     for child in tree.vertices[1:]:
         neighbors[tree.parent[child]].append(child)
     hist: dict[int, int] = {}
-    memo: dict = {}
+    memo: dict[tuple[Vertex, ...], tuple[ReducedWord, ...]] = {}
     count = 0
     for i in tree.vertices:
         walk = [(i, -1)]  # (vertex, the vertex it was reached from)
@@ -597,8 +582,8 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
                     if w != prev]
         for j in sorted(u for u, _ in walk if u > i):
             path = geodesic(tree, i, j)
-            stab = stabilizer_of_segment(am, path, memo)
-            hist[stab.order] = hist.get(stab.order, 0) + 1
+            order = len(stabilizer_of_segment(am, path, memo))
+            hist[order] = hist.get(order, 0) + 1
             count += 1
     return AcylindricityReport(seg_length, tree_radius, count,
                                tuple(sorted(hist.items())))

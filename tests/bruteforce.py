@@ -37,19 +37,19 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           check_tensor, format_fraction, l1_distance)
-from arbor.tree import (H_TYPE, K_TYPE, GeodesicPath, SegmentStabilizer,
-                        TreeError, TreeVertex, act_on_boundary, act_on_vertex,
-                        code_truncate, validate_geodesic,
-                        vertex_from_letters, word_element)
+from arbor.tree import (H_TYPE, K_TYPE, GeodesicPath, TreeError, Vertex,
+                        act_on_boundary, act_on_vertex, code_truncate,
+                        validate_geodesic, vertex_from_letters, word_element)
 
 Tagged = tuple[tuple[int, int], ...]  # (side, element index), elements nontrivial
 
 BUILTIN_NAMES = ("dihedral", "sl2z", "psl2z")
 
 
-def base_vertex() -> TreeVertex:
-    """The coset H itself: the root of every ball and every ray."""
-    return TreeVertex(H_TYPE, ())
+def base_vertex() -> Vertex:
+    """The coset H itself, the empty word: the root of every ball and every
+    ray."""
+    return ()
 
 
 def builtin(name: str) -> Amalgam:
@@ -244,12 +244,11 @@ def absorb_multiply(am: Amalgam, u: ReducedWord, v: ReducedWord
     return ReducedWord(tuple(out), am.C.mul(carry, v.carry))
 
 
-def absorb_act_on_vertex(am: Amalgam, g: ReducedWord, v: TreeVertex
-                         ) -> TreeVertex:
+def absorb_act_on_vertex(am: Amalgam, g: ReducedWord, v: Vertex) -> Vertex:
     out, carry = list(g.letters), g.carry
-    for letter in v.word:
+    for letter in v:
         carry = absorb_letter(am, out, carry, letter)
-    return vertex_from_letters(out, v.vtype)
+    return vertex_from_letters(out, len(v) % 2)
 
 
 def absorb_act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode
@@ -352,12 +351,12 @@ class WordTree:
     words to vertex numbers."""
 
     radius: int
-    vertices: tuple[TreeVertex, ...]
+    vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
     depths: tuple[int, ...]
     index: dict = field(compare=False, repr=False)
 
-    def index_of(self, v: TreeVertex) -> int:
+    def index_of(self, v: Vertex) -> int:
         try:
             return self.index[v]
         except KeyError:
@@ -367,7 +366,7 @@ class WordTree:
 def word_tree(am: Amalgam, radius: int) -> WordTree:
     """Breadth-first ball of the given radius, each child's word spelled by
     appending one letter to its parent's."""
-    vertices: list[TreeVertex] = [base_vertex()]
+    vertices: list[Vertex] = [base_vertex()]
     depths: list[int] = [0]
     edges: list[tuple[int, int]] = []
     index = {vertices[0]: 0}
@@ -376,11 +375,10 @@ def word_tree(am: Amalgam, radius: int) -> WordTree:
         nxt: list[int] = []
         for vi in level:
             v = vertices[vi]
-            side = A_SIDE if len(v.word) % 2 == 0 else B_SIDE
-            start = 0 if not v.word else 1
+            side = A_SIDE if len(v) % 2 == 0 else B_SIDE
+            start = 0 if not v else 1
             for rep in range(start, am.transversal(side).index):
-                word = v.word + (Letter(side, rep),)
-                child = TreeVertex(1 - v.vtype, word)
+                child = v + (Letter(side, rep),)
                 index[child] = len(vertices)
                 vertices.append(child)
                 depths.append(depth)
@@ -391,18 +389,17 @@ def word_tree(am: Amalgam, radius: int) -> WordTree:
                     index)
 
 
-def word_geodesic(tree: WordTree, v: TreeVertex, w: TreeVertex) -> GeodesicPath:
+def word_geodesic(tree: WordTree, v: Vertex, w: Vertex) -> GeodesicPath:
     """The path between two vertices of the ball through their words'
     longest common prefix."""
     tree.index_of(v)
     tree.index_of(w)
     lcp = 0
-    while lcp < min(len(v.word), len(w.word)) and v.word[lcp] == w.word[lcp]:
+    while lcp < min(len(v), len(w)) and v[lcp] == w[lcp]:
         lcp += 1
-    down = [v.word[:k] for k in range(len(v.word), lcp - 1, -1)]
-    up = [w.word[:k] for k in range(lcp + 1, len(w.word) + 1)]
-    verts = [TreeVertex(len(word) % 2, word) for word in down + up]
-    return GeodesicPath(tuple(verts))
+    down = [v[:k] for k in range(len(v), lcp - 1, -1)]
+    up = [w[:k] for k in range(lcp + 1, len(w) + 1)]
+    return GeodesicPath(tuple(down + up))
 
 
 def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
@@ -410,8 +407,8 @@ def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
     vertex's stored word."""
     lines = ["graph bass_serre {"]
     for i, v in enumerate(tree.vertices):
-        shape = "circle" if v.vtype == H_TYPE else "box"
-        label = ",".join(am.letter_name(letter) for letter in v.word)
+        shape = "circle" if len(v) % 2 == H_TYPE else "box"
+        label = ",".join(am.letter_name(letter) for letter in v)
         lines.append(f'  v{i} [label="{label}", shape={shape}];')
     for i, j in tree.edges:
         lines.append(f"  v{i} -- v{j};")
@@ -420,19 +417,19 @@ def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
 
 
 def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
-                          ) -> SegmentStabilizer:
+                          ) -> tuple[ReducedWord, ...]:
     """All g fixing every vertex of the segment: the segment translated to
     start at a base coset, every element of that coset's factor applied to
     every translated vertex, and each one that fixes them all conjugated
     back."""
     validate_geodesic(am, segment)
     v0 = segment.vertices[0]
-    t = invert(am, word_element(am, v0.word))
+    t = invert(am, word_element(am, v0))
     moved = [act_on_vertex(am, t, v) for v in segment.vertices]
-    start = base_vertex() if v0.vtype == H_TYPE \
+    start = base_vertex() if len(v0) % 2 == H_TYPE \
         else vertex_from_letters([], K_TYPE)
     assert moved[0] == start
-    side = A_SIDE if v0.vtype == H_TYPE else B_SIDE
+    side = A_SIDE if len(v0) % 2 == H_TYPE else B_SIDE
     t_inv = invert(am, t)
     found = []
     for elem in am.side_group(side).elements():
@@ -440,7 +437,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
         if all(act_on_vertex(am, h, v) == v for v in moved):
             found.append(multiply(am, multiply(am, t_inv, h), t))
     found.sort(key=ReducedWord.sort_key)
-    return SegmentStabilizer(tuple(found))
+    return tuple(found)
 
 
 def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
@@ -453,13 +450,13 @@ def acylindricity_survey(am: Amalgam, seg_length: int, tree_radius: int):
         for j in range(i + 1, nv):
             path = word_geodesic(tree, tree.vertices[i], tree.vertices[j])
             if path.length == seg_length:
-                order = stabilizer_of_segment(am, path).order
+                order = len(stabilizer_of_segment(am, path))
                 hist[order] = hist.get(order, 0) + 1
     return sum(hist.values()), tuple(sorted(hist.items()))
 
 
 def first_move(am: Amalgam, side: int, elem: int,
-               vertices: Sequence[TreeVertex]) -> Optional[int]:
+               vertices: Sequence[Vertex]) -> Optional[int]:
     """The least k such that elem, an element of one side's factor, moves
     vertices[k], each vertex tried with act_on_vertex; None when it fixes
     them all."""
@@ -468,7 +465,7 @@ def first_move(am: Amalgam, side: int, elem: int,
                  if act_on_vertex(am, h, v) != v), None)
 
 
-def walk_first_moves(am: Amalgam, side: int, vertices: Sequence[TreeVertex],
+def walk_first_moves(am: Amalgam, side: int, vertices: Sequence[Vertex],
                      survivors, deaths) -> tuple[list, list]:
     """(reported, found) for a fixing walk along vertices: each element of
     the factor with the position the walk reports it dying at (None for a
@@ -499,7 +496,7 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode, max_len: int):
     ray = ray_stabilizer(am, x)
     for n in range(max_len + 1):
         stab = stabilizer_of_segment(am, code_truncate(x, n))
-        if frozenset(stab.elements) == frozenset(ray):
+        if frozenset(stab) == frozenset(ray):
             return n, stab, ray
     return None
 
@@ -580,9 +577,9 @@ def geodesic_to_code(path: GeodesicPath) -> BoundaryCode:
         raise TreeError("ray sample must start at the base vertex")
     letters: list[Letter] = []
     for a, b in zip(path.vertices, path.vertices[1:]):
-        if len(b.word) != len(a.word) + 1 or b.word[:len(a.word)] != a.word:
+        if len(b) != len(a) + 1 or b[:len(a)] != a:
             raise TreeError("ray sample backtracks or skips a vertex")
-        letters.append(b.word[-1])
+        letters.append(b[-1])
     n = len(letters)
     for c in range(2, n // 2 + 1, 2):
         for p in range(0, n - 2 * c + 1):

@@ -676,10 +676,9 @@ def test_segment_stabilizer_recheck_reaches_the_far_end(monkeypatch,
         tree.stabilizer_of_segment(am, first)
 
 
-def one_step_further(v: tree.TreeVertex) -> tree.TreeVertex:
+def one_step_further(v: tree.Vertex) -> tree.Vertex:
     """A child of v, one step further from the base vertex."""
-    step = Letter(len(v.word) % 2, 1)
-    return tree.TreeVertex(1 - v.vtype, v.word + (step,))
+    return v + (Letter(len(v) % 2, 1),)
 
 
 @pytest.mark.parametrize("plant,length", [

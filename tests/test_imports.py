@@ -1,5 +1,6 @@
 """What `import arbor.cli` loads, the tuple behaviour of value records, and
-the functions and parameters perfbench/tracing.py reads by name.
+the functions, parameters and result attributes perfbench/tracing.py reads
+by name.
 
 Every report comes from a fresh process, so the import is paid per run.
 Value records are NamedTuples: importing `dataclasses` would also pull in
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from arbor.cli import load_config
 from arbor.groups import Letter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +60,15 @@ def _traced(label: str):
     return getattr(importlib.import_module(f"arbor.{module}"), name, None)
 
 
+def _hooks() -> list:
+    """(traced label, hook function node) for each entry of _HOOKS."""
+    hooks = _tracing_value("_HOOKS")
+    labels = {fn.id: ast.literal_eval(key)
+              for key, fn in zip(hooks.keys, hooks.values)}
+    return [(labels[node.name], node) for node in TRACING.body
+            if isinstance(node, ast.FunctionDef) and node.name in labels]
+
+
 def test_every_traced_function_and_hooked_argument_exists():
     # the tracer wraps functions by name and its hooks read arguments by
     # position, so a renamed function or parameter breaks a traced run
@@ -66,18 +77,36 @@ def test_every_traced_function_and_hooked_argument_exists():
                + ast.literal_eval(_tracing_value("COUNTED"))]
     for label in wrapped:
         assert callable(_traced(label)), label
-    hooks = _tracing_value("_HOOKS")
-    labels = {fn.id: ast.literal_eval(key)
-              for key, fn in zip(hooks.keys, hooks.values)}
-    assert set(labels.values()) <= set(wrapped)
+    hooks = _hooks()
+    assert len(hooks) == len(_tracing_value("_HOOKS").keys)
+    assert {label for label, _ in hooks} <= set(wrapped)
     read = 0
-    for node in TRACING.body:
-        if isinstance(node, ast.FunctionDef) and node.name in labels:
-            label = labels[node.name]
-            params = list(inspect.signature(_traced(label)).parameters)
-            for call in ast.walk(node):
-                if getattr(getattr(call, "func", None), "id", None) == "_arg":
-                    i, name = map(ast.literal_eval, call.args[2:])
-                    assert params[i] == name, (label, i, name)
-                    read += 1
+    for label, node in hooks:
+        params = list(inspect.signature(_traced(label)).parameters)
+        for call in ast.walk(node):
+            if getattr(getattr(call, "func", None), "id", None) == "_arg":
+                i, name = map(ast.literal_eval, call.args[2:])
+                assert params[i] == name, (label, i, name)
+                read += 1
     assert read == 7
+
+
+def test_every_result_attribute_a_hook_reads_exists():
+    # the hooks read attributes of the traced call's result; each is looked
+    # up on a real result on sl2z, and a hook that reads one of a result
+    # with no call below fails here rather than in a traced run
+    reads = {(label, node.attr) for label, hook in _hooks()
+             for node in ast.walk(hook) if isinstance(node, ast.Attribute)
+             and getattr(node.value, "id", None) == "result"}
+    am = load_config("sl2z")[0]
+    ball = _traced("tree.build_tree")(am, 2)
+    results = {
+        "tree.build_tree": ball,
+        "tree.geodesic": _traced("tree.geodesic")(ball, 1, 2),
+        "cber.build_sample_space":
+            _traced("cber.build_sample_space")(am, 1, 2),
+    }
+    assert {label for label, _ in reads} <= set(results), reads
+    for label, attr in reads:
+        assert hasattr(results[label], attr), (label, attr)
+    assert len(reads) == 3
