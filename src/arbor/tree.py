@@ -430,8 +430,18 @@ def _base_stabilizer(am: Amalgam, moved: tuple[Vertex, ...]
     return tuple(word_of_subgroup_element(am, side, e) for e in fixing)
 
 
+class SurveyMemo(NamedTuple):
+    """What a survey keeps for one amalgam: each translated segment's base
+    stabilizer words, and each start vertex's translation with the
+    conjugates made for it."""
+
+    types: dict[tuple[Vertex, ...], tuple[ReducedWord, ...]]
+    starts: dict[Vertex, tuple[ReducedWord, ReducedWord,
+                               dict[ReducedWord, ReducedWord]]]
+
+
 def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
-                          memo: Optional[dict] = None
+                          memo: Optional[SurveyMemo] = None
                           ) -> tuple[ReducedWord, ...]:
     """All g fixing every vertex of the segment, via translation to the base:
     the exact pointwise stabilizer as normal forms in ReducedWord.sort_key
@@ -454,37 +464,48 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath,
     error.
 
     The walk, its check and the words of its survivors depend only on the
-    translated segment, so a memo dict keyed on its tuple of vertex words,
-    kept for one amalgam, holds them for every segment of the same type:
-    the segment's stabilizer is the conjugate of its translate's by back
-    (Serre, Trees, I.4).  Everything else, the conjugation and the re-check
-    at the segment's own two ends included, is done for each segment.
-    Without a memo nothing is kept.
+    translated segment, so memo.types, keyed on its tuple of vertex words,
+    holds them for every segment of the same type: the segment's stabilizer
+    is the conjugate of its translate's by back (Serre, Trees, I.4).  The
+    translation t, its check at the start v0 and each conjugate back h t
+    with its check at v0 depend only on v0 and h, so memo.starts holds them
+    for every segment from v0.  Everything else, the far end's translation,
+    the length check and each conjugate re-applied to the segment's own far
+    end included, is done for each segment.  Without a memo nothing is kept.
     """
     try:
         validate_geodesic(am, segment)
     except TreeError as exc:
         raise VerificationError(f"survey segment is not a geodesic: {exc}") \
             from None
-    ends = segment.vertices[0], segment.vertices[-1]
-    v0 = ends[0]
-    back = word_element(am, v0)  # takes the base coset to v0
-    t = invert(am, back)
-    start, end = (act_on_vertex(am, t, v) for v in ends)
-    if start != vertex_from_letters([], len(v0) % 2):
-        raise VerificationError(
-            "failed to translate the segment start to a base coset")
-    moved = _path_between(start, end).vertices
+    v0, v1 = segment.vertices[0], segment.vertices[-1]
+    memo = SurveyMemo({}, {}) if memo is None else memo
+    start = vertex_from_letters([], len(v0) % 2)
+    if v0 not in memo.starts:
+        back = word_element(am, v0)  # takes the base coset to v0
+        t = invert(am, back)
+        if act_on_vertex(am, t, v0) != start:
+            raise VerificationError(
+                "failed to translate the segment start to a base coset")
+        memo.starts[v0] = back, t, {}
+    back, t, conjugates = memo.starts[v0]
+    moved = _path_between(start, act_on_vertex(am, t, v1)).vertices
     if len(moved) != len(segment.vertices):
         raise VerificationError(
             f"the translated segment has length {len(moved) - 1}, not "
             f"{segment.length}")
-    memo = {} if memo is None else memo
-    if moved not in memo:
-        memo[moved] = _base_stabilizer(am, moved)
-    found = sorted((multiply(am, multiply(am, back, h), t)
-                    for h in memo[moved]), key=ReducedWord.sort_key)
-    if any(act_on_vertex(am, g, v) != v for g in found for v in ends):
+    if moved not in memo.types:
+        memo.types[moved] = _base_stabilizer(am, moved)
+    for h in memo.types[moved]:
+        if h not in conjugates:
+            g = multiply(am, multiply(am, back, h), t)
+            if act_on_vertex(am, g, v0) != v0:
+                raise VerificationError(
+                    "conjugated stabilizer element fails to fix")
+            conjugates[h] = g
+    found = sorted((conjugates[h] for h in memo.types[moved]),
+                   key=ReducedWord.sort_key)
+    if any(act_on_vertex(am, g, v1) != v1 for g in found):
         raise VerificationError("conjugated stabilizer element fails to fix")
     return tuple(found)
 
@@ -560,7 +581,10 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     In a tree a non-backtracking walk is the geodesic between its ends, so
     walking seg_length steps from every vertex reaches exactly the vertices
     at that distance.  Each segment is taken once, from its lower-index end.
-    One memo serves the call, so each translated segment is searched once.
+    One memo serves the call, so each translated segment is searched once,
+    and each start vertex is translated, and each of its conjugates made and
+    checked to fix it, once; each segment's far end is still translated and
+    re-checked under every element of its stabilizer.
     """
     if seg_length < 1:
         raise TreeError("segment length must be positive")
@@ -573,7 +597,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     for child in tree.vertices[1:]:
         neighbors[tree.parent[child]].append(child)
     hist: dict[int, int] = {}
-    memo: dict[tuple[Vertex, ...], tuple[ReducedWord, ...]] = {}
+    memo = SurveyMemo({}, {})
     count = 0
     for i in tree.vertices:
         walk = [(i, -1)]  # (vertex, the vertex it was reached from)

@@ -676,6 +676,22 @@ def test_segment_stabilizer_recheck_reaches_the_far_end(monkeypatch,
         tree.stabilizer_of_segment(am, first)
 
 
+def test_segment_stabilizer_recheck_reaches_the_start(monkeypatch):
+    # every conjugated element comes out as one nontrivial K letter, which
+    # fixes the far end of the survey's first segment, the base's K
+    # neighbour, but moves its start, the base vertex: the check made once
+    # per start and element refuses it where no far end can
+    monkeypatch.setattr("arbor.tree.multiply",
+                        lambda am, u, v: ReducedWord((Letter(B_SIDE, 1),), 0))
+    am, _ = load_config("sl2z")
+    first = tree.geodesic(tree.build_tree(am, 1), 0, 1)
+    assert tree.act_on_vertex(am, ReducedWord((Letter(B_SIDE, 1),), 0),
+                              first.vertices[-1]) == first.vertices[-1]
+    with pytest.raises(VerificationError, match="^conjugated stabilizer "
+                                                "element fails to fix$"):
+        tree.stabilizer_of_segment(am, first)
+
+
 def one_step_further(v: tree.Vertex) -> tree.Vertex:
     """A child of v, one step further from the base vertex."""
     return v + (Letter(len(v) % 2, 1),)

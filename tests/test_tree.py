@@ -568,8 +568,8 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 
 @pytest.mark.parametrize("argv,calls", [
     (["acylindrical", "--seg-length", "3", "--config",
-      str(FIXTURES / "c12_c3_c15.json")], 25_284),
-    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 2_148),
+      str(FIXTURES / "c12_c3_c15.json")], 13_848),
+    (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 1_666),
     (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
       S4_MODELS[0]], 1_944),
     (["stabilizers", "--p-max", "2", "--q-max", "4", "--config",
@@ -577,15 +577,17 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
 ], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a",
         "s4-stabilizers"])
 def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
-    # a segment: two translations (its two ends) and each survivor
-    # re-applied to the two ends.  A segment type, once per survey: the
-    # first edge's |C| stabilizer elements each applied to the second
-    # vertex, and one action per later death (on the vertex at its
-    # position, whose image's parent must be the vertex before it).  A ray:
-    # the first edge and later deaths as for a type, and nothing more, since
-    # its survivors are re-applied to the end by act_on_boundary; theorem-A
-    # certificates and ray stabilizers are one certificate, so they cost the
-    # same
+    # a start vertex, once per survey: its translation checked on it.  A
+    # segment: the translation of its far end, and each element of its
+    # stabilizer re-applied to the far end.  A conjugate, once per start and
+    # base element: one check that it fixes the start.  A segment type, once
+    # per survey: the first edge's |C| stabilizer elements each applied to
+    # the second vertex, and one action per later death (on the vertex at
+    # its position, whose image's parent must be the vertex before it).  A
+    # ray: the first edge and later deaths as for a type, and nothing more,
+    # since its survivors are re-applied to the end by act_on_boundary;
+    # theorem-A certificates and ray stabilizers are one certificate, so they
+    # cost the same
     count = [0]
 
     def counted(*args):
@@ -596,6 +598,27 @@ def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
     assert main(["check", "--what"] + argv) == 0
     capsys.readouterr()
     assert count[0] == calls
+
+
+def test_survey_translates_each_start_once(monkeypatch, capsys):
+    # the C12 length-3 survey's 3,120 segments start at 261 vertices, each
+    # translated once, and their stabilizers hold 783 distinct (start, base
+    # element) pairs, each conjugated once by two products
+    counts = {"word_element": 0, "invert": 0, "multiply": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+        return counted
+
+    for name, f in [("word_element", word_element), ("invert", invert),
+                    ("multiply", multiply)]:
+        monkeypatch.setattr(f"arbor.tree.{name}", counting(name, f))
+    assert main(["check", "--what", "acylindrical", "--seg-length", "3",
+                 "--config", str(FIXTURES / "c12_c3_c15.json")]) == 0
+    assert '"segments": 3120' in capsys.readouterr().out
+    assert counts == {"word_element": 261, "invert": 261, "multiply": 1_566}
 
 
 @pytest.mark.parametrize("name,length,segments,walks", [
@@ -637,7 +660,9 @@ def test_memoized_survey_stabilizers_match_fresh_ones(monkeypatch):
 def test_reused_segment_type_is_still_rechecked(monkeypatch, capsys):
     # a conjugation that comes out as a hyperbolic element, which fixes no
     # vertex, on every segment whose type was searched before it: the memo
-    # spares the search and not the re-check at the segment's two ends
+    # spares the search, the start's translation and the conjugates already
+    # made from that start, and not the check that each new conjugate fixes
+    # the start or the re-check at the segment's far end
     searched = [False]
 
     def walked(*args):
@@ -655,6 +680,22 @@ def test_reused_segment_type_is_still_rechecked(monkeypatch, capsys):
     monkeypatch.setattr("arbor.tree.lockstep", walked)
     monkeypatch.setattr("arbor.tree.stabilizer_of_segment", stabilized)
     monkeypatch.setattr("arbor.tree.multiply", conjugated)
+    assert main(["check", "--what", "acylindrical", "--seg-length", "2",
+                 "--config", S4_MODELS[1]]) == 3
+    assert capsys.readouterr() == (
+        "", "internal error: conjugated stabilizer element fails to fix\n")
+
+
+def test_far_end_recheck_alone_refuses_a_whole_factor(monkeypatch, capsys):
+    # a base stabilizer that is all of the factor G at the base coset: every
+    # conjugate fixes the segment's start, so only the re-check at each
+    # segment's own far end can refuse it
+    def whole_factor(am, moved):
+        side = A_SIDE if len(moved[0]) % 2 == H_TYPE else B_SIDE
+        return tuple(word_of_subgroup_element(am, side, e)
+                     for e in am.side_group(side).elements())
+
+    monkeypatch.setattr("arbor.tree._base_stabilizer", whole_factor)
     assert main(["check", "--what", "acylindrical", "--seg-length", "2",
                  "--config", S4_MODELS[1]]) == 3
     assert capsys.readouterr() == (

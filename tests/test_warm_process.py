@@ -2,6 +2,7 @@
 would: every subcommand on every model, in one order and then the reverse,
 gives the same exit code, stdout and stderr, and no request changes a model
 that later requests share."""
+import json
 import os
 import subprocess
 import sys
@@ -105,3 +106,16 @@ def test_warm_process_answers_as_a_cold_one(monkeypatch, capsys):
     assert len(fresh) == len(MODELS)
     for source, am in loaded:
         assert vars(am) == vars(fresh[source]), source
+
+
+def test_repeated_codes_flag_carries_nothing_into_the_next_request(capsys):
+    # --codes appends to a list: a parser reused across requests must start
+    # each one empty, so the second report holds only its own code
+    a, b = MODELS[S4]
+    reports = []
+    for code in (a, b):
+        assert cli.main(["check", "--what", "theorem-a", "--codes", code,
+                         "--config", S4]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [[row["code"] for row in doc["rows"]] for doc in reports] == \
+        [[a], [b]]
