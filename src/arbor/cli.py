@@ -380,7 +380,7 @@ def cmd_reiter(am: Amalgam, args) -> int:
     _mode_flags(args)
     if args.window == "group":
         side = 0 if args.side == "h" else 1
-        group = am.side_group(side)
+        group = am.groups[side]
         gens = _group_gens(group, args.generators)
         eps = args.target if args.target is not None else Fraction(1, 100)
         cert = check_uniform_coamenable(am, side, gens, eps)

@@ -136,23 +136,20 @@ def _parse_letters(am: Amalgam, text: str, start_parity: int,
     letters = []
     if not text:
         return letters
+    rep_names = [[am.letter_name(letter) for letter in row]
+                 for row in am.alphabet]
     for j, name in enumerate(text.split(",")):
         name = name.strip()
         side = (start_parity + j) % 2
-        grp = am.side_group(side)
-        trans = am.transversal(side)
-        rep = None
-        for idx, elem in enumerate(trans.reps):
-            if grp.name(elem) == name:
-                rep = idx
-                break
-        if rep is None:
-            other = "K" if side == A_SIDE else "H"
+        if name not in rep_names[side]:
+            hint = ""
+            if name in rep_names[1 - side]:
+                other = "a K" if side == A_SIDE else "an H"
+                hint = f"; did you mean {other}-side name?"
             raise CodeError(
                 f"{what} letter {j}: {name!r} is not a coset representative on "
-                f"side {'HK'[side]} (positions alternate H,K,H,...; "
-                f"did you mean an {other}-side name?)")
-        letters.append(Letter(side, rep))
+                f"side {'HK'[side]} (positions alternate H,K,H,...{hint})")
+        letters.append(am.alphabet[side][rep_names[side].index(name)])
     return letters
 
 

@@ -287,56 +287,58 @@ class ReducedWord(NamedTuple):
 
 
 class Amalgam:
-    """An amalgamated product H *_C K with precomputed decomposition tables.
+    """An amalgamated product H *_C K, read through its per-side tables.
 
-    Every element of H factors uniquely as rep * embed_h(c); the tables
-    _rep_idx and _carry hold that factorization for both sides, which makes
-    appending a single raw letter to a normal form an O(1) operation.  The
-    step table steps, built from them, moves a pending carry past one
-    transversal letter: it is the one letter feed of every normal-form
-    product (see feed), and all a base-group element does to a ray after
-    its first letter.  alphabet holds one shared Letter per side and rep.
-    make_amalgam checks the embeddings first; the constructor checks the
-    derived tables against group multiplication alone, so that no run-time
-    re-check rests on an unchecked table.  Nothing changes an amalgam after
-    its constructor runs: cli.load_config hands one to every request that
-    loads the same config text.
+    Each table is a pair indexed by side, A_SIDE for H and B_SIDE for K:
+    groups, the factor; embed, C's image in it; transversals, its coset
+    representatives; and rep_idx and carry, which factor every element u
+    uniquely as u = transversals[side].reps[rep_idx[side][u]] ·
+    embed[side][carry[side][u]], so appending a single raw letter to a
+    normal form is O(1).  The step table steps, built from them, moves a
+    pending carry past one transversal letter: it is the one letter feed of
+    every normal-form product (see feed), and all a base-group element does
+    to a ray after its first letter.  alphabet holds one shared Letter per
+    side and rep.  make_amalgam checks the embeddings first; the constructor
+    checks the derived tables against group multiplication alone, so that
+    no run-time re-check rests on an unchecked table.  Nothing changes an
+    amalgam after its constructor runs: cli.load_config hands one to every
+    request that loads the same config text.
     """
 
     def __init__(self, H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,
                  embed_h: tuple[int, ...], embed_k: tuple[int, ...]) -> None:
         self.H, self.K, self.C = H, K, C
-        self._groups = (H, K)
-        self._embed = (embed_h, embed_k)
-        # u = reps[_rep_idx[u]] * embed(_carry[u]), uniquely
-        self._transversals, self._rep_idx, self._carry = zip(
-            *map(_factor, self._groups, self._embed))
-        self.A, self.B = self._transversals
+        self.groups = (H, K)
+        self.embed = (embed_h, embed_k)
+        self.transversals, self.rep_idx, self.carry = zip(
+            *map(_factor, self.groups, self.embed))
+        self.A, self.B = self.transversals
         if self.A.index < 2 or self.B.index < 2:
             raise GroupError("both amalgam indices must be at least 2")
         self.alphabet = tuple(tuple(Letter(side, rep) for rep in range(t.index))
-                              for side, t in enumerate(self._transversals))
+                              for side, t in enumerate(self.transversals))
         # embed(c) * reps[r] = reps[r'] * embed(c'): steps[side][c][r] = (r', c')
         self.steps = tuple(
-            tuple(tuple(self.decompose(side, self._groups[side].mul(img, r))
-                        for r in self._transversals[side].reps)
-                  for img in self._embed[side])
-            for side in (A_SIDE, B_SIDE))
+            tuple(tuple((rep_idx[row[r]], carry[row[r]]) for r in t.reps)
+                  for row in (group.mul_table[img] for img in embed))
+            for group, embed, t, rep_idx, carry in zip(
+                self.groups, self.embed, self.transversals, self.rep_idx,
+                self.carry))
         self._check_tables()
 
     def _check_tables(self) -> None:
-        """Check the derived tables by group multiplication alone, never
-        through decompose: |reps|·|C| = |G| and every
-        u = reps[rep_idx[u]]·embed(carry[u]), so each u factors uniquely;
-        and every step entry has embed(c)·reps[r] = reps[r']·embed(c').
-        That is |H| + |K| + |C|·([H:C] + [K:C]) checked products per load.
+        """Check the derived tables by group multiplication alone:
+        |reps|·|C| = |G| and every u = reps[rep_idx[u]]·embed(carry[u]), so
+        each u factors uniquely; and every step entry has
+        embed(c)·reps[r] = reps[r']·embed(c').  That is
+        |H| + |K| + |C|·([H:C] + [K:C]) checked products per load.
         A failure is a defect in arbor, not in the model."""
         for side, name in ((A_SIDE, "H"), (B_SIDE, "K")):
-            mul = self._groups[side].mul_table
-            embed, reps = self._embed[side], self._transversals[side].reps
+            mul = self.groups[side].mul_table
+            embed, reps = self.embed[side], self.transversals[side].reps
             if len(reps) * len(embed) != len(mul) or any(
                     mul[reps[r]][embed[c]] != u for u, (r, c) in
-                    enumerate(zip(self._rep_idx[side], self._carry[side]))):
+                    enumerate(zip(self.rep_idx[side], self.carry[side]))):
                 raise VerificationError(f"the {name} coset tables do not "
                                         f"factor {name} uniquely")
             for c, row in enumerate(self.steps[side]):
@@ -347,30 +349,9 @@ class Amalgam:
                             f"the {name} step table disagrees with group "
                             f"multiplication at carry {c}, rep {r}")
 
-    def side_group(self, side: int) -> FiniteGroup:
-        return self._groups[side]
-
-    def transversal(self, side: int) -> Transversal:
-        return self._transversals[side]
-
-    def embed_to_side(self, side: int, c: int) -> int:
-        return self._embed[side][c]
-
-    def rep_element(self, side: int, rep_index: int) -> int:
-        return self._transversals[side].reps[rep_index]
-
-    def decompose(self, side: int, elem: int) -> tuple[int, int]:
-        """Factor elem = rep * embed(c); returns (rep index, c index)."""
-        return self._rep_idx[side][elem], self._carry[side][elem]
-
-    def letter_element(self, letter: Letter) -> int:
-        return self.rep_element(letter.side, letter.rep)
-
     def letter_name(self, letter: Letter) -> str:
-        return self._groups[letter.side].name(self.letter_element(letter))
-
-    def identity_word(self) -> ReducedWord:
-        return ReducedWord((), 0)
+        side = letter.side
+        return self.groups[side].name(self.transversals[side].reps[letter.rep])
 
 
 def _factor(group: FiniteGroup, images: tuple[int, ...]
@@ -433,14 +414,14 @@ def absorb(am: Amalgam, letters: list[Letter], carry: int,
     a last letter on the same side is multiplied in; the product is read
     off the decomposition tables.
     """
-    mul = am._groups[side].mul_table
-    x = mul[am._embed[side][carry]][elem]
+    mul = am.groups[side].mul_table
+    x = mul[am.embed[side][carry]][elem]
     if letters and letters[-1].side == side:
-        x = mul[am._transversals[side].reps[letters.pop().rep]][x]
-    rep = am._rep_idx[side][x]
+        x = mul[am.transversals[side].reps[letters.pop().rep]][x]
+    rep = am.rep_idx[side][x]
     if rep:
         letters.append(am.alphabet[side][rep])
-    return am._carry[side][x]
+    return am.carry[side][x]
 
 
 def feed(am: Amalgam, letters: list[Letter], carry: int,
@@ -456,7 +437,7 @@ def feed(am: Amalgam, letters: list[Letter], carry: int,
     side = letter.side
     if letters and letters[-1].side == side:
         return absorb(am, letters, carry, side,
-                      am.rep_element(side, letter.rep))
+                      am.transversals[side].reps[letter.rep])
     rep, carry = am.steps[side][carry][letter.rep]
     if rep:
         letters.append(am.alphabet[side][rep])
@@ -482,12 +463,12 @@ def normal_form(am: Amalgam, word: Iterable[RawSyllable]) -> ReducedWord:
             elem = grp.index_of_name(raw) if isinstance(raw, str) else raw
             if not (0 <= elem < grp.order):
                 raise GroupError(f"C element {raw!r} out of range")
-            carry = absorb(am, letters, carry, side, am.embed_to_side(side, elem))
+            carry = absorb(am, letters, carry, side, am.embed[side][elem])
             continue
         if tag not in _SIDE_OF_TAG:
             raise GroupError(f"unknown syllable tag {tag!r}")
         side = _SIDE_OF_TAG[tag]
-        grp = am.side_group(side)
+        grp = am.groups[side]
         elem = grp.index_of_name(raw) if isinstance(raw, str) else raw
         if not (0 <= elem < grp.order):
             raise GroupError(f"{tag} element {raw!r} out of range")
@@ -509,10 +490,9 @@ def invert(am: Amalgam, u: ReducedWord) -> ReducedWord:
     """Inverse of a normal form, in normal form."""
     letters: list[Letter] = []
     carry = am.C.inv(u.carry)
-    for letter in reversed(u.letters):
-        grp = am.side_group(letter.side)
-        carry = absorb(am, letters, carry, letter.side,
-                       grp.inv(am.letter_element(letter)))
+    for side, rep in reversed(u.letters):
+        carry = absorb(am, letters, carry, side, am.groups[side].inv(
+            am.transversals[side].reps[rep]))
     return ReducedWord(tuple(letters), carry)
 
 
@@ -535,7 +515,7 @@ def word_from_str(am: Amalgam, s: str) -> ReducedWord:
     """Parse the display form back; names resolve by side with ambiguity errors."""
     s = s.strip()
     if not s or s == am.C.name(0):
-        return am.identity_word()
+        return ReducedWord((), 0)
     syllables: list[RawSyllable] = []
     for tok in s.split("*"):
         tok = tok.strip()

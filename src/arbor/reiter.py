@@ -186,11 +186,10 @@ def coset_window(am: Amalgam, side: int) -> SchreierWindow:
 
     Every element of the factor is a generator, so image(g, x) is g·x.
     """
-    group = am.side_group(side)
-    vertices = tuple(range(am.transversal(side).index))
-    maps = tuple({x: am.decompose(side, group.mul(
-        g, am.rep_element(side, x)))[0] for x in vertices}
-        for g in group.elements())
+    group, reps = am.groups[side], am.transversals[side].reps
+    vertices = tuple(range(len(reps)))
+    maps = tuple({x: am.rep_idx[side][group.mul(g, reps[x])]
+                  for x in vertices} for g in group.elements())
     return SchreierWindow(vertices, tuple(group.elements()), maps)
 
 
@@ -413,7 +412,7 @@ def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
     which is exactly zero simultaneously for all base points; a deviation
     not strictly below eps fails the certificate's re-check.
     """
-    group = am.side_group(side)
+    group = am.groups[side]
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive for a strict certificate")

@@ -2,9 +2,10 @@
 
 Vertices are cosets gH and gK, and a vertex is its word: alternating
 transversal letters with the trailing same-side letter absorbed into the
-coset.  Its type is the word's length mod 2 (Serre, Trees, I.4): H-type
-words have even length and K-type words odd length; a K-type word may start
-with the trivial H-side letter, which encodes the coset K itself.  Rays from
+coset.  Its type is the side of the factor whose conjugate fixes it, which
+is the word's length mod 2 (Serre, Trees, I.4): gH words (A_SIDE) have even
+length and gK words (B_SIDE) odd length; a gK word may start with the
+trivial H-side letter, which encodes the coset K itself.  Rays from
 the base vertex are exactly the letter streams of boundary codes.
 """
 from __future__ import annotations
@@ -15,10 +16,6 @@ from .codes import BoundaryCode
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, feed, invert, multiply,
                      word_of_subgroup_element)
-
-H_TYPE = 0
-K_TYPE = 1
-
 
 # Vertices a truncated tree may hold; the ARBOR_VERTEX_CAP environment
 # variable overrides it on the command line.
@@ -37,21 +34,21 @@ class OverBudget(ValueError):
     caps; refuse_over is the one place that raises it."""
 
 
-Vertex = tuple[Letter, ...]  # a coset's word; its type is len(word) % 2
+Vertex = tuple[Letter, ...]  # a coset's word; its side is len(word) % 2
 
 
-def vertex_from_letters(letters: Sequence[Letter], vtype: int) -> Vertex:
-    """Normalize a letter word to the canonical vertex word of the given type."""
+def vertex_from_letters(letters: Sequence[Letter], side: int) -> Vertex:
+    """Normalize a letter word to the canonical word of the vertex of the
+    given side: the coset of that side's factor that the word reaches."""
     out = list(letters)
-    tail_side = A_SIDE if vtype == H_TYPE else B_SIDE
-    if out and out[-1].side == tail_side:
+    if out and out[-1].side == side:
         out.pop()
     if not out:
-        if vtype == K_TYPE:
+        if side == B_SIDE:
             out = [Letter(A_SIDE, 0)]
     elif out[0].side == B_SIDE:
         out.insert(0, Letter(A_SIDE, 0))
-    if len(out) % 2 != vtype:
+    if len(out) % 2 != side:
         raise TreeError("letter word does not reach a vertex of the requested type")
     return tuple(out)
 
@@ -60,7 +57,7 @@ def validate_vertex(am: Amalgam, v: Vertex) -> None:
     for i, letter in enumerate(v):
         if letter.side != i % 2:
             raise TreeError(f"vertex word letter {i} on wrong side")
-        if not (0 <= letter.rep < am.transversal(letter.side).index):
+        if not (0 <= letter.rep < am.transversals[letter.side].index):
             raise TreeError(f"vertex word letter {i} out of range")
         if letter.rep == 0 and i > 0:
             raise TreeError(f"trivial letter beyond position 0 (position {i})")
@@ -341,10 +338,10 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
     else:  # a finite sequence reaches its bound before any cycle position
         letter_at, bound, tail = path.__getitem__, len(path), len(path)
     letter = letter_at(0)
-    head = am.rep_element(letter.side, letter.rep)
-    grp = am.side_group(letter.side)
-    moved = [(am.decompose(letter.side, grp.mul(e, head)), e)
-             for e in grp.elements()]
+    side = letter.side
+    grp, head = am.groups[side], am.transversals[side].reps[letter.rep]
+    moved = [((am.rep_idx[side][u], am.carry[side][u]), e)  # u = e·head
+             for e, u in enumerate(row[head] for row in grp.mul_table)]
     emitted: list[Letter] = []
     deaths: list[tuple[int, int]] = []
     seen: set = set()
@@ -395,7 +392,7 @@ def _check_complete(am: Amalgam, side: int, path: Sequence[Vertex],
         raise VerificationError("the walk reports no death, or one past its path")
     later = [(k, e) for k, e in deaths if k > 1]
     alive = [e for _, e in survivors] + [e for _, e in later]
-    size = am.side_group(side).order // am.transversal(side).index
+    size = am.groups[side].order // am.transversals[side].index
     if len(alive) != size or len(set(alive)) != size:
         raise VerificationError(f"the walk's first-edge stabilizer is not "
                                 f"|G|/|G:C| = {size} distinct elements")
@@ -418,8 +415,8 @@ def _base_stabilizer(am: Amalgam, moved: tuple[Vertex, ...]
     fix every vertex of the geodesic moved: all of G for one vertex,
     otherwise the survivors of one lockstep walk along its letters, which
     _check_complete shows to be complete."""
-    side = A_SIDE if len(moved[0]) % 2 == H_TYPE else B_SIDE
-    fixing = am.side_group(side).elements()
+    side = len(moved[0]) % 2
+    fixing = am.groups[side].elements()
     if len(moved) > 1:
         # each step appends its letter, except K's step to the base vertex
         letters = [w[-1] if len(w) > len(v) else Letter(B_SIDE, 0)
@@ -560,7 +557,8 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
 
 
 class AcylindricityReport(NamedTuple):
-    """Orders of all length-L segment stabilizers inside a truncated tree."""
+    """Orders of all length-L segment stabilizers inside the tree ball of
+    radius L + 2."""
 
     seg_length: int
     tree_radius: int
@@ -573,10 +571,10 @@ class AcylindricityReport(NamedTuple):
 
 
 def check_acylindricity(am: Amalgam, seg_length: int = 2,
-                        tree_radius: Optional[int] = None,
                         vertex_cap: int = VERTEX_CAP) -> AcylindricityReport:
-    """Exhaust all segments of one length in a ball and tabulate stabilizer
-    orders, each the length of the segment's stabilizer tuple.
+    """Exhaust all segments of one length in the ball of radius
+    seg_length + 2 and tabulate stabilizer orders, each the length of the
+    segment's stabilizer tuple.
 
     In a tree a non-backtracking walk is the geodesic between its ends, so
     walking seg_length steps from every vertex reaches exactly the vertices
@@ -588,10 +586,7 @@ def check_acylindricity(am: Amalgam, seg_length: int = 2,
     """
     if seg_length < 1:
         raise TreeError("segment length must be positive")
-    if tree_radius is None:
-        tree_radius = seg_length + 2
-    if tree_radius < seg_length:
-        raise TreeError("tree radius must be at least the segment length")
+    tree_radius = seg_length + 2
     tree = build_tree(am, tree_radius, vertex_cap)
     neighbors = [[p] if p >= 0 else [] for p in tree.parent]
     for child in tree.vertices[1:]:
@@ -627,7 +622,7 @@ def to_dot(am: Amalgam, tree: TruncatedTree) -> str:
             name = am.letter_name(tree.letter[i])
             up = labels[tree.parent[i]]
             labels.append(f"{up},{name}" if depth > 1 else name)
-        shape = "circle" if depth % 2 == H_TYPE else "box"
+        shape = "circle" if depth % 2 == A_SIDE else "box"
         lines.append(f'  v{i} [label="{labels[i]}", shape={shape}];')
     for i in tree.vertices[1:]:
         lines.append(f"  v{tree.parent[i]} -- v{i};")

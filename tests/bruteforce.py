@@ -37,7 +37,7 @@ from arbor.groups import (A_SIDE, B_SIDE, Amalgam, FiniteGroup, GroupError,
                           word_of_subgroup_element, word_to_str)
 from arbor.reiter import (DeviationTensor, ProbVector, SchreierWindow,
                           check_tensor, format_fraction, l1_distance)
-from arbor.tree import (H_TYPE, K_TYPE, GeodesicPath, TreeError, Vertex,
+from arbor.tree import (GeodesicPath, TreeError, Vertex,
                         act_on_boundary, act_on_vertex, code_truncate,
                         validate_geodesic, vertex_from_letters, word_element)
 
@@ -137,7 +137,7 @@ def validate_reduced_word(am: Amalgam, w: ReducedWord) -> None:
     for i, letter in enumerate(w.letters):
         if letter.side not in (A_SIDE, B_SIDE):
             raise GroupError(f"letter {i} has invalid side {letter.side}")
-        if not (1 <= letter.rep < am.transversal(letter.side).index):
+        if not (1 <= letter.rep < am.transversals[letter.side].index):
             raise GroupError(f"letter {i} is trivial or out of range")
         if i and w.letters[i - 1].side == letter.side:
             raise GroupError(f"letters {i - 1} and {i} do not alternate")
@@ -173,24 +173,23 @@ def _neighbors(am: Amalgam, word: Tagged) -> list[Tagged]:
     for i in range(n - 1):
         (s1, x1), (s2, x2) = word[i], word[i + 1]
         if s1 == s2:
-            merged = am.side_group(s1).mul(x1, x2)
+            merged = am.groups[s1].mul(x1, x2)
             mid = ((s1, merged),) if merged != 0 else ()
             out.append(word[:i] + mid + word[i + 2:])
         else:
             for c in range(1, am.C.order):
-                left = am.side_group(s1).mul(x1, am.embed_to_side(s1, c))
-                right = am.side_group(s2).mul(
-                    am.embed_to_side(s2, am.C.inv(c)), x2)
+                left = am.groups[s1].mul(x1, am.embed[s1][c])
+                right = am.groups[s2].mul(am.embed[s2][am.C.inv(c)], x2)
                 mid = tuple(p for p in ((s1, left), (s2, right)) if p[1] != 0)
                 out.append(word[:i] + mid + word[i + 2:])
-    embedded = [{am.embed_to_side(side, c): c for c in am.C.elements()}
+    embedded = [{am.embed[side][c]: c for c in am.C.elements()}
                 for side in (A_SIDE, B_SIDE)]
     for i in range(n):
         side, elem = word[i]
         c = embedded[side].get(elem)
         if c is not None:
             other = 1 - side
-            out.append(word[:i] + ((other, am.embed_to_side(other, c)),)
+            out.append(word[:i] + ((other, am.embed[other][c]),)
                        + word[i + 1:])
     return out
 
@@ -221,9 +220,9 @@ def words_equal(am: Amalgam, w1, w2, cap: int = 500_000) -> bool:
 
 def tagged_of_reduced(am: Amalgam, w: ReducedWord):
     """Spell a normal form as a tagged word (letters, then the carry letter)."""
-    out = [(letter.side, am.letter_element(letter)) for letter in w.letters]
+    out = [(side, am.transversals[side].reps[rep]) for side, rep in w.letters]
     if w.carry != 0:
-        out.append((A_SIDE, am.embed_to_side(A_SIDE, w.carry)))
+        out.append((A_SIDE, am.embed[A_SIDE][w.carry]))
     return tuple(out)
 
 
@@ -233,7 +232,8 @@ def absorb_letter(am: Amalgam, letters: list, carry: int, letter: Letter
                   ) -> int:
     """One letter fed through absorb as a raw side element, with no
     step-table lookup; returns the new carry."""
-    return absorb(am, letters, carry, letter.side, am.letter_element(letter))
+    side, rep = letter
+    return absorb(am, letters, carry, side, am.transversals[side].reps[rep])
 
 
 def absorb_multiply(am: Amalgam, u: ReducedWord, v: ReducedWord
@@ -375,9 +375,9 @@ def word_tree(am: Amalgam, radius: int) -> WordTree:
         nxt: list[int] = []
         for vi in level:
             v = vertices[vi]
-            side = A_SIDE if len(v) % 2 == 0 else B_SIDE
+            side = len(v) % 2
             start = 0 if not v else 1
-            for rep in range(start, am.transversal(side).index):
+            for rep in range(start, am.transversals[side].index):
                 child = v + (Letter(side, rep),)
                 index[child] = len(vertices)
                 vertices.append(child)
@@ -407,7 +407,7 @@ def word_tree_dot(am: Amalgam, tree: WordTree) -> str:
     vertex's stored word."""
     lines = ["graph bass_serre {"]
     for i, v in enumerate(tree.vertices):
-        shape = "circle" if len(v) % 2 == H_TYPE else "box"
+        shape = "circle" if len(v) % 2 == A_SIDE else "box"
         label = ",".join(am.letter_name(letter) for letter in v)
         lines.append(f'  v{i} [label="{label}", shape={shape}];')
     for i, j in tree.edges:
@@ -426,13 +426,11 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
     v0 = segment.vertices[0]
     t = invert(am, word_element(am, v0))
     moved = [act_on_vertex(am, t, v) for v in segment.vertices]
-    start = base_vertex() if len(v0) % 2 == H_TYPE \
-        else vertex_from_letters([], K_TYPE)
-    assert moved[0] == start
-    side = A_SIDE if len(v0) % 2 == H_TYPE else B_SIDE
+    side = len(v0) % 2
+    assert moved[0] == vertex_from_letters([], side)
     t_inv = invert(am, t)
     found = []
-    for elem in am.side_group(side).elements():
+    for elem in am.groups[side].elements():
         h = word_of_subgroup_element(am, side, elem)
         if all(act_on_vertex(am, h, v) == v for v in moved):
             found.append(multiply(am, multiply(am, t_inv, h), t))
@@ -473,7 +471,7 @@ def walk_first_moves(am: Amalgam, side: int, vertices: Sequence[Vertex],
     reported = sorted([(e, None) for _, e in survivors]
                       + [(e, k) for k, e in deaths], key=lambda pair: pair[0])
     found = [(e, first_move(am, side, e, vertices))
-             for e in am.side_group(side).elements()]
+             for e in am.groups[side].elements()]
     return reported, found
 
 

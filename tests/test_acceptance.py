@@ -28,7 +28,7 @@ from arbor.reiter import (
     reiter_lp,
     verify_cfw,
 )
-from arbor.tree import H_TYPE, act_on_boundary, build_tree, check_theorem_A
+from arbor.tree import act_on_boundary, build_tree, check_theorem_A
 
 from bruteforce import (BUILTIN_NAMES, builtin, normalize_tagged,
                         tagged_of_reduced, word_search, words_equal)
@@ -86,8 +86,8 @@ def test_criterion_1_tree_structure():
     assert len(seen) == n
     for idx in tree.vertices:
         if tree.depths[idx] < 6:
-            vtype = len(tree.vertex(idx)) % 2
-            assert len(adj[idx]) == (2 if vtype == H_TYPE else 3)
+            side = len(tree.vertex(idx)) % 2
+            assert len(adj[idx]) == (2 if side == A_SIDE else 3)
     _report(1, "radius-6 tree [1,2,4,4,8,8,16], connected acyclic "
                "(2,3)-biregular", started, 1.0)
 
@@ -184,7 +184,7 @@ def test_criterion_6_lp_exactness():
         res = reiter_lp(integer_window(m + 2), support=list(range(m)))
         assert res.optimum == Fraction(2, m), m
     am = builtin("sl2z")
-    gens = [g for g in am.side_group(B_SIDE).elements() if g != 0]
+    gens = [g for g in am.groups[B_SIDE].elements() if g != 0]
     cert = check_uniform_coamenable(am, B_SIDE, gens, Fraction(1, 10 ** 6))
     assert cert.max_deviation == 0
     value, _ = grid_search_min_deviation(integer_window(5), [0, 1, 2], 20)

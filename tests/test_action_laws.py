@@ -55,7 +55,7 @@ def _letters(draw, am, length: int, start: int, first_trivial: bool):
         side = (start + i) % 2
         low = 0 if i == 0 and first_trivial else 1
         out.append(Letter(side, draw(st.integers(
-            low, am.transversal(side).index - 1))))
+            low, am.transversals[side].index - 1))))
     return tuple(out)
 
 
@@ -90,7 +90,7 @@ def test_boundary_action_laws(name):
     @given(words(am), words(am), ends(am))
     def laws(g, h, x):
         hx = act_on_boundary(am, h, x)
-        assert act_on_boundary(am, am.identity_word(), x) == x
+        assert act_on_boundary(am, ReducedWord((), 0), x) == x
         assert act_on_boundary(am, g, hx) == \
             act_on_boundary(am, multiply(am, g, h), x)
         assert act_on_boundary(am, invert(am, h), hx) == x
@@ -107,14 +107,14 @@ def test_vertex_action_laws(name):
     def laws(g, h, v, data):
         hv = act_on_vertex(am, h, v)
         validate_vertex(am, hv)
-        assert act_on_vertex(am, am.identity_word(), v) == v
+        assert act_on_vertex(am, ReducedWord((), 0), v) == v
         assert act_on_vertex(am, g, hv) == \
             act_on_vertex(am, multiply(am, g, h), v)
         assert act_on_vertex(am, invert(am, h), hv) == v
         # a child of v, as build_tree grows it
         side = len(v) % 2
         low = 1 if v else 0
-        rep = data.draw(st.integers(low, am.transversal(side).index - 1))
+        rep = data.draw(st.integers(low, am.transversals[side].index - 1))
         w = v + (Letter(side, rep),)
         assert is_adjacent(v, w)
         assert is_adjacent(hv, act_on_vertex(am, h, w))
@@ -141,12 +141,13 @@ def test_multiply_matches_rewriting_closure(name):
 def test_step_table_is_exact(name):
     am = MODELS[name]
     for side in (A_SIDE, B_SIDE):
-        grp = am.side_group(side)
+        grp = am.groups[side]
         for c in am.C.elements():
-            for rep in range(am.transversal(side).index):
-                u = grp.mul(am.embed_to_side(side, c),
-                            am.rep_element(side, rep))
-                assert am.steps[side][c][rep] == am.decompose(side, u)
+            for rep in range(am.transversals[side].index):
+                u = grp.mul(am.embed[side][c],
+                            am.transversals[side].reps[rep])
+                assert am.steps[side][c][rep] == (am.rep_idx[side][u],
+                                                  am.carry[side][u])
 
 
 @pytest.mark.parametrize("name", sorted(WALK_MODELS))
@@ -157,13 +158,13 @@ def test_feed_matches_absorb(name):
     am = WALK_MODELS[name]
     for side in (A_SIDE, B_SIDE):
         befores = [()] + [(Letter(s, r),) for s in (1 - side, side)
-                          for r in range(1, am.transversal(s).index)]
+                          for r in range(1, am.transversals[s].index)]
         for c in am.C.elements():
-            for rep in range(am.transversal(side).index):
+            for rep in range(am.transversals[side].index):
                 for before in befores:
                     fed, absorbed = list(before), list(before)
                     assert feed(am, fed, c, Letter(side, rep)) == absorb(
-                        am, absorbed, c, side, am.rep_element(side, rep))
+                        am, absorbed, c, side, am.transversals[side].reps[rep])
                     assert fed == absorbed
 
 

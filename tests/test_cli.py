@@ -410,7 +410,7 @@ def _first_mover(deaths):
 def conjugated(am, out, fix, deaths):
     """The walk's elements conjugated by one that moves the first edge: the
     stabilizer of another edge at the same vertex."""
-    grp = am.side_group(out[0].side)
+    grp = am.groups[out[0].side]
     g = _first_mover(deaths)
 
     def c(e):
@@ -598,19 +598,19 @@ def test_acyclic_carry_phase_exits_3(monkeypatch, capsys):
 
 
 def test_wrong_step_entry_exits_3_at_load(monkeypatch, capsys):
-    # decompose gives a wrong carry for embed(1)·rep[1] on the K side, and
-    # only the step table is built with it: the model's load refuses it
-    # before any work
-    decompose = Amalgam.decompose
+    # the K step entry for embed(1)·rep[1] gets a wrong carry after the
+    # step table is built and before it is checked; the coset tables stay
+    # right, and the model's load refuses it before any work
+    check = Amalgam._check_tables
 
-    def wrong_carry(am, side, elem):
-        rep, carry = decompose(am, side, elem)
-        if side == B_SIDE and elem == am.K.mul(am.embed_to_side(B_SIDE, 1),
-                                               am.rep_element(B_SIDE, 1)):
-            carry = am.C.mul(carry, 1)
-        return rep, carry
+    def wrong_carry(am):
+        rows = [list(row) for row in am.steps[B_SIDE]]
+        rep, carry = rows[1][1]
+        rows[1][1] = rep, am.C.mul(carry, 1)
+        am.steps = am.steps[A_SIDE], tuple(map(tuple, rows))
+        check(am)
 
-    monkeypatch.setattr(Amalgam, "decompose", wrong_carry)
+    monkeypatch.setattr(Amalgam, "_check_tables", wrong_carry)
     cli._model.cache_clear()  # the plant reaches a fresh build
     rc, out, err = run(capsys, ["witness", "--config",
                                 str(ROOT / "perfbench/fixtures/s4_c3_s3.json")])
@@ -729,7 +729,7 @@ def test_survey_segment_faults_exit_3(monkeypatch, capsys):
                               "a geodesic: path backtracks\n")
     monkeypatch.setattr("arbor.tree.geodesic", path)
     monkeypatch.setattr("arbor.tree.word_element",
-                        lambda am, letters: am.identity_word())
+                        lambda am, letters: ReducedWord((), 0))
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (3, "", "internal error: failed to translate the "
                               "segment start to a base coset\n")

@@ -141,6 +141,28 @@ def test_parse_rejects_non_representative_element_name():
         parse_code(am, "prefix=;cycle=a2,b")
 
 
+@pytest.mark.parametrize("text,message", [
+    # b and a are representatives on the other side: the hint names it
+    ("prefix=b;cycle=a,b", "prefix letter 0: 'b' is not a coset "
+     "representative on side H (positions alternate H,K,H,...; did you mean "
+     "a K-side name?)"),
+    ("prefix=;cycle=a,a", "cycle letter 1: 'a' is not a coset "
+     "representative on side K (positions alternate H,K,H,...; did you mean "
+     "an H-side name?)"),
+    # zz names no representative on either side, and a2 only an element of
+    # the amalgamated image: no hint
+    ("prefix=zz;cycle=a,b", "prefix letter 0: 'zz' is not a coset "
+     "representative on side H (positions alternate H,K,H,...)"),
+    ("prefix=;cycle=a2,b", "cycle letter 0: 'a2' is not a coset "
+     "representative on side H (positions alternate H,K,H,...)"),
+])
+def test_parse_hints_the_other_side_only_for_its_representatives(text,
+                                                                 message):
+    with pytest.raises(CodeError) as refused:
+        parse_code(builtin("sl2z"), text)
+    assert str(refused.value) == message
+
+
 def test_horizon():
     assert BoundaryCode((eL,), (bL, aL)).horizon() == 3
     assert BoundaryCode((), (aL, bL)).horizon() == 2

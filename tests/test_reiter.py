@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbor.codes import parse_code
-from arbor.groups import B_SIDE, normal_form
+from arbor.groups import B_SIDE, ReducedWord, normal_form
 from arbor.reiter import (
     GRID_VECTOR_CAP,
     DeviationTensor,
@@ -212,7 +212,7 @@ def test_boundary_action_deviation():
     am = builtin("sl2z")
     act = partial(act_on_boundary, am)
     x = parse_code(am, "prefix=;cycle=a,b")
-    e = am.identity_word()
+    e = ReducedWord((), 0)
     z = normal_form(am, [("C", 1)])
     a = normal_form(am, [("H", "a")])
     p = ProbVector.uniform([e, z])

@@ -13,7 +13,7 @@ from arbor.groups import (
     normal_form, word_of_subgroup_element,
 )
 from arbor.tree import (
-    GeodesicPath, H_TYPE, K_TYPE, OverBudget, TreeError,
+    GeodesicPath, OverBudget, TreeError,
     act_on_boundary, act_on_vertex, ball_bits, ball_size, build_tree,
     check_acylindricity, check_theorem_A, code_truncate, geodesic,
     is_adjacent, lockstep, ray_stabilizer, refuse_over, stabilizer_of_segment,
@@ -59,16 +59,16 @@ def sample_codes(am):
 
 
 def test_vertex_from_letters_normalization():
-    assert vertex_from_letters([], H_TYPE) == base_vertex()
-    assert vertex_from_letters([], K_TYPE) == (eL,)
-    assert vertex_from_letters([aL], H_TYPE) == base_vertex()
-    assert vertex_from_letters([eL], H_TYPE) == base_vertex()
-    assert vertex_from_letters([aL], K_TYPE) == (aL,)
-    assert vertex_from_letters([bL], K_TYPE) == (eL,)
-    assert vertex_from_letters([bL], H_TYPE) == (eL, bL)
-    assert vertex_from_letters([aL, bL], K_TYPE) == (aL,)
+    assert vertex_from_letters([], A_SIDE) == base_vertex()
+    assert vertex_from_letters([], B_SIDE) == (eL,)
+    assert vertex_from_letters([aL], A_SIDE) == base_vertex()
+    assert vertex_from_letters([eL], A_SIDE) == base_vertex()
+    assert vertex_from_letters([aL], B_SIDE) == (aL,)
+    assert vertex_from_letters([bL], B_SIDE) == (eL,)
+    assert vertex_from_letters([bL], A_SIDE) == (eL, bL)
+    assert vertex_from_letters([aL, bL], B_SIDE) == (aL,)
     with pytest.raises(TreeError, match="does not reach a vertex"):
-        vertex_from_letters([aL, aL], H_TYPE)
+        vertex_from_letters([aL, aL], A_SIDE)
 
 
 def test_validate_vertex():
@@ -237,7 +237,7 @@ def test_largest_dihedral_ball_is_fast_and_small():
 def test_act_on_vertex_translates_base_coset():
     am = builtin("sl2z")
     a = normal_form(am, [("H", 1)])
-    vertex_k = vertex_from_letters([], K_TYPE)
+    vertex_k = vertex_from_letters([], B_SIDE)
     assert act_on_vertex(am, a, vertex_k) == (aL,)
 
 
@@ -245,7 +245,7 @@ def test_act_on_vertex_identity_and_inverse():
     for name in BUILTIN_NAMES:
         am = builtin(name)
         tree = build_tree(am, 4)
-        e = am.identity_word()
+        e = ReducedWord((), 0)
         words = enumerate_reduced_words(am, 2)
         verts = [tree.vertex(i) for i in tree.vertices]
         for v in verts:
@@ -354,7 +354,7 @@ def test_geodesic_to_code_errors():
 
 def test_act_on_boundary_identity_and_center():
     am = builtin("sl2z")
-    e = am.identity_word()
+    e = ReducedWord((), 0)
     z = normal_form(am, [("C", 1)])
     for x in sample_codes(am):
         assert act_on_boundary(am, e, x) == x
@@ -412,23 +412,23 @@ def test_stabilizer_of_base_segment():
     stab = stabilizer_of_segment(am, GeodesicPath((base_vertex(),)))
     assert len(stab) == am.H.order
     stab_k = stabilizer_of_segment(
-        am, GeodesicPath((vertex_from_letters([], K_TYPE),)))
+        am, GeodesicPath((vertex_from_letters([], B_SIDE),)))
     assert len(stab_k) == am.K.order
 
 
 def test_stabilizer_of_edge_is_amalgamated_image():
     am = builtin("sl2z")
-    edge = GeodesicPath((base_vertex(), vertex_from_letters([], K_TYPE)))
+    edge = GeodesicPath((base_vertex(), vertex_from_letters([], B_SIDE)))
     stab = stabilizer_of_segment(am, edge)
     assert len(stab) == 2
     z = normal_form(am, [("C", 1)])
-    assert set(stab) == {am.identity_word(), z}
+    assert set(stab) == {ReducedWord((), 0), z}
 
 
 def test_stabilizer_away_from_base():
     am = builtin("sl2z")
     tree = build_tree(am, 4)
-    group_order = {H_TYPE: am.H.order, K_TYPE: am.K.order}
+    group_order = {A_SIDE: am.H.order, B_SIDE: am.K.order}
     for i in tree.vertices[::4]:
         for j in tree.vertices[::6]:
             path = geodesic(tree, i, j)
@@ -444,9 +444,9 @@ def test_ray_stabilizer_values():
     x = BoundaryCode((), (aL, bL))
     stab = ray_stabilizer(am, x)
     z = normal_form(am, [("C", 1)])
-    assert set(stab) == {am.identity_word(), z}
+    assert set(stab) == {ReducedWord((), 0), z}
     assert set(ray_stabilizer(builtin("dihedral"), BoundaryCode((), (aL, bL)))) == \
-        {builtin("dihedral").identity_word()}
+        {ReducedWord((), 0)}
 
 
 @pytest.mark.parametrize("name,order", [
@@ -473,26 +473,22 @@ def test_theorem_check_exhaustion_returns_none():
 ])
 def test_acylindricity_orders(name, expected_orders):
     am = builtin(name)
-    report = check_acylindricity(am, seg_length=2, tree_radius=3)
-    assert report.segments > 0
+    report = check_acylindricity(am, seg_length=2)
+    assert report.tree_radius == 4 and report.segments > 0
     orders = tuple(order for order, _ in report.orders_histogram)
     assert orders == expected_orders
     assert report.max_order <= am.C.order
     total = sum(count for _, count in report.orders_histogram)
     assert total == report.segments
-    with pytest.raises(TreeError, match="^tree radius must be at least the "
-                                        "segment length$"):
-        check_acylindricity(am, seg_length=2, tree_radius=1)
 
 
 @pytest.mark.parametrize("seg_length", [1, 2, 3])
 @pytest.mark.parametrize("name", ["dihedral", "sl2z", "psl2z"])
 def test_acylindricity_walk_matches_pairwise_survey(name, seg_length):
     am = builtin(name)
-    for radius in range(seg_length, seg_length + 3):
-        report = check_acylindricity(am, seg_length, radius)
-        assert (report.segments, report.orders_histogram) == \
-            acylindricity_survey(am, seg_length, radius)
+    report = check_acylindricity(am, seg_length)
+    assert (report.segments, report.orders_histogram) == \
+        acylindricity_survey(am, seg_length, seg_length + 2)
 
 
 def test_acylindricity_walk_matches_pairwise_survey_on_index_4_5_model():
@@ -528,7 +524,7 @@ def test_segment_stabilizer_matches_every_factor_element(name, length):
         starts.add(len(path.vertices[0]) % 2)
         assert stabilizer_of_segment(am, path) == \
             bruteforce.stabilizer_of_segment(am, path)
-    assert starts == {H_TYPE, K_TYPE}
+    assert starts == {A_SIDE, B_SIDE}
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -551,7 +547,7 @@ def test_segment_walk_deaths_are_first_moves(monkeypatch, name, length):
         v0 = path.vertices[0]
         t = invert(am, word_element(am, v0))
         moved = [act_on_vertex(am, t, v) for v in path.vertices]
-        side = A_SIDE if len(v0) % 2 == H_TYPE else B_SIDE
+        side = len(v0) % 2
         reported, found = bruteforce.walk_first_moves(am, side, moved,
                                                       survivors, deaths)
         assert reported == found
@@ -561,9 +557,9 @@ def test_segment_walk_deaths_are_first_moves(monkeypatch, name, length):
 @pytest.mark.parametrize("name", S4_MODELS, ids=lambda name: Path(name).stem)
 def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
     am, _ = load_config(name)
-    report = check_acylindricity(am, seg_length, seg_length + 1)
+    report = check_acylindricity(am, seg_length)
     assert (report.segments, report.orders_histogram) == \
-        acylindricity_survey(am, seg_length, seg_length + 1)
+        acylindricity_survey(am, seg_length, seg_length + 2)
 
 
 @pytest.mark.parametrize("argv,calls", [
@@ -691,9 +687,9 @@ def test_far_end_recheck_alone_refuses_a_whole_factor(monkeypatch, capsys):
     # conjugate fixes the segment's start, so only the re-check at each
     # segment's own far end can refuse it
     def whole_factor(am, moved):
-        side = A_SIDE if len(moved[0]) % 2 == H_TYPE else B_SIDE
+        side = len(moved[0]) % 2
         return tuple(word_of_subgroup_element(am, side, e)
-                     for e in am.side_group(side).elements())
+                     for e in am.groups[side].elements())
 
     monkeypatch.setattr("arbor.tree._base_stabilizer", whole_factor)
     assert main(["check", "--what", "acylindrical", "--seg-length", "2",
@@ -727,7 +723,7 @@ def test_to_dot_is_deterministic_and_wellformed():
     assert dot1.endswith("}\n")
     assert dot1.count("--") == len(tree.vertices) - 1
     assert dot1.count("shape=circle") == sum(
-        1 for i in tree.vertices if len(tree.vertex(i)) % 2 == H_TYPE)
+        1 for i in tree.vertices if len(tree.vertex(i)) % 2 == A_SIDE)
     assert 'v0 [label="", shape=circle];' in dot1
 
 
@@ -736,5 +732,4 @@ def test_word_element_of_vertex_words():
     tree = build_tree(am, 4)
     for v in map(tree.vertex, tree.vertices):
         w = word_element(am, v)
-        assert act_on_vertex(am, w, base_vertex() if len(v) % 2 == H_TYPE
-                             else vertex_from_letters([], K_TYPE)) == v
+        assert act_on_vertex(am, w, vertex_from_letters([], len(v) % 2)) == v
