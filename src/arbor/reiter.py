@@ -15,7 +15,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .groups import Amalgam, VerificationError
 from .lp import solve_lp
-from .tree import OverBudget, ball_bits, ball_size, refuse_over
+from .tree import ball_bits, ball_size, refuse_over
 
 
 class WindowEscape(ValueError):
@@ -101,23 +101,6 @@ class SchreierWindow(NamedTuple):
         return self.edge_maps[gen_index].get(v)
 
 
-def reiter_deviation(p: ProbVector, gens: Sequence, apply: Callable, x
-                     ) -> Fraction:
-    """max over s in gens of the l1 gap between p pushed at x and at s·x.
-
-    apply(g, y) is the action: window.image for a table, or
-    partial(act_on_boundary, am) on ends.  None means y left the window;
-    pushforward then raises WindowEscape, also when s·x itself left it.
-    """
-    px = p.pushforward(lambda g: apply(g, x))
-    worst = Fraction(0)
-    for s in gens:
-        sx = apply(s, x)
-        psx = p.pushforward(lambda g: apply(g, sx))
-        worst = max(worst, l1_distance(px, psx))
-    return worst
-
-
 def _check_radius(radius: int) -> None:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -180,17 +163,15 @@ def free_tree_window(rank: int, radius: int) -> SchreierWindow:
     return SchreierWindow(vertices, gens, maps)
 
 
-def coset_window(am: Amalgam, side: int) -> SchreierWindow:
-    """Left translation on the cosets of C in one factor of the amalgam,
-    numbered as its transversal is.
-
-    Every element of the factor is a generator, so image(g, x) is g·x.
-    """
+def coset_window(am: Amalgam, side: int, gens: Sequence[int]
+                 ) -> SchreierWindow:
+    """Left translation by each generator on the cosets of C in one factor
+    of the amalgam, numbered as its transversal is."""
     group, reps = am.groups[side], am.transversals[side].reps
     vertices = tuple(range(len(reps)))
-    maps = tuple({x: am.rep_idx[side][group.mul(g, reps[x])]
-                  for x in vertices} for g in group.elements())
-    return SchreierWindow(vertices, tuple(group.elements()), maps)
+    maps = tuple({x: am.rep_idx[side][group.mul(s, reps[x])]
+                  for x in vertices} for s in gens)
+    return SchreierWindow(vertices, tuple(gens), maps)
 
 
 def check_window_size(rank: int, radius: int, vertex_cap: int) -> None:
@@ -405,12 +386,13 @@ def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
 
 def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
                              eps: Fraction) -> ReiterCertificate:
-    """The uniform vector on a finite factor beats every epsilon at every
-    coset of C.
+    """The uniform vector on the cosets of C in a finite factor beats every
+    epsilon: C is co-amenable there.
 
-    Validates eps > 0 and the generator range, then certifies the deviation,
-    which is exactly zero simultaneously for all base points; a deviation
-    not strictly below eps fails the certificate's re-check.
+    Validates eps > 0 and the generator range, then takes each generator's
+    deviation on the coset window, which is exactly zero since a generator
+    permutes the cosets; a deviation not strictly below eps fails the
+    certificate's re-check.
     """
     group = am.groups[side]
     eps = Fraction(eps)
@@ -419,14 +401,13 @@ def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],
     for s in gens:
         if not (0 <= s < group.order):
             raise ValueError(f"generator {s} outside the group")
-    window = coset_window(am, side)
-    p = ProbVector.uniform(list(group.elements()))
-    per = tuple((s, max(reiter_deviation(p, [s], window.image, x)
-                        for x in window.vertices)) for s in gens)
-    worst = max((dev for _, dev in per), default=Fraction(0))
+    window = coset_window(am, side, gens)
+    u = ProbVector.uniform(window.vertices)
+    per_gen = tuple(zip(window.gens, _window_deviations(window, u)))
+    worst = max((dev for _, dev in per_gen), default=Fraction(0))
     if worst >= eps:
         raise VerificationError("certificate bound is not strict")
-    return ReiterCertificate(p, tuple(gens), eps, worst, per)
+    return ReiterCertificate(u, window.gens, eps, worst, per_gen)
 
 
 # --- deviation tensors and threshold extraction -----------------------------

@@ -773,11 +773,37 @@ def test_wrong_edge_stabilizer_exits_3(monkeypatch, capsys, argv, plant,
 
 def test_unstrict_group_certificate_exits_3(monkeypatch, capsys):
     # a deviation of 1/2 on a finite factor, where the uniform vector has 0
-    monkeypatch.setattr("arbor.reiter.reiter_deviation",
-                        lambda p, gens, apply, x: Fraction(1, 2))
+    monkeypatch.setattr("arbor.reiter._window_deviations",
+                        lambda window, p: [Fraction(1, 2)] * len(window.gens))
     rc, out, err = run(capsys, ["reiter", "--window", "group"])
     assert (rc, out) == (3, "")
     assert err == "internal error: certificate bound is not strict\n"
+
+
+def test_group_certificate_pushes_once_per_generator(monkeypatch, capsys,
+                                                     tmp_path):
+    # C64 *_{C1} C2: the uniform vector on the 64 cosets of C1 is pushed
+    # forward once by each of the 63 generators, not once per coset and
+    # generator
+    doc = copy.deepcopy(LINE)
+    doc["model"]["h"] = {"cyclic": 64}
+    path = tmp_path / "c64.json"
+    path.write_text(json.dumps(doc))
+    pushes = []
+    push = reiter.ProbVector.pushforward
+
+    def counted(p, f):
+        pushes.append(len(p.support))
+        return push(p, f)
+
+    monkeypatch.setattr(reiter.ProbVector, "pushforward", counted)
+    rc, out, err = run(capsys, ["reiter", "--window", "group", "--side", "h",
+                                "--config", str(path)])
+    assert (rc, err) == (0, "")
+    assert pushes == [64] * 63
+    report = json.loads(out)
+    assert report["max_deviation"] == "0"
+    assert [d for _, d in report["per_gen"]] == ["0"] * 63
 
 
 def test_reiter_value_mismatch_exits_3(monkeypatch, capsys):

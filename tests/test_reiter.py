@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -9,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbor.codes import parse_code
-from arbor.groups import B_SIDE, ReducedWord, normal_form
+from arbor.groups import B_SIDE, normal_form
 from arbor.reiter import (
     GRID_VECTOR_CAP,
     DeviationTensor,
-    OverBudget,
     ProbVector,
     WindowEscape,
     cfw_extract,
@@ -29,14 +27,13 @@ from arbor.reiter import (
     integer_window,
     l1_distance,
     monotone_tensor,
-    reiter_deviation,
     reiter_lp,
     tensor_from_json,
     verify_cfw,
     _numerators,
     _window_deviations,
 )
-from arbor.tree import act_on_boundary, ball_size
+from arbor.tree import OverBudget, ball_size
 
 from bruteforce import (boundary_product_tensor, builtin, interior,
                         tensor_to_json)
@@ -69,17 +66,6 @@ def test_pushforward_merges_and_escapes():
     with pytest.raises(WindowEscape) as err:
         p.pushforward(lambda v: None if v == 3 else v)
     assert "3" in str(err.value)
-
-
-def test_integer_uniform_deviation():
-    w = integer_window(20, tuple(range(-9, 10)))
-    act = lambda g, y: w.image(w.gens.index(g), y)
-    p = ProbVector.uniform(list(range(10)))
-    assert reiter_deviation(p, [1], act, 0) == Fraction(2, 10)
-    assert reiter_deviation(p, [1, -1], act, 0) == Fraction(1, 5)
-    # pushing from the rim falls off the window
-    with pytest.raises(WindowEscape):
-        reiter_deviation(p, [1], act, 12)
 
 
 def test_integer_window_interior():
@@ -208,26 +194,14 @@ def test_lp_optimum_monotone_in_support():
     assert small >= large
 
 
-def test_boundary_action_deviation():
-    am = builtin("sl2z")
-    act = partial(act_on_boundary, am)
-    x = parse_code(am, "prefix=;cycle=a,b")
-    e = ReducedWord((), 0)
-    z = normal_form(am, [("C", 1)])
-    a = normal_form(am, [("H", "a")])
-    p = ProbVector.uniform([e, z])
-    # e and z both fix every end, so p lands as a point mass everywhere
-    assert reiter_deviation(p, [z], act, x) == 0
-    # a moves this end, so the translated mass is disjoint
-    assert reiter_deviation(p, [a], act, x) == 2
-
-
 def test_coset_action_table():
     # sl2z's K side: C6, with C2 embedded at {0, 3}
-    act = coset_window(builtin("sl2z"), B_SIDE)
+    act = coset_window(builtin("sl2z"), B_SIDE, [1, 3, 1])
     assert list(act.vertices) == [0, 1, 2]
-    assert [act.image(1, x) for x in act.vertices] == [1, 2, 0]
-    assert [act.image(3, x) for x in act.vertices] == [0, 1, 2]
+    assert act.gens == (1, 3, 1)
+    assert [act.image(0, x) for x in act.vertices] == [1, 2, 0]
+    assert [act.image(1, x) for x in act.vertices] == [0, 1, 2]
+    assert act.edge_maps[2] == act.edge_maps[0]
 
 
 def test_uniform_vector_is_coamenability_certificate():
@@ -235,7 +209,8 @@ def test_uniform_vector_is_coamenability_certificate():
     cert = check_uniform_coamenable(am, B_SIDE, [1, 5], Fraction(1, 100))
     assert cert.max_deviation == 0
     assert cert.epsilon == Fraction(1, 100)
-    assert cert.p == ProbVector.uniform(list(range(6)))
+    assert cert.p == ProbVector.uniform([0, 1, 2])  # uniform on the cosets
+    assert cert.gens == (1, 5)
     assert all(dev == 0 for _, dev in cert.per_gen)
     with pytest.raises(ValueError):
         check_uniform_coamenable(am, B_SIDE, [1], Fraction(0))
