@@ -10,11 +10,11 @@ positive answer is returned with a verified group-element witness.
 """
 from __future__ import annotations
 
-from functools import cmp_to_key
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .codes import BoundaryCode, compare_words, format_code, parse_code
+from .codes import BoundaryCode, format_code, parse_code
 from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                      VerificationError, invert, multiply,
                      word_of_subgroup_element, word_to_str, word_from_str)
@@ -247,8 +247,15 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
                     code = BoundaryCode(prefix, cycle)
                     if code.prefix == prefix and code.cycle == cycle:
                         found.add(code)
-    points = sorted(found, key=cmp_to_key(compare_words))
-    return SampleSpace(p_max, q_max, tuple(points))
+    # Past the longer prefix two points are periodic with periods of at most
+    # q_max, and periodic words that agree for p + q - gcd(p, q) letters
+    # agree forever (Fine and Wilf), so distinct points differ within the
+    # key's letters and the key order is the order of their sequences.
+    keyed = sorted(((x.letters(p_max + 2 * q_max), x) for x in found),
+                   key=itemgetter(0))
+    if any(a >= b for (a, _), (b, _) in zip(keyed, keyed[1:])):
+        raise VerificationError("two sample points share their sort key")
+    return SampleSpace(p_max, q_max, tuple(x for _, x in keyed))
 
 
 # Relations times sample points in a witness chain.  On one core, sl2z's 8
@@ -309,7 +316,8 @@ def hyperfiniteness_witness(am: Amalgam, sample: SampleSpace,
     if stabilized_at is None:
         return WitnessChain(sample.points, chain, target, None, (),
                             shift_codes)
-    certs = tuple(check_theorem_A(am, x) for x in sample.points)
+    memo: dict = {}
+    certs = tuple(check_theorem_A(am, x, memo=memo) for x in sample.points)
     return WitnessChain(sample.points, chain, target, stabilized_at, certs,
                         shift_codes)
 

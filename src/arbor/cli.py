@@ -206,10 +206,11 @@ def cmd_check(am: Amalgam, args) -> int:
         }, args)
         return 0 if ok else 1
     codes = _sample_codes(am, args)
+    memo: dict = {}  # one per request: walked prefixes checked once
     if args.what == "stabilizers":
         rows = []
         for x in codes:
-            words = ray_stabilizer(am, x)
+            words = ray_stabilizer(am, x, memo)
             rows.append({
                 "code": format_code(am, x),
                 "order": len(words),
@@ -220,7 +221,7 @@ def cmd_check(am: Amalgam, args) -> int:
     rows = []
     all_certified = True
     for x in codes:
-        cert = check_theorem_A(am, x, args.max_len)
+        cert = check_theorem_A(am, x, args.max_len, memo)
         if cert is None:
             all_certified = False
             rows.append({"code": format_code(am, x), "certified": False})

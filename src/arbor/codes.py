@@ -60,8 +60,11 @@ class PeriodicWord:
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def letters(self, n: int) -> tuple[Letter, ...]:
-        """The first n letters of the sequence."""
-        return tuple(self.letter_at(i) for i in range(n))
+        """The first n letters of the sequence, sliced from the prefix and
+        enough cycles to reach past n."""
+        if n <= 0:
+            return ()
+        return (self.prefix + self.cycle * (n // len(self.cycle) + 1))[:n]
 
     def shift(self, k: int = 1) -> "PeriodicWord":
         """Drop the first k letters."""
@@ -105,8 +108,7 @@ class BoundaryCode(PeriodicWord):
     def _validate(self) -> None:
         if len(self.cycle) % 2 == 1:
             raise CodeError("cycle must alternate sides, which forces even length")
-        for i in range(len(self.prefix) + len(self.cycle)):
-            letter = self.letter_at(i)
+        for i, letter in enumerate(self.prefix + self.cycle):
             if letter.side != i % 2:
                 raise CodeError(
                     f"position {i} must lie on side {i % 2}; letters alternate "

@@ -35,18 +35,7 @@ class ProbVector:
     """A finitely supported rational probability vector over hashable labels."""
 
     def __init__(self, weights: Iterable[tuple[object, Fraction]]) -> None:
-        self._w: dict = {}
-        total = Fraction(0)
-        for label, q in weights:
-            q = Fraction(q)
-            if q < 0:
-                raise ValueError(f"negative weight at {label!r}")
-            if q == 0:
-                continue
-            self._w[label] = self._w.get(label, Fraction(0)) + q
-            total += q
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        self._w = _summed((label, Fraction(q)) for label, q in weights)
 
     @classmethod
     def uniform(cls, labels: Sequence) -> "ProbVector":
@@ -73,14 +62,36 @@ class ProbVector:
         return f"ProbVector({{{inner}}})"
 
     def pushforward(self, f: Callable) -> "ProbVector":
-        """Image measure under f; f returning None means mass escapes."""
-        out: dict = {}
-        for label, q in self._w.items():
+        """Image measure under f; f returning None means mass escapes.  The
+        image is summed once, from weights that are already Fractions."""
+        def image(label):
             target = f(label)
             if target is None:
                 raise WindowEscape(f"mass escapes at element {label!r}")
-            out[target] = out.get(target, Fraction(0)) + q
-        return ProbVector(out.items())
+            return target
+
+        out = ProbVector.__new__(ProbVector)
+        out._w = _summed((image(label), q) for label, q in self._w.items())
+        return out
+
+
+def _summed(weights: Iterable[tuple[object, Fraction]]) -> dict:
+    """Fraction weights summed per label, in first-seen label order and with
+    zero weights left out; one pass that refuses a negative weight and a
+    total other than 1."""
+    out: dict = {}
+    total = Fraction(0)
+    for label, q in weights:
+        if q < 0:
+            raise ValueError(f"negative weight at {label!r}")
+        if q == 0:
+            continue
+        seen = out.get(label)
+        out[label] = q if seen is None else seen + q
+        total += q
+    if total != 1:
+        raise ValueError(f"weights sum to {total}, not 1")
+    return out
 
 
 def l1_distance(p: ProbVector, q: ProbVector) -> Fraction:

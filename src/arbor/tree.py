@@ -235,7 +235,8 @@ def code_truncate(x: BoundaryCode, n: int) -> GeodesicPath:
     """The first n steps of the ray from the base vertex toward the end x."""
     if n < 0:
         raise TreeError("truncation length must be nonnegative")
-    return GeodesicPath(tuple(x.letters(k) for k in range(n + 1)))
+    word = x.letters(n)
+    return GeodesicPath(tuple(word[:k] for k in range(n + 1)))
 
 
 def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCode:
@@ -250,14 +251,17 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     element; states (cycle position, carry) repeat within |cycle|*|C| steps,
     which yields the new cycle.
     """
+    prefix, cycle = x.prefix, x.cycle
+    tail, period = len(prefix), len(cycle)
     letters = list(g.letters)
     carry = g.carry
     i = 0
     while True:
-        if i > len(g.letters) + len(x.prefix) + 2 * len(x.cycle) + 4:
+        if i > len(g.letters) + tail + 2 * period + 4:
             raise VerificationError("junction phase failed to stabilize")
         before, saved = len(letters), carry
-        carry = feed(am, letters, carry, x.letter_at(i))
+        carry = feed(am, letters, carry,
+                     prefix[i] if i < tail else cycle[(i - tail) % period])
         if len(letters) > before:  # a step appended one letter: take it back
             letters.pop()
             carry = saved
@@ -271,15 +275,17 @@ def act_on_boundary(am: Amalgam, g: ReducedWord, x: BoundaryCode) -> BoundaryCod
     cycle_letters: Optional[tuple[Letter, ...]] = None
     j = i
     while True:
-        if j >= len(x.prefix):
-            state = ((j - len(x.prefix)) % len(x.cycle), carry)
+        if j >= tail:
+            state = ((j - tail) % period, carry)
             if state in seen:
                 cycle_letters = tuple(emitted[seen[state]:])
                 break
             seen[state] = len(emitted)
-        if len(emitted) > len(x.prefix) + len(x.cycle) * am.C.order + 4:
+            letter = cycle[state[0]]
+        else:
+            letter = prefix[j]
+        if len(emitted) > tail + period * am.C.order + 4:
             raise VerificationError("carry phase failed to cycle")
-        letter = x.letter_at(j)
         rep_idx, carry = steps[letter.side][carry][letter.rep]
         emitted.append(alphabet[letter.side][rep_idx])
         j += 1
@@ -333,11 +339,11 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
     the bound.
     """
     if isinstance(path, BoundaryCode):
-        letter_at, bound, tail = path.letter_at, lockstep_bound(am, path), \
-            len(path.prefix)
+        prefix, cycle, bound = path.prefix, path.cycle, lockstep_bound(am, path)
     else:  # a finite sequence reaches its bound before any cycle position
-        letter_at, bound, tail = path.__getitem__, len(path), len(path)
-    letter = letter_at(0)
+        prefix, cycle, bound = path, (), len(path)
+    tail = len(prefix)
+    letter = prefix[0] if tail else cycle[0]
     side = letter.side
     grp, head = am.groups[side], am.transversals[side].reps[letter.rep]
     moved = [((am.rep_idx[side][u], am.carry[side][u]), e)  # u = e·head
@@ -358,12 +364,14 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
         if len(survivors) == 1 or j >= bound:
             break
         if j >= tail:
-            state = ((j - tail) % len(path.cycle),
+            state = ((j - tail) % len(cycle),
                      frozenset(c for c, _ in survivors))
             if state in seen:
                 break
             seen.add(state)
-        letter = letter_at(j)
+            letter = cycle[state[0]]
+        else:
+            letter = prefix[j]
         rows, rep = am.steps[letter.side], letter.rep
         moved = [(rows[c][rep], e) for c, e in survivors]
     return tuple(emitted), survivors, deaths
@@ -518,14 +526,23 @@ class TheoremStyleCertificate(NamedTuple):
         return len(self.elements)
 
 
-def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
+# What check_theorem_A keeps for the rays of one amalgam: for each walked
+# prefix, the elements that survive it in walk order and their sorted words.
+RayMemo = dict[tuple[Letter, ...], tuple[tuple[int, ...],
+                                          tuple[ReducedWord, ...]]]
+
+
+def ray_stabilizer(am: Amalgam, x: BoundaryCode,
+                   memo: Optional[RayMemo] = None) -> tuple[ReducedWord, ...]:
     """Elements of the base vertex group fixing the end x: those of its
     theorem-A certificate."""
-    return check_theorem_A(am, x).elements
+    return check_theorem_A(am, x, memo=memo).elements
 
 
 def check_theorem_A(am: Amalgam, x: BoundaryCode,
-                    max_len: Optional[int] = None) -> Optional[TheoremStyleCertificate]:
+                    max_len: Optional[int] = None,
+                    memo: Optional[RayMemo] = None
+                    ) -> Optional[TheoremStyleCertificate]:
     """Least n with Stab(first n steps of the ray) equal to Stab(the end).
 
     Base-rooted rays only: both stabilizers lie inside H, and one lockstep
@@ -540,17 +557,37 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     every other element of H moves the first n steps, and that the element
     that dies at n fixes n - 1 steps but not n (for n = 1, that the first
     edge has a stabilizer smaller than H).
+
+    The survivors after k letters are the elements of H that fix the first
+    k steps, and none dies after sigma, so two rays that share their first
+    sigma letters give _check_complete the same path, survivors and deaths.
+    A memo, keyed on those letters, holds the survivors and their sorted
+    words once the check has passed for them; a ray that finds its prefix
+    there must have walked to the same survivors, and each word is still
+    re-applied to its own end.  Without a memo nothing is kept.
     """
     if max_len is not None and max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
     _, survivors, deaths = lockstep(am, x, False)
     sigma = max(deaths, default=(0, None))[0]
-    words = tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
-                          for _, e in survivors), key=ReducedWord.sort_key))
+    alive = tuple(e for _, e in survivors)
+    key = x.letters(sigma)
+    kept = None if memo is None else memo.get(key)
+    if kept is not None:
+        if kept[0] != alive:
+            raise VerificationError("the ray's walk keeps other elements than "
+                                    "a walk along the same prefix")
+        words = kept[1]
+    else:
+        words = tuple(sorted((word_of_subgroup_element(am, A_SIDE, e)
+                              for e in alive), key=ReducedWord.sort_key))
     if any(act_on_boundary(am, h, x) != x for h in words):
         raise VerificationError("ray stabilizer element fails to fix the end")
-    _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices, survivors,
-                    deaths)
+    if kept is None:
+        _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices,
+                        survivors, deaths)
+        if memo is not None:
+            memo[key] = alive, words
     if max_len is not None and sigma > max_len:
         return None
     return TheoremStyleCertificate(sigma, words)

@@ -1,6 +1,7 @@
 """Relations on finite samples, witness chains, and orbit equivalence."""
 import json
 import random
+from functools import cmp_to_key
 from itertools import product
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from arbor.cli import load_config
 from arbor.codes import BoundaryCode, compare_words
 from arbor.groups import (A_SIDE, B_SIDE, Letter, VerificationError,
                           invert, multiply, word_of_subgroup_element)
-from arbor.tree import OverBudget, act_on_boundary, lockstep, word_element
+from arbor.tree import (OverBudget, act_on_boundary, check_theorem_A,
+                        lockstep, word_element)
 
 from bruteforce import (BUILTIN_NAMES, builtin, orbit_min,
                         pairwise_witness_table, tail_equivalent, word_search)
@@ -27,6 +29,9 @@ aL = Letter(A_SIDE, 1)
 bL = Letter(B_SIDE, 1)
 b2L = Letter(B_SIDE, 2)
 eL = Letter(A_SIDE, 0)
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "perfbench" / "fixtures"
 
 
 def small_er():
@@ -158,6 +163,27 @@ def test_sample_space_dihedral_is_both_ends():
                             BoundaryCode((), (aL, bL)))
 
 
+@pytest.mark.parametrize("name,p_max,q_max", [
+    ("sl2z", 2, 8), ("psl2z", 2, 8), ("dihedral", 2, 8),
+    (str(FIXTURES / "s4_c3_s3.json"), 2, 8),
+    (str(FIXTURES / "c12_c3_c15.json"), 2, 4),
+    (str(HERE / "models" / "s4_s3_s4.json"), 1, 4),
+    (str(HERE / "models" / "z2wr4_z2e4.json"), 2, 6),
+], ids=lambda v: Path(str(v)).stem)
+def test_sample_key_order_and_shared_ray_memo(name, p_max, q_max):
+    # the sort key gives the sequence order of compare_words, and theorem-A
+    # certificates that share one memo across the sample are the fresh ones,
+    # with one memo entry per walked prefix
+    am = builtin(name)
+    points = build_sample_space(am, p_max, q_max).points
+    assert list(points) == sorted(points, key=cmp_to_key(compare_words))
+    memo: dict = {}
+    shared = [check_theorem_A(am, x, memo=memo) for x in points]
+    assert shared == [check_theorem_A(am, x) for x in points]
+    assert set(memo) == {x.letters(cert.sigma_length)
+                         for x, cert in zip(points, shared)}
+
+
 def test_sample_space_sizes():
     assert len(build_sample_space(builtin("sl2z"), 1, 4).points) == 8
     assert len(build_sample_space(builtin("psl2z"), 1, 4).points) == 8
@@ -174,9 +200,6 @@ def _enumerated_candidates(am, p_max, q_max):
             sizes += [pools[(p_len + j) % 2] for j in range(c_len)]
             total += sum(1 for _ in product(*(range(n) for n in sizes)))
     return total
-
-
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def test_sample_space_size_counts_the_enumeration():

@@ -14,6 +14,7 @@ import pytest
 
 from arbor import cber, cli, groups, reiter, tree
 from arbor.cli import ConfigError, load_config, main
+from arbor.codes import PeriodicWord
 from arbor.groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
                           VerificationError)
 from arbor.lp import LpSolution
@@ -543,6 +544,55 @@ def test_dropped_stabilizer_element_exits_3(monkeypatch, capsys, what):
                                 "--codes", ORDER_3])
     assert (rc, out, err) == (3, "", "internal error: "
                               f"{edge_stabilizer_size(3)}\n")
+
+
+def stale_survivors(am, alive):
+    """The identity alone, where the walk keeps three elements."""
+    return (0,), ()
+
+
+def stale_words(am, alive):
+    """The walk's own survivors, with the words of as many elements that
+    move the end."""
+    moving = [e for e in range(am.groups[A_SIDE].order) if e not in alive]
+    return alive, tuple(groups.word_of_subgroup_element(am, A_SIDE, e)
+                        for e in moving[:len(alive)])
+
+
+@pytest.mark.parametrize("what", ["stabilizers", "theorem-a"])
+@pytest.mark.parametrize("entry,message", [
+    (stale_survivors, "the ray's walk keeps other elements than a walk "
+     "along the same prefix"),
+    (stale_words, FAILS_END),
+], ids=["survivors", "words"])
+def test_stale_ray_memo_entry_exits_3(monkeypatch, capsys, what, entry,
+                                      message):
+    # the request's memo holds a planted entry under the ray's own walked
+    # prefix: a ray that finds it compares its survivors with its own walk
+    # and still re-applies each word to its own end
+    certify = tree.check_theorem_A
+
+    def stale(am, x, max_len=None, memo=None):
+        alive = tuple(e for _, e in tree.lockstep(am, x, False)[1])
+        memo[x.letters(certify(am, x).sigma_length)] = entry(am, alive)
+        return certify(am, x, max_len, memo)
+
+    monkeypatch.setattr("arbor.tree.check_theorem_A", stale)
+    monkeypatch.setattr("arbor.cli.check_theorem_A", stale)
+    rc, out, err = run(capsys, ["check", "--what", what, "--config", S4,
+                                "--codes", ORDER_3])
+    assert (rc, out, err) == (3, "", f"internal error: {message}\n")
+
+
+def test_tied_sample_keys_exit_3(monkeypatch, capsys):
+    # every code read as its first letter alone: distinct sample points
+    # share their sort key
+    letters = PeriodicWord.letters
+    monkeypatch.setattr(PeriodicWord, "letters",
+                        lambda self, n: letters(self, min(n, 1)))
+    rc, out, err = run(capsys, ["witness", "--config", S4])
+    assert (rc, out, err) == (3, "", "internal error: two sample points "
+                              "share their sort key\n")
 
 
 def test_failed_orbit_code_recheck_exits_3(monkeypatch, capsys):

@@ -43,6 +43,13 @@ def test_letter_at_and_letters():
         w.letter_at(-1)
 
 
+@pytest.mark.parametrize("n", [-3, 0, 2, 3, 4, 11])
+def test_letters_are_the_letters_at_each_position(n):
+    # before, at and inside the prefix, and several cycles past it
+    w = PeriodicWord((eL, bL, aL), (b2L, aL))
+    assert w.letters(n) == tuple(w.letter_at(i) for i in range(n))
+
+
 def test_shift_matches_sequence_drop():
     w = PeriodicWord((eL, bL, aL), (b2L, aL))
     for k in range(8):

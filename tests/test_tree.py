@@ -567,9 +567,9 @@ def test_acylindricity_survey_matches_on_s4_models(name, seg_length):
       str(FIXTURES / "c12_c3_c15.json")], 13_848),
     (["acylindrical", "--seg-length", "2", "--config", S4_MODELS[1]], 1_666),
     (["theorem-a", "--p-max", "2", "--q-max", "4", "--config",
-      S4_MODELS[0]], 1_944),
+      S4_MODELS[0]], 504),
     (["stabilizers", "--p-max", "2", "--q-max", "4", "--config",
-      S4_MODELS[0]], 1_944),
+      S4_MODELS[0]], 504),
 ], ids=["c12-length-3", "s4_s3_s4-length-2", "s4-theorem-a",
         "s4-stabilizers"])
 def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
@@ -580,10 +580,10 @@ def test_survey_vertex_actions(monkeypatch, capsys, argv, calls):
     # per survey: the first edge's |C| stabilizer elements each applied to
     # the second vertex, and one action per later death (on the vertex at
     # its position, whose image's parent must be the vertex before it).  A
-    # ray: the first edge and later deaths as for a type, and nothing more,
-    # since its survivors are re-applied to the end by act_on_boundary;
-    # theorem-A certificates and ray stabilizers are one certificate, so they
-    # cost the same
+    # walked ray prefix, once per request: the first edge and later deaths as
+    # for a type, and nothing more, since each ray's survivors are re-applied
+    # to its end by act_on_boundary; theorem-A certificates and ray
+    # stabilizers are one certificate, so they cost the same
     count = [0]
 
     def counted(*args):
