@@ -15,9 +15,9 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .codes import BoundaryCode, format_code, parse_code
-from .groups import (A_SIDE, B_SIDE, Amalgam, Letter, ReducedWord,
-                     VerificationError, invert, multiply,
-                     word_of_subgroup_element, word_to_str, word_from_str)
+from .groups import (A_SIDE, Amalgam, ReducedWord, VerificationError,
+                     invert, multiply, word_of_subgroup_element, word_to_str,
+                     word_from_str)
 from .tree import (act_on_boundary, ball_bits, ball_size, check_theorem_A,
                    geometric, lockstep, lockstep_bound, refuse_over,
                    TheoremStyleCertificate, word_element)
@@ -65,7 +65,7 @@ def refines(fine: Partition, coarse: Partition) -> bool:
 
 def _orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
     """The least translate of x under the base vertex group, and the first
-    element in H.elements() order that gives it.
+    element in index order that gives it.
 
     Base-rooted codes in one orbit differ exactly by elements fixing the base
     vertex, so this minimum is a complete orbit invariant for equal codes and
@@ -229,19 +229,13 @@ def build_sample_space(am: Amalgam, p_max: int, q_max: int) -> SampleSpace:
                 lambda: sample_space_size(am, p_max, q_max) * (p_max + q_max),
                 space + " spell up to {count} letters in its candidate codes, "
                 "over the cap of {cap}; lower the prefix or cycle cap")
-    pools = {A_SIDE: [Letter(A_SIDE, r) for r in range(1, am.A.index)],
-             B_SIDE: [Letter(B_SIDE, r) for r in range(1, am.B.index)]}
     found = set()
     for p_len in range(p_max + 1):
+        # as in build_tree: only the first letter may be trivial
+        prefix_pools = [am.alphabet[pos % 2][pos > 0:] for pos in range(p_len)]
         for c_len in range(2, q_max + 1, 2):
-            prefix_pools = []
-            for pos in range(p_len):
-                side = pos % 2
-                choices = list(pools[side])
-                if pos == 0:
-                    choices = [Letter(A_SIDE, 0)] + choices
-                prefix_pools.append(choices)
-            cycle_pools = [pools[(p_len + j) % 2] for j in range(c_len)]
+            cycle_pools = [am.alphabet[(p_len + j) % 2][1:]
+                           for j in range(c_len)]
             for prefix in iproduct(*prefix_pools):
                 for cycle in iproduct(*cycle_pools):
                     code = BoundaryCode(prefix, cycle)

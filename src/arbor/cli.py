@@ -317,7 +317,7 @@ def _reiter_window(args):
 
 def _group_gens(group, spec: Optional[str]) -> list:
     if spec is None:
-        return [g for g in group.elements() if g != 0]
+        return list(range(1, group.order))
     return [group.index_of_name(part.strip()) for part in spec.split(",")]
 
 
@@ -391,7 +391,7 @@ def cmd_reiter(am: Amalgam, args) -> int:
             "side": args.side,
             "epsilon": format_fraction(cert.epsilon),
             "max_deviation": format_fraction(cert.max_deviation),
-            "per_gen": [[group.name(s), format_fraction(d)]
+            "per_gen": [[group.names[s], format_fraction(d)]
                         for s, d in cert.per_gen],
             "ok": True,
         }, args)

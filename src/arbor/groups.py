@@ -43,18 +43,6 @@ class FiniteGroup(NamedTuple):
     inv_table: tuple[int, ...]
     names: tuple[str, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inv_table[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def name(self, a: int) -> str:
-        return self.names[a]
-
     def index_of_name(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -351,7 +339,8 @@ class Amalgam:
 
     def letter_name(self, letter: Letter) -> str:
         side = letter.side
-        return self.groups[side].name(self.transversals[side].reps[letter.rep])
+        return self.groups[side].names[
+            self.transversals[side].reps[letter.rep]]
 
 
 def _factor(group: FiniteGroup, images: tuple[int, ...]
@@ -365,11 +354,11 @@ def _factor(group: FiniteGroup, images: tuple[int, ...]
     reps: list[int] = []
     rep_idx = [-1] * group.order
     carry = [-1] * group.order
-    for g in group.elements():
+    for g, row in enumerate(group.mul_table):
         if rep_idx[g] >= 0:
             continue
         for c, img in enumerate(images):
-            u = group.mul(g, img)
+            u = row[img]
             if rep_idx[u] >= 0:
                 raise GroupError("coset factorization is not unique")
             rep_idx[u] = len(reps)
@@ -395,9 +384,10 @@ def make_amalgam(H: FiniteGroup, K: FiniteGroup, C: FiniteGroup,
             raise GroupError("image out of range")
         if images[0] != 0:
             raise GroupError("homomorphism must send identity to identity")
-        for a in C.elements():
-            for b in C.elements():
-                if images[C.mul(a, b)] != target.mul(images[a], images[b]):
+        for a, row in enumerate(C.mul_table):
+            image_row = target.mul_table[images[a]]
+            for b, ab in enumerate(row):
+                if images[ab] != image_row[images[b]]:
                     raise GroupError(f"not a homomorphism at ({a},{b})")
         if len(set(images)) != C.order:
             raise GroupError("embedding is not injective")
@@ -482,17 +472,17 @@ def multiply(am: Amalgam, u: ReducedWord, v: ReducedWord) -> ReducedWord:
     carry = u.carry
     for letter in v.letters:
         carry = feed(am, letters, carry, letter)
-    carry = am.C.mul(carry, v.carry)
+    carry = am.C.mul_table[carry][v.carry]
     return ReducedWord(tuple(letters), carry)
 
 
 def invert(am: Amalgam, u: ReducedWord) -> ReducedWord:
     """Inverse of a normal form, in normal form."""
     letters: list[Letter] = []
-    carry = am.C.inv(u.carry)
+    carry = am.C.inv_table[u.carry]
     for side, rep in reversed(u.letters):
-        carry = absorb(am, letters, carry, side, am.groups[side].inv(
-            am.transversals[side].reps[rep]))
+        carry = absorb(am, letters, carry, side, am.groups[side].inv_table[
+            am.transversals[side].reps[rep]])
     return ReducedWord(tuple(letters), carry)
 
 
@@ -507,14 +497,14 @@ def word_to_str(am: Amalgam, w: ReducedWord) -> str:
     """Display form: letter names joined by '*', with a trailing carry name."""
     parts = [am.letter_name(letter) for letter in w.letters]
     if w.carry != 0:
-        parts.append(am.C.name(w.carry))
-    return "*".join(parts) if parts else am.C.name(0)
+        parts.append(am.C.names[w.carry])
+    return "*".join(parts) if parts else am.C.names[0]
 
 
 def word_from_str(am: Amalgam, s: str) -> ReducedWord:
     """Parse the display form back; names resolve by side with ambiguity errors."""
     s = s.strip()
-    if not s or s == am.C.name(0):
+    if not s or s == am.C.names[0]:
         return ReducedWord((), 0)
     syllables: list[RawSyllable] = []
     for tok in s.split("*"):

@@ -22,10 +22,6 @@ class WindowEscape(ValueError):
     """Raised when mass would leave the finite window."""
 
 
-def parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
-
-
 def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
         else str(q.numerator)
@@ -108,9 +104,6 @@ class SchreierWindow(NamedTuple):
     gens: tuple
     edge_maps: tuple  # one dict per generator, possibly partial
 
-    def image(self, gen_index: int, v):
-        return self.edge_maps[gen_index].get(v)
-
 
 def _check_radius(radius: int) -> None:
     if radius < 0:
@@ -180,7 +173,7 @@ def coset_window(am: Amalgam, side: int, gens: Sequence[int]
     of the amalgam, numbered as its transversal is."""
     group, reps = am.groups[side], am.transversals[side].reps
     vertices = tuple(range(len(reps)))
-    maps = tuple({x: am.rep_idx[side][group.mul(s, reps[x])]
+    maps = tuple({x: am.rep_idx[side][group.mul_table[s][reps[x]]]
                   for x in vertices} for s in gens)
     return SchreierWindow(vertices, tuple(gens), maps)
 
@@ -241,21 +234,20 @@ def reiter_lp(window: SchreierWindow, support: Sequence,
     if not support:
         raise WindowEscape("empty support: the window has no interior")
     sup_index = {v: k for k, v in enumerate(support)}
-    for gi in range(len(window.gens)):
+    for s, m in zip(window.gens, window.edge_maps):
         for v in support:
-            if window.image(gi, v) is None:
+            if m.get(v) is None:
                 raise WindowEscape(
                     f"support vertex {v!r} escapes under generator "
-                    f"{window.gens[gi]!r}; shrink the support or grow the window")
+                    f"{s!r}; shrink the support or grow the window")
 
     # variables: p_0..p_{k-1}, then d_{s,w} blocks, then t
     nsup = len(support)
     d_index: dict[tuple[int, object], int] = {}
     doms: list[list] = []
     pos = nsup
-    for gi in range(len(window.gens)):
-        dom = sorted({w for v in support for w in (v, window.image(gi, v))},
-                     key=repr)
+    for gi, m in enumerate(window.edge_maps):
+        dom = sorted({w for v in support for w in (v, m[v])}, key=repr)
         doms.append(dom)
         for w in dom:
             d_index[(gi, w)] = pos
@@ -271,13 +263,13 @@ def reiter_lp(window: SchreierWindow, support: Sequence,
 
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
-    for gi in range(len(window.gens)):
+    for gi, m in enumerate(window.edge_maps):
         for w in doms[gi]:
             row = [Fraction(0)] * nvars
             if w in sup_index:
                 row[sup_index[w]] += 1
             for v in support:
-                if window.image(gi, v) == w:
+                if m[v] == w:
                     row[sup_index[v]] -= 1
             row[d_index[(gi, w)]] = Fraction(-1)
             a_ub.append(row)
@@ -362,15 +354,13 @@ def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
     # slot t < k is support[t]; images outside the support get slots >= k
     slot = {v: t for t, v in enumerate(support)}
     for v in reversed(support):
-        for gi in range(len(window.gens)):
-            img = window.image(gi, v)
+        for s, m in zip(window.gens, window.edge_maps):
+            img = m.get(v)
             if img is None:
                 raise WindowEscape(
-                    f"support vertex {v!r} escapes under generator "
-                    f"{window.gens[gi]!r}")
+                    f"support vertex {v!r} escapes under generator {s!r}")
             slot.setdefault(img, len(slot))
-    images = [[slot[window.image(gi, v)] for v in support]
-              for gi in range(len(window.gens))]
+    images = [[slot[m[v]] for v in support] for m in window.edge_maps]
     pad = [0] * (len(slot) - k)
     best: Optional[tuple[Fraction, tuple[int, ...], int]] = None
     for d in range(1, max_denominator + 1):
@@ -436,27 +426,19 @@ class DeviationTensor(NamedTuple):
     mu: tuple
     values: tuple
 
-    @property
-    def i_count(self) -> int:
-        return len(self.values)
-
-    @property
-    def j_count(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
-    def value(self, i: int, j: int, g: int, x: int) -> Fraction:
-        return self.values[i][j][g][x]
-
 
 def check_tensor(t: DeviationTensor) -> DeviationTensor:
     """t itself, once mu is shown to be a probability vector on the points
     and every plane, block and row to have its full size, with at least one
-    column j and deviations in [0, 2]; raises ValueError otherwise."""
+    row i and one column j and deviations in [0, 2]; raises ValueError
+    otherwise."""
     if len(t.mu) != len(t.point_labels):
         raise ValueError("mu must weight exactly the sample points")
     if sum(t.mu, Fraction(0)) != 1 or any(q < 0 for q in t.mu):
         raise ValueError("mu must be a probability vector")
-    if t.values and not t.values[0]:
+    if not t.values:
+        raise ValueError("empty i dimension")
+    if not t.values[0]:
         raise ValueError("empty j dimension")
     for i, plane in enumerate(t.values):
         if len(plane) != len(t.values[0]):
@@ -478,8 +460,8 @@ def tensor_from_json(doc: dict) -> DeviationTensor:
     return check_tensor(DeviationTensor(
         tuple(doc["group"]),
         tuple(doc["points"]),
-        tuple(parse_fraction(q) for q in doc["mu"]),
-        tuple(tuple(tuple(tuple(parse_fraction(q) for q in row)
+        tuple(Fraction(str(q)) for q in doc["mu"]),
+        tuple(tuple(tuple(tuple(Fraction(str(q)) for q in row)
                           for row in block) for block in plane)
               for plane in doc["values"]),
     ))
@@ -519,11 +501,12 @@ class CfwExtraction(NamedTuple):
 
 def _entry_threshold(t: DeviationTensor, i: int, g: int, x: int,
                      m: int) -> int:
-    """Least j with d[i][j'][g][x] < 1/m for every j' >= j in range; J+1 if none."""
+    """Least j with d[i][j'][g][x] < 1/m for every j' >= j in range; the
+    column count if none."""
     target = Fraction(1, m)
     jmin = 0
-    for j in range(t.j_count):
-        if t.value(i, j, g, x) >= target:
+    for j, block in enumerate(t.values[i]):
+        if block[g][x] >= target:
             jmin = j + 1
     return jmin
 
@@ -545,29 +528,30 @@ def cfw_extract(t: DeviationTensor, m_max: Optional[int] = None
     exhaust every slice.  The slices are counted first and refused over
     CFW_SLICE_CAP.
     """
+    columns = len(t.values[0])
     if m_max is None:
-        m_max = t.j_count - 1
+        m_max = columns - 1
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     refuse_over(CFW_SLICE_CAP, 0, lambda: len(t.group_labels) * m_max,
                 "the extraction weighs {count} (group element, band) slices, "
                 "over the cap of {cap}; lower m_max")
     rows = []
-    for i in range(t.i_count):
+    for i in range(len(t.values)):
         # mass histogram over entry columns; rows that never enter the band
-        # within range (jmin == j_count) stay out of the union and drop here
-        hist = [Fraction(0)] * t.j_count
+        # within range (jmin == columns) stay out of the union and drop here
+        hist = [Fraction(0)] * columns
         for n, _ in enumerate(t.group_labels, start=1):
             for m in range(1, m_max + 1):
                 weight = Fraction(1, 2 ** (n * m))
                 for x in range(len(t.point_labels)):
                     jmin = _entry_threshold(t, i, n - 1, x, m)
-                    if jmin < t.j_count:
+                    if jmin < columns:
                         hist[jmin] += t.mu[x] * weight
         bound = Fraction(1, 2 ** i)
         # check_tensor keeps a column, and the last one's late mass is an
         # empty sum, so some f qualifies
-        rows.append(next(CfwRow(i, f, late, bound) for f in range(t.j_count)
+        rows.append(next(CfwRow(i, f, late, bound) for f in range(columns)
                          if (late := sum(hist[f + 1:], Fraction(0))) < bound))
     return CfwExtraction(t, m_max, tuple(rows))
 
@@ -581,16 +565,15 @@ def verify_cfw(extraction: CfwExtraction) -> None:
             raise VerificationError(
                 f"stage {row.i} has bound {row.bound}, not 1/2**{row.i}")
         total = Fraction(0)
+        plane = t.values[row.i]
         for n, _ in enumerate(t.group_labels, start=1):
             for m in range(1, extraction.m_max + 1):
                 target = Fraction(1, m)
                 for x in range(len(t.point_labels)):
-                    in_union = any(
-                        all(t.value(row.i, jp, n - 1, x) < target
-                            for jp in range(j, t.j_count))
-                        for j in range(t.j_count))
-                    in_f = all(t.value(row.i, jp, n - 1, x) < target
-                               for jp in range(row.f, t.j_count))
+                    entries = [block[n - 1][x] for block in plane]
+                    in_union = any(all(q < target for q in entries[j:])
+                                   for j in range(len(entries)))
+                    in_f = all(q < target for q in entries[row.f:])
                     if in_union and not in_f:
                         total += t.mu[x] * Fraction(1, 2 ** (n * m))
         if total != row.bad_mass:

@@ -322,7 +322,7 @@ def lockstep(am: Amalgam, path: BoundaryCode | Sequence[Letter], least: bool
     that emit the wanted letter survive: the least one when least is set,
     otherwise the path's own letter, so that the survivors after k letters
     fix the path's first k steps.  Returns the emitted letters, the
-    survivors as (carry, e) in G.elements() order, and, for a fixing walk,
+    survivors as (carry, e) in index order, and, for a fixing walk,
     each death as (k, e): e fixes k - 1 steps of the path but not k.
 
     The walk stops when one survivor is left, since it never dies: it
@@ -424,7 +424,7 @@ def _base_stabilizer(am: Amalgam, moved: tuple[Vertex, ...]
     otherwise the survivors of one lockstep walk along its letters, which
     _check_complete shows to be complete."""
     side = len(moved[0]) % 2
-    fixing = am.groups[side].elements()
+    fixing = range(am.groups[side].order)
     if len(moved) > 1:
         # each step appends its letter, except K's step to the base vertex
         letters = [w[-1] if len(w) > len(v) else Letter(B_SIDE, 0)
@@ -568,11 +568,12 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     """
     if max_len is not None and max_len < 0:
         raise TreeError(f"segment length cap must be nonnegative, got {max_len}")
+    memo = {} if memo is None else memo
     _, survivors, deaths = lockstep(am, x, False)
     sigma = max(deaths, default=(0, None))[0]
     alive = tuple(e for _, e in survivors)
     key = x.letters(sigma)
-    kept = None if memo is None else memo.get(key)
+    kept = memo.get(key)
     if kept is not None:
         if kept[0] != alive:
             raise VerificationError("the ray's walk keeps other elements than "
@@ -586,8 +587,7 @@ def check_theorem_A(am: Amalgam, x: BoundaryCode,
     if kept is None:
         _check_complete(am, A_SIDE, code_truncate(x, sigma).vertices,
                         survivors, deaths)
-        if memo is not None:
-            memo[key] = alive, words
+        memo[key] = alive, words
     if max_len is not None and sigma > max_len:
         return None
     return TheoremStyleCertificate(sigma, words)

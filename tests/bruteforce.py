@@ -61,7 +61,7 @@ def element_order(group: FiniteGroup, a: int) -> int:
     """Least k >= 1 with a^k the identity, by repeated multiplication."""
     k, x = 1, a
     while x != 0:
-        x = group.mul(x, a)
+        x = group.mul_table[x][a]
         k += 1
     return k
 
@@ -126,9 +126,9 @@ def coset_partition(group: FiniteGroup, images) -> tuple[list, list]:
     """Left cosets g·C of an embedded subgroup, ordered by least element,
     as sorted lists, and their least elements."""
     cosets = []
-    for g in group.elements():
+    for g in range(group.order):
         if not any(g in coset for coset in cosets):
-            cosets.append(sorted({group.mul(g, x) for x in images}))
+            cosets.append(sorted({group.mul_table[g][x] for x in images}))
     return cosets, [coset[0] for coset in cosets]
 
 
@@ -158,7 +158,7 @@ def enumerate_reduced_words(am: Amalgam, max_letters: int) -> list[ReducedWord]:
                 pools.append([Letter(side, r) for r in range(1, count)])
             shapes.extend(product(*pools))
     words = [ReducedWord(tuple(shape), c)
-             for shape in shapes for c in am.C.elements()]
+             for shape in shapes for c in range(am.C.order)]
     words.sort(key=ReducedWord.sort_key)
     return words
 
@@ -173,16 +173,17 @@ def _neighbors(am: Amalgam, word: Tagged) -> list[Tagged]:
     for i in range(n - 1):
         (s1, x1), (s2, x2) = word[i], word[i + 1]
         if s1 == s2:
-            merged = am.groups[s1].mul(x1, x2)
+            merged = am.groups[s1].mul_table[x1][x2]
             mid = ((s1, merged),) if merged != 0 else ()
             out.append(word[:i] + mid + word[i + 2:])
         else:
             for c in range(1, am.C.order):
-                left = am.groups[s1].mul(x1, am.embed[s1][c])
-                right = am.groups[s2].mul(am.embed[s2][am.C.inv(c)], x2)
+                left = am.groups[s1].mul_table[x1][am.embed[s1][c]]
+                right = am.groups[s2].mul_table[
+                    am.embed[s2][am.C.inv_table[c]]][x2]
                 mid = tuple(p for p in ((s1, left), (s2, right)) if p[1] != 0)
                 out.append(word[:i] + mid + word[i + 2:])
-    embedded = [{am.embed[side][c]: c for c in am.C.elements()}
+    embedded = [{am.embed[side][c]: c for c in range(am.C.order)}
                 for side in (A_SIDE, B_SIDE)]
     for i in range(n):
         side, elem = word[i]
@@ -241,7 +242,7 @@ def absorb_multiply(am: Amalgam, u: ReducedWord, v: ReducedWord
     out, carry = list(u.letters), u.carry
     for letter in v.letters:
         carry = absorb_letter(am, out, carry, letter)
-    return ReducedWord(tuple(out), am.C.mul(carry, v.carry))
+    return ReducedWord(tuple(out), am.C.mul_table[carry][v.carry])
 
 
 def absorb_act_on_vertex(am: Amalgam, g: ReducedWord, v: Vertex) -> Vertex:
@@ -430,7 +431,7 @@ def stabilizer_of_segment(am: Amalgam, segment: GeodesicPath
     assert moved[0] == vertex_from_letters([], side)
     t_inv = invert(am, t)
     found = []
-    for elem in am.groups[side].elements():
+    for elem in range(am.groups[side].order):
         h = word_of_subgroup_element(am, side, elem)
         if all(act_on_vertex(am, h, v) == v for v in moved):
             found.append(multiply(am, multiply(am, t_inv, h), t))
@@ -471,7 +472,7 @@ def walk_first_moves(am: Amalgam, side: int, vertices: Sequence[Vertex],
     reported = sorted([(e, None) for _, e in survivors]
                       + [(e, k) for k, e in deaths], key=lambda pair: pair[0])
     found = [(e, first_move(am, side, e, vertices))
-             for e in am.groups[side].elements()]
+             for e in range(am.groups[side].order)]
     return reported, found
 
 
@@ -479,7 +480,7 @@ def ray_stabilizer(am: Amalgam, x: BoundaryCode) -> tuple[ReducedWord, ...]:
     """Elements of the base vertex group fixing the end x: every element
     applied with act_on_boundary, sorted as the library sorts them."""
     out = []
-    for elem in am.H.elements():
+    for elem in range(am.H.order):
         h = word_of_subgroup_element(am, A_SIDE, elem)
         if act_on_boundary(am, h, x) == x:
             out.append(h)
@@ -503,7 +504,7 @@ def orbit_min(am: Amalgam, x: BoundaryCode) -> tuple[BoundaryCode, ReducedWord]:
     """The least translate of x under the base vertex group, and the first
     element of H that gives it: every element applied, every code compared."""
     best = None
-    for elem in am.H.elements():
+    for elem in range(am.H.order):
         h = word_of_subgroup_element(am, A_SIDE, elem)
         code = act_on_boundary(am, h, x)
         if best is None or compare_words(code, best[0]) < 0:

@@ -142,10 +142,10 @@ def test_step_table_is_exact(name):
     am = MODELS[name]
     for side in (A_SIDE, B_SIDE):
         grp = am.groups[side]
-        for c in am.C.elements():
+        for c in range(am.C.order):
             for rep in range(am.transversals[side].index):
-                u = grp.mul(am.embed[side][c],
-                            am.transversals[side].reps[rep])
+                u = grp.mul_table[am.embed[side][c]][
+                    am.transversals[side].reps[rep]]
                 assert am.steps[side][c][rep] == (am.rep_idx[side][u],
                                                   am.carry[side][u])
 
@@ -159,7 +159,7 @@ def test_feed_matches_absorb(name):
     for side in (A_SIDE, B_SIDE):
         befores = [()] + [(Letter(s, r),) for s in (1 - side, side)
                           for r in range(1, am.transversals[s].index)]
-        for c in am.C.elements():
+        for c in range(am.C.order):
             for rep in range(am.transversals[side].index):
                 for before in befores:
                     fed, absorbed = list(before), list(before)

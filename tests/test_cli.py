@@ -415,7 +415,7 @@ def conjugated(am, out, fix, deaths):
     g = _first_mover(deaths)
 
     def c(e):
-        return grp.mul(grp.mul(g, e), grp.inv(g))
+        return grp.mul_table[grp.mul_table[g][e]][grp.inv_table[g]]
 
     return out, [(k, c(e)) for k, e in fix], [(k, c(e)) for k, e in deaths]
 
@@ -656,7 +656,7 @@ def test_wrong_step_entry_exits_3_at_load(monkeypatch, capsys):
     def wrong_carry(am):
         rows = [list(row) for row in am.steps[B_SIDE]]
         rep, carry = rows[1][1]
-        rows[1][1] = rep, am.C.mul(carry, 1)
+        rows[1][1] = rep, am.C.mul_table[carry][1]
         am.steps = am.steps[A_SIDE], tuple(map(tuple, rows))
         check(am)
 
@@ -1168,6 +1168,8 @@ BAD_TENSORS = {
                      "ragged group dimension"),
     "ragged_point": (_bad_tensor(lambda d: d["values"][0][0][0].pop()),
                      "ragged point dimension"),
+    "empty_i": (_bad_tensor(lambda d: d.update(values=[])),
+                "empty i dimension"),
     "empty_j": (_bad_tensor(lambda d: d.update(values=[[], []])),
                 "empty j dimension"),
     # JSON booleans are not numbers, though Python reads them as 1 and 0
@@ -1185,6 +1187,15 @@ def test_tensor_refusals_name_their_defect(tmp_path, capsys, label):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(doc))
     rc, out, err = run(capsys, ["cfw", "--tensor", str(path)])
+    assert (rc, out, err) == (2, "", f"error: tensor: {message}\n")
+
+
+def test_a_tensor_without_rows_is_refused_whatever_m_max(tmp_path, capsys):
+    # it would certify nothing: an empty list of stages
+    doc, message = BAD_TENSORS["empty_i"]
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["cfw", "--tensor", str(path), "--m-max", "1"])
     assert (rc, out, err) == (2, "", f"error: tensor: {message}\n")
 
 

@@ -168,10 +168,10 @@ def test_the_walk_finds_an_unused_definition(tmp_path, monkeypatch):
     before = set(unreached())
     groups = pkg / "groups.py"
     groups.write_text(groups.read_text().replace(
-        "    def mul(self, a: int, b: int) -> int:",
+        "    def index_of_name(self, name: str) -> int:",
         "    def square(self, a: int) -> int:\n"
-        "        return self.mul(a, a)\n\n"
-        "    def mul(self, a: int, b: int) -> int:")
+        "        return self.mul_table[a][a]\n\n"
+        "    def index_of_name(self, name: str) -> int:")
         + "\n\ndef unused_helper(group):\n    return group.order\n")
     monkeypatch.setitem(globals(), "PKG", pkg)
     assert set(unreached()) - before == {"groups.FiniteGroup.square",

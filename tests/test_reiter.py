@@ -2,13 +2,15 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbor.codes import parse_code
-from arbor.groups import B_SIDE, normal_form
+from arbor.groups import (A_SIDE, B_SIDE, Letter, normal_form,
+                          word_of_subgroup_element)
 from arbor.reiter import (
     GRID_VECTOR_CAP,
     DeviationTensor,
@@ -33,10 +35,10 @@ from arbor.reiter import (
     _numerators,
     _window_deviations,
 )
-from arbor.tree import OverBudget, ball_size
+from arbor.tree import OverBudget, act_on_vertex, ball_size
 
-from bruteforce import (boundary_product_tensor, builtin, interior,
-                        tensor_to_json)
+from bruteforce import (BUILTIN_NAMES, boundary_product_tensor, builtin,
+                        interior, tensor_to_json)
 
 
 def test_prob_vector_basics():
@@ -72,8 +74,8 @@ def test_integer_window_interior():
     w = integer_window(3)
     assert w.vertices == (-3, -2, -1, 0, 1, 2, 3)
     assert interior(w) == (-2, -1, 0, 1, 2)
-    assert w.image(0, 2) == 3
-    assert w.image(0, 3) is None
+    assert w.edge_maps[0].get(2) == 3
+    assert w.edge_maps[0].get(3) is None
 
 
 @pytest.mark.parametrize("m", [3, 5, 10])
@@ -199,9 +201,35 @@ def test_coset_action_table():
     act = coset_window(builtin("sl2z"), B_SIDE, [1, 3, 1])
     assert list(act.vertices) == [0, 1, 2]
     assert act.gens == (1, 3, 1)
-    assert [act.image(0, x) for x in act.vertices] == [1, 2, 0]
-    assert [act.image(1, x) for x in act.vertices] == [0, 1, 2]
+    assert [act.edge_maps[0][x] for x in act.vertices] == [1, 2, 0]
+    assert [act.edge_maps[1][x] for x in act.vertices] == [0, 1, 2]
     assert act.edge_maps[2] == act.edge_maps[0]
+
+
+COSET_MODELS = BUILTIN_NAMES + tuple(
+    str(p) for p in sorted((Path(__file__).parent / "models").glob("*.json")))
+
+
+@pytest.mark.parametrize("side", (A_SIDE, B_SIDE), ids=("h", "k"))
+@pytest.mark.parametrize("name", COSET_MODELS,
+                         ids=lambda name: Path(name).stem)
+def test_coset_action_is_the_vertex_action(name, side):
+    # a factor G permutes the neighbours of its base vertex as it permutes
+    # G/C.  On the H side coset r is the vertex (A, r); on the K side coset
+    # 0 is the base vertex and coset s is (A, 0), (B, s)
+    am = builtin(name)
+    gens = range(am.groups[side].order)
+    window = coset_window(am, side, gens)
+    assert window.vertices == tuple(range(am.transversals[side].index))
+    if side == A_SIDE:
+        vertex = [(Letter(A_SIDE, r),) for r in window.vertices]
+    else:
+        vertex = [()] + [(Letter(A_SIDE, 0), Letter(B_SIDE, s))
+                         for s in window.vertices[1:]]
+    for e, image in zip(gens, window.edge_maps):
+        g = word_of_subgroup_element(am, side, e)
+        assert [act_on_vertex(am, g, v) for v in vertex] \
+            == [vertex[image[x]] for x in window.vertices]
 
 
 def test_uniform_vector_is_coamenability_certificate():
@@ -229,7 +257,7 @@ def test_numerators_in_lexicographic_order():
 
 def test_monotone_tensor_thresholds():
     t = monotone_tensor()
-    assert t.i_count == 11 and t.j_count == 13
+    assert len(t.values) == 11 and len(t.values[0]) == 13
     ex = cfw_extract(t, m_max=12)
     assert ex.thresholds == tuple(range(11))
     for row in ex.rows:
@@ -274,7 +302,7 @@ def test_boundary_tensor_line_model_degenerates():
     t = boundary_product_tensor(
         am, [left, right], [Fraction(1, 2), Fraction(1, 2)], [g],
         i_count=3, j_count=3)
-    assert all(t.value(i, j, 0, x) == 0
+    assert all(t.values[i][j][0][x] == 0
                for i in range(3) for j in range(3) for x in range(2))
     ex = cfw_extract(t, m_max=4)
     assert ex.thresholds == (0, 0, 0)
@@ -293,7 +321,7 @@ def test_boundary_tensor_alternating_model():
     for i in range(2):
         for j in range(3):
             for p in range(2):
-                assert 0 <= t.value(i, j, 0, p) <= 2
+                assert 0 <= t.values[i][j][0][p] <= 2
     back = tensor_from_json(tensor_to_json(t))
     assert back == t
     ex = cfw_extract(t, m_max=3)

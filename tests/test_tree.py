@@ -285,7 +285,7 @@ def test_base_stabilizer_is_the_first_factor():
     fixing = [g for g in enumerate_reduced_words(am, 2)
               if act_on_vertex(am, g, base) == base]
     expected = sorted(
-        (word_of_subgroup_element(am, A_SIDE, h) for h in am.H.elements()),
+        (word_of_subgroup_element(am, A_SIDE, h) for h in range(am.H.order)),
         key=lambda w: w.sort_key())
     assert sorted(fixing, key=lambda w: w.sort_key()) == expected
 
@@ -689,7 +689,7 @@ def test_far_end_recheck_alone_refuses_a_whole_factor(monkeypatch, capsys):
     def whole_factor(am, moved):
         side = len(moved[0]) % 2
         return tuple(word_of_subgroup_element(am, side, e)
-                     for e in am.groups[side].elements())
+                     for e in range(am.groups[side].order))
 
     monkeypatch.setattr("arbor.tree._base_stabilizer", whole_factor)
     assert main(["check", "--what", "acylindrical", "--seg-length", "2",
