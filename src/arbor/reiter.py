@@ -8,10 +8,8 @@ returned vertex before anything is reported.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .groups import Amalgam, VerificationError
 from .lp import solve_lp
@@ -213,6 +211,16 @@ def _window_deviations(window: SchreierWindow, p: ProbVector) -> list[Fraction]:
     return [l1_distance(p, p.pushforward(m.get)) for m in window.edge_maps]
 
 
+def _distinct_support(support: Sequence) -> list:
+    """The support as a list, refused when it is empty or names a vertex
+    twice, which would give that vertex two weights."""
+    support = list(support)
+    if not support or len(set(support)) < len(support):
+        raise ValueError("the support must be nonempty, with each vertex "
+                         "listed once")
+    return support
+
+
 # Dense LP entries (rows times columns) reiter_lp hands to the simplex.  The
 # largest LP in the tests and the benchmark has about 26,000 entries; in
 # process on one core of a 2-core Xeon, z with 200 support points (486,621)
@@ -230,9 +238,7 @@ def reiter_lp(window: SchreierWindow, support: Sequence,
     re-verified directly against the window maps; any disagreement is a hard
     failure rather than a result.
     """
-    support = list(support)
-    if not support:
-        raise WindowEscape("empty support: the window has no interior")
+    support = _distinct_support(support)
     sup_index = {v: k for k, v in enumerate(support)}
     for s, m in zip(window.gens, window.edge_maps):
         for v in support:
@@ -299,14 +305,18 @@ def reiter_lp(window: SchreierWindow, support: Sequence,
     return ReiterLpResult(sol.value, p, per_gen, meets)
 
 
-# The integer grid visits some 200,000 vectors a second on one core, so
-# the cap keeps the oracle to seconds; larger grids are refused up front.
+# The pruned search visits at most the whole grid, C(D+k, k) - 1 vectors,
+# and on the z window a small share of it: in process on one core of a
+# 2-vCPU host the z grids at the cap's edge for 2 to 12 points take 0.01 to
+# 0.4 s.  Where the cuts come late, as on the rank-3 free ball at D = 20, a
+# grid takes about 3 s, so the cap keeps the oracle to seconds; larger
+# grids are refused up front.
 GRID_VECTOR_CAP = 1_000_000
 
 
 def grid_vector_count(support_size: int, max_denominator: int) -> int:
-    """Vectors a grid search visits: the sum over d of C(d+k-1, k-1), which
-    is C(D+k, k) - 1 by the hockey-stick identity."""
+    """Vectors in the grid, the most a grid search visits: the sum over d of
+    C(d+k-1, k-1), which is C(D+k, k) - 1 by the hockey-stick identity."""
     if support_size < 1 or max_denominator < 1:
         return 0
     return comb(max_denominator + support_size, support_size) - 1
@@ -323,66 +333,125 @@ def check_grid_size(support_size: int, max_denominator: int) -> None:
                 "shrink the support")
 
 
-def _numerators(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of `parts` entries summing to total.
-
-    Stars and bars: the cut points run through combinations in lexicographic
-    order, which orders the vectors lexicographically too.  One part has
-    one vector, yielded as it is: its pool of cut points would be total
-    long.
-    """
-    if parts == 1:
-        yield (total,)
-        return
-    slots = total + parts - 1
-    for bars in combinations(range(slots), parts - 1):
-        yield tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
-
-
 def grid_search_min_deviation(window: SchreierWindow, support: Sequence,
                               max_denominator: int
                               ) -> tuple[Fraction, ProbVector]:
-    """Brute-force minimum over all vectors with weights k/d, d <= the cap.
+    """Exact minimum over all vectors with weights n/d, d <= the cap.
 
     The first minimizer in enumeration order wins: denominators ascending,
-    then the stars-and-bars placements in lexicographic order.  For a fixed
-    d the deviations are integer numerators over d.
+    then the numerator vectors in lexicographic order.  For a fixed d the
+    deviations are integer numerators over d.  The search is branch and
+    bound (Land and Doig, 1960) and reads nothing from the LP.  It places
+    one numerator at a time, and adds a generator's term |P_w - (the mass
+    sent to w)| once every numerator in it is placed.  Terms only add, so
+    the worst partial sum bounds every vector that extends the prefix, and
+    the prefix is cut once that bound reaches this denominator's best so
+    far, or ceil(best * d) for the best of the earlier ones.  The last two
+    numerators, x and r - x, are not branched on: the worst deviation is a
+    maximum of sums of |a x + b|, convex in x, so bisection finds its first
+    minimizer.
     """
-    support = list(support)
+    support = _distinct_support(support)
     k = len(support)
     check_grid_size(k, max_denominator)
-    # slot t < k is support[t]; images outside the support get slots >= k
-    slot = {v: t for t, v in enumerate(support)}
     for v in reversed(support):
         for s, m in zip(window.gens, window.edge_maps):
-            img = m.get(v)
-            if img is None:
+            if m.get(v) is None:
                 raise WindowEscape(
                     f"support vertex {v!r} escapes under generator {s!r}")
-            slot.setdefault(img, len(slot))
-    images = [[slot[m[v]] for v in support] for m in window.edge_maps]
-    pad = [0] * (len(slot) - k)
-    best: Optional[tuple[Fraction, tuple[int, ...], int]] = None
-    for d in range(1, max_denominator + 1):
-        d_worst: Optional[int] = None
-        for parts in _numerators(d, k):
-            worst = 0
-            for img in images:
-                diff = [*parts, *pad]
-                for t, q in enumerate(parts):
-                    if q:
-                        diff[img[t]] -= q
-                worst = max(worst, sum(map(abs, diff)))
-            if d_worst is None or worst < d_worst:
-                d_worst, d_parts = worst, parts
-        if d_worst is not None and (best is None
-                                    or Fraction(d_worst, d) < best[0]):
-            best = (Fraction(d_worst, d), d_parts, d)
+    # each term as integer coefficients on the support positions: filed
+    # under the last position it reads, or, when it reads one of the last
+    # two, as a x + b with x at position k-2 and r - x at position k-1
+    branched = max(k - 2, 0)
+    ready: list[list] = [[] for _ in range(branched)]
+    tails: list[list] = [[] for _ in window.edge_maps]
+    for gi, m in enumerate(window.edge_maps):
+        rows: dict = {}
+        for t, v in enumerate(support):
+            for w, c in ((v, 1), (m[v], -1)):
+                row = rows.setdefault(w, {})
+                row[t] = row.get(t, 0) + c
+        for row in rows.values():
+            coeffs = [(t, c) for t, c in sorted(row.items()) if c]
+            if coeffs and coeffs[-1][0] < branched:
+                ready[coeffs[-1][0]].append((gi, coeffs))
+            elif coeffs:
+                x_c, r_c = row.get(k - 2, 0), row.get(k - 1, 0)
+                tails[gi].append((x_c - r_c, r_c, [(t, c) for t, c in coeffs
+                                                   if t < branched]))
+    parts = [0] * k
+
+    def split(r: int, acc: list) -> tuple[int, int]:
+        """(worst, x) for the first x in 0..r that minimizes the worst
+        deviation when the last two positions hold x and r - x."""
+        lines = [(base, [(a, r_c * r + sum(c * parts[t] for t, c in head))
+                         for a, r_c, head in tail])
+                 for base, tail in zip(acc, tails)]
+
+        def worst(x: int) -> int:
+            top = 0
+            for base, ab in lines:
+                for a, b in ab:
+                    base += abs(a * x + b)
+                top = max(top, base)
+            return top
+
+        lo, hi = 0, r if k > 1 else 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if worst(mid + 1) >= worst(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return worst(lo), lo
+
+    best: Optional[tuple[int, int, list]] = None
+    zero = [0] * len(tails)
+    # one support point has one vector per d, (d,), whose deviations are d
+    # times those at d = 1, so no later denominator beats d = 1
+    last = max_denominator if k > 1 else min(max_denominator, 1)
+    for d in range(1, last + 1):
+        # a deviation is at most 2d; an earlier denominator's best num/den
+        # is beaten only by a worst below ceil(num * d / den)
+        limit = 2 * d + 1 if best is None else -(-best[0] * d // best[1])
+        found: Optional[list] = None
+        if not branched:
+            value, x = split(d, zero)
+            if value < limit:
+                limit, found = value, [x, d - x][-k:]
+        # depth-first over positions 0..branched-1, each counting up from 0
+        accs, bounds, rems = [zero] * branched, [0] * branched, [d] * branched
+        t = 0 if branched else -1
+        parts[0] = -1
+        while t >= 0:
+            parts[t] += 1
+            if parts[t] > rems[t] or bounds[t] >= limit:
+                t -= 1
+                continue
+            acc = accs[t][:]
+            for gi, coeffs in ready[t]:
+                term = 0
+                for u, c in coeffs:
+                    term += c * parts[u]
+                acc[gi] += abs(term)
+            bound = max(acc)
+            if bound >= limit:
+                continue
+            r = rems[t] - parts[t]
+            if t + 1 < branched:
+                t += 1
+                accs[t], bounds[t], rems[t], parts[t] = acc, bound, r, -1
+                continue
+            value, x = split(r, acc)
+            if value < limit:
+                limit, found = value, parts[:branched] + [x, r - x]
+        if found is not None:
+            best = (limit, d, found)
     if best is None:
         raise WindowEscape("empty grid")
-    val, parts, d = best
-    return val, ProbVector((support[t], Fraction(parts[t], d))
-                           for t in range(k) if parts[t])
+    value, d, found = best
+    return Fraction(value, d), ProbVector(
+        (support[t], Fraction(found[t], d)) for t in range(k) if found[t])
 
 
 def check_uniform_coamenable(am: Amalgam, side: int, gens: Sequence[int],

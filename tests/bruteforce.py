@@ -8,7 +8,8 @@ geodesics through two words' common prefix and dot labels joined from the
 words), segments from all vertex pairs, orbit witnesses rebuilt from
 scratch for every pair, segment stabilizers from every element of the
 factor at the segment's start, canonical orbit codes from every base
-element applied and compared, and permutation-group tables with every product
+element applied and compared, the Reiter grid minimum with every
+numerator vector scored, and permutation-group tables with every product
 composed, associativity by the triple loop, and coset partitions rebuilt
 element by element.  Direct checks of what the commands
 print: normal-form validity, tail equivalence (which implies orbit
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product
+from itertools import combinations, count, product
 from typing import Optional, Sequence
 
 from arbor import lp
@@ -593,6 +594,60 @@ def interior(window: SchreierWindow) -> tuple:
     """Vertices whose images under every generator stay in the window."""
     return tuple(v for v in window.vertices
                  if all(v in m for m in window.edge_maps))
+
+
+def numerators(total: int, parts: int):
+    """Nonnegative integer vectors of `parts` entries summing to total, in
+    lexicographic order.
+
+    Stars and bars: the cut points run through combinations in lexicographic
+    order, which orders the vectors lexicographically too.  One part has
+    one vector, yielded as it is: its pool of cut points would be total
+    long.
+    """
+    if parts == 1:
+        yield (total,)
+        return
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+
+
+def grid_min_deviation(window: SchreierWindow, support: Sequence,
+                       max_denominator: int):
+    """(value, vector) of the least worst deviation over every vector with
+    weights n/d, d <= the cap, each one scored: the first minimizer wins,
+    denominators ascending, then numerators in lexicographic order.  For a
+    fixed d the deviations are integer numerators over d.  None for an
+    empty grid; every image of the support must lie in the window."""
+    k = len(support)
+    # slot t < k is support[t]; images outside the support get slots >= k
+    slot = {v: t for t, v in enumerate(support)}
+    for m in window.edge_maps:
+        for v in support:
+            slot.setdefault(m[v], len(slot))
+    images = [[slot[m[v]] for v in support] for m in window.edge_maps]
+    pad = [0] * (len(slot) - k)
+    best = None
+    for d in range(1, max_denominator + 1):
+        d_worst = None
+        for parts in numerators(d, k):
+            worst = 0
+            for img in images:
+                diff = [*parts, *pad]
+                for t, q in enumerate(parts):
+                    if q:
+                        diff[img[t]] -= q
+                worst = max(worst, sum(map(abs, diff)))
+            if d_worst is None or worst < d_worst:
+                d_worst, d_parts = worst, parts
+        if best is None or Fraction(d_worst, d) < best[0]:
+            best = (Fraction(d_worst, d), d_parts, d)
+    if best is None:
+        return None
+    value, parts, d = best
+    return value, ProbVector((support[t], Fraction(parts[t], d))
+                             for t in range(k) if parts[t])
 
 
 def tensor_to_json(t: DeviationTensor) -> dict:

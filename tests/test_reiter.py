@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from arbor.reiter import (
     GRID_VECTOR_CAP,
     DeviationTensor,
     ProbVector,
+    SchreierWindow,
     WindowEscape,
     cfw_extract,
     check_tensor,
@@ -32,13 +34,13 @@ from arbor.reiter import (
     reiter_lp,
     tensor_from_json,
     verify_cfw,
-    _numerators,
     _window_deviations,
 )
 from arbor.tree import OverBudget, act_on_vertex, ball_size
 
 from bruteforce import (BUILTIN_NAMES, boundary_product_tensor, builtin,
-                        interior, tensor_to_json)
+                        grid_min_deviation, interior, numerators,
+                        tensor_to_json)
 
 
 def test_prob_vector_basics():
@@ -110,8 +112,25 @@ def test_lp_support_escape():
     w = integer_window(3)
     with pytest.raises(WindowEscape):
         reiter_lp(w, support=[2, 3])
-    with pytest.raises(WindowEscape, match="^empty support"):
-        reiter_lp(w, support=[])
+
+
+SUPPORT_REFUSAL = "^the support must be nonempty, with each vertex listed once$"
+
+
+@pytest.mark.parametrize("support", [[], [0, 0], [1, 0, 1]])
+def test_lp_refuses_an_empty_or_repeated_support(support):
+    # a repeated vertex would get two weights, and the re-check of the
+    # summed vertex would report the input error as a defect
+    with pytest.raises(ValueError, match=SUPPORT_REFUSAL) as exc:
+        reiter_lp(integer_window(3), support)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("support", [[], [0, 0], [1, 0, 1]])
+def test_grid_refuses_an_empty_or_repeated_support(support):
+    with pytest.raises(ValueError, match=SUPPORT_REFUSAL) as exc:
+        grid_search_min_deviation(integer_window(3), support, 4)
+    assert type(exc.value) is ValueError
 
 
 def test_oversized_lp_is_refused_before_building():
@@ -252,7 +271,7 @@ def test_numerators_in_lexicographic_order():
             expected = sorted(
                 v for v in product(range(total + 1), repeat=parts)
                 if sum(v) == total)
-            assert list(_numerators(total, parts)) == expected
+            assert list(numerators(total, parts)) == expected
 
 
 def test_monotone_tensor_thresholds():
@@ -370,16 +389,48 @@ def test_integer_grid_matches_fraction_grid(case):
 
 
 def test_grid_vector_count_is_one_binomial():
-    # the oracle: a loop over denominators, and the vectors _numerators
-    # lists for each
+    # the oracle: a loop over denominators, and the vectors the brute-force
+    # enumerator lists for each
     for k in range(1, 8):
         for max_den in range(30):
             loop = sum(comb(d + k - 1, k - 1) for d in range(1, max_den + 1))
             assert grid_vector_count(k, max_den) == loop
             if k <= 4 and max_den <= 8:
                 assert grid_vector_count(k, max_den) == sum(
-                    1 for d in range(1, max_den + 1) for _ in _numerators(d, k))
+                    1 for d in range(1, max_den + 1) for _ in numerators(d, k))
     assert grid_vector_count(0, 5) == grid_vector_count(3, -2) == 0
+
+
+# the sweep's windows: translations of the line, with a zero step whose
+# minimum 0 at d = 1 cuts every later prefix, and free-group balls
+SWEEP_WINDOWS = [integer_window(8, (1, -1)), integer_window(8, (1, -1, 2)),
+                 integer_window(11, (5, -5)), integer_window(6, (0,)),
+                 free_tree_window(1, 7), free_tree_window(2, 2)]
+
+
+@pytest.mark.parametrize("window", SWEEP_WINDOWS,
+                         ids=lambda w: ",".join(map(str, w.gens)))
+def test_pruned_grid_matches_every_vector_scored(window):
+    inner = interior(window)
+    for k in range(1, min(6, len(inner)) + 1):
+        for max_den in range(1, 13):
+            assert grid_search_min_deviation(window, inner[:k], max_den) \
+                == grid_min_deviation(window, inner[:k], max_den), \
+                (k, max_den)
+
+
+def test_pruned_grid_matches_on_maps_that_merge_and_fix():
+    # seeded maps on up to 8 vertices that send two vertices to one or fix
+    # one, so a deviation term can read three numerators or none at all
+    rng = random.Random(0)
+    for _ in range(300):
+        vertices = tuple(range(rng.randint(1, 8)))
+        window = SchreierWindow(vertices, (0, 1), tuple(
+            {v: rng.choice(vertices) for v in vertices} for _ in range(2)))
+        support = rng.sample(vertices, rng.randint(1, min(5, len(vertices))))
+        max_den = (4, 12, 12, 9, 6)[len(support) - 1]
+        assert grid_search_min_deviation(window, support, max_den) \
+            == grid_min_deviation(window, support, max_den), window
 
 
 def test_grid_size_is_counted_first():
